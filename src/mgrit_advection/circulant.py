@@ -25,6 +25,12 @@ SINGULAR_TOL = 1e-14
 #: through the FFT (both are exact for circulants)
 _ROLL_LIMIT = 16
 
+#: rows per block of the in-place basis changes, which bounds their complex
+#: temporaries to a few MB however many rows are transformed
+_BASIS_BLOCK_ROWS = 256
+
+_SQRT2 = np.sqrt(2.0)
+
 
 def _canonical(n_x: int, offsets, weights):
     """Reduce offsets mod n_x into a balanced range, merge duplicates, prune."""
@@ -251,6 +257,89 @@ class CirculantOperator:
                            bool(res[0] <= rel_tol), bool(brk))
 
 
+class FourierBasisOperator:
+    """A real circulant operator acting on rows held in the real orthonormal
+    Fourier basis, where it is diagonal.
+
+    With X = rfft(v, norm="ortho") a physical row v of length n is stored as
+    n reals: slot 0 holds X_0, slot 1 holds X_{n/2} when n is even, and the
+    remaining slots, read as complex128 pairs, hold sqrt(2) X_k for
+    k = 1 .. (n-1)//2.  The change of basis is orthogonal, so Euclidean norms
+    and dot products of stored rows equal those of the physical vectors.
+
+    ``to_basis`` and ``from_basis`` change the basis in place on a vector or
+    a stack of rows (rows may be strided, the last axis must be contiguous);
+    ``apply`` multiplies by the operator's half-spectrum eigenvalues.
+    """
+
+    __slots__ = ("n_x", "_head", "_interior")
+
+    def __init__(self, op: CirculantOperator):
+        if not op.is_real():
+            raise ValueError("the real Fourier basis diagonalizes real "
+                             "operators only")
+        n = op.n_x
+        lam = op.eigenvalues()[: n // 2 + 1]
+        self.n_x = n
+        # eigenvalues of the real modes are real up to rounding; the
+        # physical rfft/irfft round trip discards the same imaginary parts
+        self._head = lam[[0, -1][: _head_slots(n)]].real
+        self._interior = lam[1: 1 + (n - 1) // 2]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Operator applied to basis rows ``v`` of shape (..., n_x)."""
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1] != self.n_x:
+            raise DimensionMismatchError(
+                f"vector length {v.shape[-1]} != n_x {self.n_x}")
+        h = len(self._head)
+        out = np.empty(v.shape)
+        np.multiply(v[..., :h], self._head, out=out[..., :h])
+        np.multiply(v[..., h:].view(complex), self._interior,
+                    out=out[..., h:].view(complex))
+        return out
+
+    @staticmethod
+    def to_basis(u: np.ndarray) -> None:
+        """Overwrite the physical rows of ``u`` with their basis coefficients."""
+        for blk, h, q in _row_blocks(u):
+            X = np.fft.rfft(blk, axis=-1, norm="ortho")
+            blk[:, 0] = X[:, 0].real
+            if h == 2:
+                blk[:, 1] = X[:, -1].real
+            np.multiply(X[:, 1: 1 + q], _SQRT2, out=blk[:, h:].view(complex))
+
+    @staticmethod
+    def from_basis(u: np.ndarray) -> None:
+        """Overwrite the basis rows of ``u`` with the physical vectors."""
+        for blk, h, q in _row_blocks(u):
+            n = blk.shape[-1]
+            X = np.empty((blk.shape[0], n // 2 + 1), dtype=complex)
+            X[:, 0] = blk[:, 0]
+            if h == 2:
+                X[:, -1] = blk[:, 1]
+            np.divide(blk[:, h:].view(complex), _SQRT2, out=X[:, 1: 1 + q])
+            blk[...] = np.fft.irfft(X, n=n, axis=-1, norm="ortho")
+
+
+def _head_slots(n_x: int) -> int:
+    """Real-valued modes of a length-n_x row: X_0, plus X_{n/2} if n_x is even."""
+    return 2 - n_x % 2
+
+
+def _row_blocks(u: np.ndarray):
+    """Blocks of rows of a vector or 2-D stack (views), with the head-slot
+    count and the number of complex interior modes."""
+    if u.ndim not in (1, 2) or u.dtype != np.float64:
+        raise DimensionMismatchError(
+            "basis changes need a float64 vector or a 2-D stack of rows")
+    rows = u[np.newaxis] if u.ndim == 1 else u
+    n = rows.shape[-1]
+    h, q = _head_slots(n), (n - 1) // 2
+    for start in range(0, rows.shape[0], _BASIS_BLOCK_ROWS):
+        yield rows[start: start + _BASIS_BLOCK_ROWS], h, q
+
+
 class GmresResult(NamedTuple):
     x: np.ndarray
     iterations: int
@@ -259,10 +348,12 @@ class GmresResult(NamedTuple):
     breakdown: bool
 
 
-def _gmres_batched(op: CirculantOperator, B: np.ndarray, rel_tol: float,
-                   max_iters: int):
+def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
     """GMRES on many right-hand sides sharing one operator.
 
+    ``op`` needs only a batched ``apply``: a ``CirculantOperator`` on
+    physical rows or a ``FourierBasisOperator`` on basis rows (the inner
+    products are Euclidean, so both give the same iterates up to rounding).
     Each row of ``B`` gets its own Krylov space; the Arnoldi matrix-vector
     products are batched across rows.  Breakdown (a zero Krylov vector) stops
     the affected rows with their current iterate; it is a status, not an error.

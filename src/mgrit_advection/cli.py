@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -70,7 +71,9 @@ class ExperimentConfig:
         "run": ("threads", "out"),
     }
 
-    def validate(self):
+    def validate(self, command: str = ""):
+        """Check the values; with ``command``, also that the space-time grid
+        suits the solves that command runs."""
         if self.family not in ("erk", "sdirk"):
             raise ConfigError(f"unknown family {self.family!r}")
         if not 1 <= self.p <= 5:
@@ -82,10 +85,28 @@ class ExperimentConfig:
                 "rediscretized coarse operators are unavailable for explicit "
                 "fine grids: at m times the step they exceed the stability "
                 "limit and the coarse operator is unstable")
-        if any(m < 2 for m in self.m):
+        if not self.m or any(m < 2 for m in self.m):
             raise ConfigError(f"coarsening factors must be >= 2, got {self.m}")
         if self.cycle not in ("two_level", "v_cycle"):
             raise ConfigError(f"unknown cycle {self.cycle!r}")
+        if self.nu < 0:
+            raise ConfigError(f"nu must be >= 0, got {self.nu}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        if command in ("solve", "iters") or (command == "sweep" and self.measure):
+            if self.n_x < 1 or self.n_t < 1:
+                raise ConfigError(
+                    f"grid sizes must be positive, got {self.n_x},{self.n_t}")
+            # solve coarsens by the first factor (later ones are deeper
+            # v-cycle levels, dropped where they stop dividing); iters and
+            # measured sweeps run every factor as a two-level factor
+            factors = self.m[:1] if command == "solve" else self.m
+            bad = [m for m in factors if self.n_t % m]
+            if bad:
+                raise ConfigError(f"n_t = {self.n_t} is not divisible by the "
+                                  f"coarsening factor(s) {bad}")
         return self
 
     def resolve_c(self) -> float:
@@ -399,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _apply_overrides(config, args)
         if config.threads <= 0:
             config.threads = os.cpu_count() or 1
-        config.validate()
+        config.validate(args.command)
         return COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

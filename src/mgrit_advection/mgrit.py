@@ -11,10 +11,21 @@ stepper Psi and its solution corrects the coarse points.
 The residual convention everywhere is the global l2 norm over coarse-point
 residuals; after a closing F-relaxation the remaining points have zero
 residual by construction.
+
+``solve`` runs in the real orthonormal Fourier basis: it changes the basis of
+the iterate in place once, cycles with the levels' basis steppers
+(``Stepper.in_basis``), where every circulant apply is a diagonal multiply,
+and changes back when it returns or raises.  The change of basis is
+orthogonal, so the residual norms it computes there equal the physical l2
+norms, and relaxation, restriction and the capped GMRES coarse solves run
+unchanged.  ``MgritSolver.iterate`` runs the same cycle on physical arrays
+with the physical steppers; it is the reference the basis solve is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .circulant import FourierBasisOperator
 from .stepping import Stepper
 
 
@@ -36,6 +48,8 @@ class MgritConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.nu < 0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
         if self.cycle not in ("two_level", "v_cycle"):
@@ -139,26 +153,30 @@ def f_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
         src = u[j - 1::m]
         dst = u[j::m]
         upd = _batched_apply(stepper, src[: dst.shape[0]], pool, threads)
-        dst[...] = upd + g[j::m]
+        np.add(upd, g[j::m], out=dst)
 
 
 def c_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
             pool=None, threads: int = 1) -> None:
     """Zero the residual at every coarse point after the first."""
     upd = _batched_apply(stepper, u[m - 1::m], pool, threads)
-    u[m::m] = upd[: u[m::m].shape[0]] + g[m::m]
+    dst = u[m::m]
+    np.add(upd[: dst.shape[0]], g[m::m], out=dst)
 
 
 def restrict_residual(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
-                      pool=None, threads: int = 1) -> np.ndarray:
+                      pool=None, threads: int = 1,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Coarse-point residuals g_km + Phi u_{km-1} - u_km for k >= 1.
 
     Injected to the coarse grid; valid as the full residual once the interior
-    points have been F-relaxed.
+    points have been F-relaxed.  Written to ``out`` when given.
     """
     prop = _batched_apply(stepper, u[m - 1::m], pool, threads)
     n_c = u[m::m].shape[0]
-    return g[m::m] + prop[:n_c] - u[m::m]
+    r = np.add(g[m::m], prop[:n_c], out=out)
+    r -= u[m::m]
+    return r
 
 
 def cpoint_residual_norm(u, g, stepper, m, pool=None, threads: int = 1) -> float:
@@ -169,25 +187,20 @@ def cpoint_residual_norm(u, g, stepper, m, pool=None, threads: int = 1) -> float
 def sequential_solve(problem: TimeGridProblem, level: int = 0,
                      g: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact forward substitution on the given level; the ground truth."""
-    stepper = problem.steppers[level]
     n_pts = problem.points_on_level(level)
-    u = np.empty((n_pts, problem.n_x))
     if g is None:
+        u = np.zeros((n_pts, problem.n_x))
         u[0] = problem.u0
-        for n in range(1, n_pts):
-            u[n] = stepper.apply(u[n - 1])
     else:
-        u[0] = g[0]
-        for n in range(1, n_pts):
-            u[n] = stepper.apply(u[n - 1]) + g[n]
-    return u
+        u = np.array(g[:n_pts], dtype=float)
+    return _forward_substitute(problem.steppers[level], u)
 
 
-def _forward_substitute(stepper: Stepper, g: np.ndarray) -> np.ndarray:
-    u = np.empty_like(g)
-    u[0] = g[0]
-    for n in range(1, g.shape[0]):
-        u[n] = stepper.apply(u[n - 1]) + g[n]
+def _forward_substitute(stepper: Stepper, u: np.ndarray) -> np.ndarray:
+    """Solve u_n = Phi u_{n-1} + g_n, u_0 = g_0 in place: ``u`` holds g on
+    entry and the solution on return."""
+    for n in range(1, u.shape[0]):
+        u[n] += stepper.apply(u[n - 1])
     return u
 
 
@@ -216,15 +229,17 @@ class MgritSolver:
         return g
 
     def iterate(self, u: np.ndarray, g: Optional[np.ndarray] = None) -> np.ndarray:
-        """One MGRIT cycle in place; returns the updated iterate."""
+        """One MGRIT cycle in place on physical arrays with the physical
+        steppers; returns the updated iterate."""
         if g is None:
             g = self.rhs()
-        self._cycle(0, u, g)
+        self._cycle(self.problem.steppers, 0, u, g)
         return u
 
-    def _cycle(self, level: int, u: np.ndarray, g: np.ndarray) -> None:
+    def _cycle(self, steppers: List[Stepper], level: int, u: np.ndarray,
+               g: np.ndarray) -> None:
         cfg = self.config
-        stepper = self.problem.steppers[level]
+        stepper = steppers[level]
         m = self.problem.m[level]
         pool, threads = self._pool, self.threads
 
@@ -233,15 +248,17 @@ class MgritSolver:
             c_relax(u, g, stepper, m, pool, threads)
             f_relax(u, g, stepper, m, pool, threads)
 
-        r = restrict_residual(u, g, stepper, m, pool, threads)
-        g_coarse = np.vstack([np.zeros((1, self.problem.n_x)), r])
+        # coarse right-hand side: zero at t = 0, the restricted residual after
+        g_coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
+        g_coarse[0] = 0.0
+        restrict_residual(u, g, stepper, m, pool, threads, out=g_coarse[1:])
 
         last_level = level + 1 == len(self.problem.m)
         if cfg.cycle == "two_level" or last_level:
-            e = _forward_substitute(self.problem.steppers[level + 1], g_coarse)
+            e = _forward_substitute(steppers[level + 1], g_coarse)
         else:
-            e = np.zeros_like(g_coarse)
-            self._cycle(level + 1, e, g_coarse)
+            e = np.zeros(g_coarse.shape)
+            self._cycle(steppers, level + 1, e, g_coarse)
 
         u[m::m] += e[1:]
         f_relax(u, g, stepper, m, pool, threads)
@@ -249,14 +266,20 @@ class MgritSolver:
     # ------------------------------------------------------------------ solve
 
     def solve(self, u: Optional[np.ndarray] = None) -> SolveReport:
+        """Iterate to the halting rule, in place on ``u`` (the seeded random
+        state if None).  ``u`` is in the Fourier basis while the solve runs
+        and physical again when it returns or raises."""
         cfg = self.config
         g = self.rhs()
         if u is None:
             u = self.initial_state()
-        stepper = self.problem.steppers[0]
         m = self.problem.m[0]
 
         start = time.perf_counter()
+        steppers = [s.in_basis() for s in self.problem.steppers]
+        stepper = steppers[0]
+        FourierBasisOperator.to_basis(g[0])  # the other rows of g are zero
+        FourierBasisOperator.to_basis(u)
         if self.threads > 1:
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
         try:
@@ -265,7 +288,7 @@ class MgritSolver:
             converged = False
             it = 0
             while it < cfg.max_iters:
-                self.iterate(u, g)
+                self._cycle(steppers, 0, u, g)
                 it += 1
                 norms.append(cpoint_residual_norm(u, g, stepper, m, self._pool,
                                                   self.threads))
@@ -276,6 +299,7 @@ class MgritSolver:
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
+            FourierBasisOperator.from_basis(u)
         wall = time.perf_counter() - start
 
         if len(norms) >= 2 and norms[-2] > 0:

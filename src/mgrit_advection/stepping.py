@@ -17,7 +17,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circulant import CirculantOperator, _gmres_batched
+from .circulant import (CirculantOperator, FourierBasisOperator,
+                        _gmres_batched)
 from .errors import SingularOperatorError, StabilityWarning, TableauError
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
@@ -294,6 +295,25 @@ class Stepper:
             return self._apply_fn(np.asarray(u))
         return self.op.apply(u)
 
+    def in_basis(self) -> "Stepper":
+        """The same step on rows held in the real orthonormal Fourier basis.
+
+        There every circulant factor is a diagonal multiply (see
+        ``FourierBasisOperator``): a capped-GMRES correction step runs its
+        semi-Lagrangian step and its GMRES in the basis; every other stepper
+        multiplies by the eigenvalues of its assembled ``op``, the map its
+        physical ``apply`` realizes.  Level and symbol are unchanged.
+        """
+        if isinstance(self._apply_fn, CappedCorrection):
+            apply_fn = self._apply_fn.in_basis()
+        else:
+            apply_fn = FourierBasisOperator(self.op).apply
+        return Stepper(self.n_x, self.op, self._symbol_fn, mode=self.mode,
+                       level=self.level, dt_multiplier=self.dt_multiplier,
+                       apply_fn=apply_fn,
+                       description=f"{self.description or self.mode}, "
+                                   "Fourier basis")
+
     def symbol(self, omega) -> np.ndarray:
         return self._symbol_fn(np.asarray(omega, dtype=float))
 
@@ -307,6 +327,33 @@ class Stepper:
     def __repr__(self):
         return (f"Stepper({self.description or self.mode}, n_x={self.n_x}, "
                 f"level={self.level})")
+
+
+class CappedCorrection(NamedTuple):
+    """One corrected coarse step with the correction solve approximated:
+    x = GMRES(correction, step u), unrestarted from a zero guess, stopped at
+    relative residual ``tol`` or after ``max_iters`` iterations per row.
+
+    ``step`` and ``correction`` need only a batched ``apply``: circulant
+    operators on physical rows, or their ``FourierBasisOperator`` forms on
+    rows in the Fourier basis (``in_basis``).
+    """
+
+    step: object
+    correction: object
+    tol: float
+    max_iters: int
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        rhs = self.step.apply(u)
+        flat = rhs.reshape(-1, rhs.shape[-1])
+        x, _, _, _ = _gmres_batched(self.correction, flat, self.tol,
+                                    self.max_iters)
+        return x.reshape(rhs.shape)
+
+    def in_basis(self) -> "CappedCorrection":
+        return self._replace(step=FourierBasisOperator(self.step),
+                             correction=FourierBasisOperator(self.correction))
 
 
 def _assemble(n_x: int, symbol_fn) -> CirculantOperator:
@@ -551,14 +598,8 @@ def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
     if solver == "direct":
         apply_fn = None  # assembled stencil is the exact product operator
     elif solver == "gmres":
-        sl_op = sl.stepper.op
-
-        def apply_fn(u):
-            rhs = sl_op.apply(u)
-            flat = rhs.reshape(-1, spec.n_x)
-            x, _, _, _ = _gmres_batched(correction, flat, gmres_tol,
-                                        gmres_max_iters)
-            return x.reshape(rhs.shape)
+        apply_fn = CappedCorrection(sl.stepper.op, correction, gmres_tol,
+                                    gmres_max_iters)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 

@@ -47,6 +47,43 @@ def test_config_rejects_bad_order():
         ExperimentConfig(p=7, c=1.0).validate()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "64,63", "--m", "2"], "not divisible"),
+    (["--cycle", "v", "--m", "3"], "not divisible"),
+    (["--max-iters", "0"], "max_iters"),
+    (["--nu", "-1"], "nu"),
+])
+def test_solve_rejects_bad_run_settings(tmp_path, capsys, flags, message):
+    code, _ = run_cli(["solve", "--family", "sdirk", "--p", "1", "--c", "1.0",
+                       "--grid", "32,64"] + flags, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_config_file_rejects_bad_tolerance(tmp_path, capsys, tol):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[mgrit]\ntol = {tol}\n")
+    code, _ = run_cli(["solve", "--config", str(path), "--family", "sdirk",
+                       "--c", "1.0", "--grid", "32,64"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("configuration error: tol")
+
+
+def test_grid_is_checked_only_where_solves_run(tmp_path):
+    # an LFA-only sweep never builds the space-time grid
+    code, _ = run_cli(["sweep", "--family", "sdirk", "--p", "1", "--coarse",
+                       "rediscretized", "--m", "3", "--c-range", "1.0,1.0,1"],
+                      tmp_path)
+    assert code == 0
+    code, _ = run_cli(["iters", "--family", "sdirk", "--p", "1", "--c", "1.0",
+                       "--m", "4,3", "--grid", "32,64"], tmp_path)
+    assert code == 1
+
+
 def test_resolve_c_prefers_fraction():
     config = ExperimentConfig(family="erk", p=1, c_fraction=0.5)
     assert config.resolve_c() == pytest.approx(0.5)  # c_max(1) = 1

@@ -1,0 +1,253 @@
+"""Real orthonormal Fourier basis: the in-place basis changes, diagonal
+operator applies against the dense oracle, and basis-space MGRIT solves
+against the physical-space cycle."""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mgrit_advection import (CirculantOperator, DimensionMismatchError,
+                             DiscretizationSpec, MgritConfig, MgritSolver,
+                             Stepper, StabilityWarning, cfl_limit,
+                             cpoint_residual_norm, sequential_solve)
+from mgrit_advection.circulant import FourierBasisOperator
+from mgrit_advection.experiments import build_problem
+
+
+def in_basis(v):
+    w = np.array(v, dtype=float).reshape(-1, v.shape[-1])
+    FourierBasisOperator.to_basis(w)
+    return w.reshape(v.shape)
+
+
+# ---------------------------------------------------------- basis changes
+
+@pytest.mark.parametrize("n_x", [63, 64])
+def test_layout_holds_scaled_rfft_coefficients(n_x):
+    rng = np.random.default_rng(n_x)
+    v = rng.standard_normal(n_x)
+    X = np.fft.rfft(v, norm="ortho")
+    b = v.copy()
+    FourierBasisOperator.to_basis(b)
+    h = 2 - n_x % 2
+    assert b[0] == pytest.approx(X[0].real, abs=1e-14)
+    if h == 2:
+        assert b[1] == pytest.approx(X[-1].real, abs=1e-14)
+    np.testing.assert_allclose(b[h:].view(complex),
+                               np.sqrt(2.0) * X[1: 1 + (n_x - 1) // 2],
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+@pytest.mark.parametrize("rows", [1, 7, 600])
+def test_round_trip_and_norms_on_contiguous_blocks(n_x, rows):
+    # 600 rows spans several transform blocks
+    rng = np.random.default_rng(rows)
+    u = rng.standard_normal((rows, n_x))
+    orig = u.copy()
+    FourierBasisOperator.to_basis(u)
+    np.testing.assert_allclose(np.linalg.norm(u, axis=1),
+                               np.linalg.norm(orig, axis=1), rtol=1e-14)
+    np.testing.assert_allclose(u @ u.T, orig @ orig.T, atol=1e-12)
+    FourierBasisOperator.from_basis(u)
+    np.testing.assert_allclose(u, orig, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+@pytest.mark.parametrize("j,m", [(0, 2), (1, 4), (3, 4)])
+def test_round_trip_on_strided_row_views(n_x, j, m):
+    rng = np.random.default_rng(10 * j + m)
+    u = rng.standard_normal((33, n_x))
+    orig = u.copy()
+    view = u[j::m]
+    FourierBasisOperator.to_basis(view)
+    untouched = np.ones(33, dtype=bool)
+    untouched[j::m] = False
+    np.testing.assert_array_equal(u[untouched], orig[untouched])
+    np.testing.assert_allclose(u[j::m], in_basis(orig[j::m]), atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(view, axis=1),
+                               np.linalg.norm(orig[j::m], axis=1), rtol=1e-14)
+    FourierBasisOperator.from_basis(view)
+    np.testing.assert_allclose(u, orig, atol=1e-14)
+
+
+def test_vector_round_trip_and_tiny_meshes():
+    for n_x in (1, 2, 3):
+        v = np.arange(1.0, n_x + 1.0)
+        b = v.copy()
+        FourierBasisOperator.to_basis(b)
+        assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(v))
+        FourierBasisOperator.from_basis(b)
+        np.testing.assert_allclose(b, v, atol=1e-14)
+
+
+def test_basis_changes_reject_unsupported_arrays():
+    with pytest.raises(DimensionMismatchError):
+        FourierBasisOperator.to_basis(np.zeros((2, 3, 8)))
+    with pytest.raises(DimensionMismatchError):
+        FourierBasisOperator.from_basis(np.zeros(8, dtype=np.float32))
+
+
+# --------------------------------------------------------- diagonal apply
+
+@st.composite
+def stencil_and_rows(draw):
+    n_x = draw(st.sampled_from([17, 24, 31, 40]))
+    wide = draw(st.booleans())
+    n_pts = draw(st.integers(17, n_x) if wide else st.integers(1, 16))
+    offsets = draw(st.lists(st.integers(-(n_x // 2), n_x // 2), min_size=n_pts,
+                            max_size=n_pts, unique=True))
+    weights = draw(st.lists(st.floats(-2.0, 2.0), min_size=n_pts,
+                            max_size=n_pts))
+    batch = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    seed = draw(st.integers(0, 2 ** 16))
+    v = np.random.default_rng(seed).standard_normal(batch + (n_x,))
+    return CirculantOperator.from_arrays(n_x, offsets, weights), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(stencil_and_rows())
+def test_basis_apply_matches_dense_product(case):
+    op, v = case
+    expected = in_basis(v @ op.dense().T)
+    got = FourierBasisOperator(op).apply(in_basis(v))
+    assert got.shape == v.shape
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+def test_basis_apply_on_strided_rows_leaves_input_alone():
+    rng = np.random.default_rng(0)
+    op = CirculantOperator(63, [(-2, 0.5), (0, 1.0), (5, -0.25)])
+    u = in_basis(rng.standard_normal((9, 63)))
+    before = u.copy()
+    got = FourierBasisOperator(op).apply(u[1::3])
+    np.testing.assert_array_equal(u, before)
+    phys = u[1::3].copy()
+    FourierBasisOperator.from_basis(phys)
+    np.testing.assert_allclose(got, in_basis(op.apply(phys)), atol=1e-13)
+
+
+def test_basis_operator_rejects_complex_and_wrong_length():
+    with pytest.raises(ValueError):
+        FourierBasisOperator(CirculantOperator(8, [(1, 1j)]))
+    with pytest.raises(DimensionMismatchError):
+        FourierBasisOperator(CirculantOperator.identity(8)).apply(np.ones(7))
+
+
+# ------------------------------------------------------------------ solves
+
+def physical_reference(problem, config):
+    """The halting loop of ``solve`` run with ``iterate`` on physical arrays."""
+    solver = MgritSolver(problem, config)
+    u, g = solver.initial_state(), solver.rhs()
+    stepper, m = problem.steppers[0], problem.m[0]
+    norms = [cpoint_residual_norm(u, g, stepper, m)]
+    while len(norms) <= config.max_iters:
+        solver.iterate(u, g)
+        norms.append(cpoint_residual_norm(u, g, stepper, m))
+        if norms[-1] / norms[0] <= config.tol:
+            break
+    return norms, u
+
+
+def hierarchy(family, p, c, kind, cycle, n_x=64, n_t=64, m=4):
+    spec = DiscretizationSpec(family, p, c, n_x, n_t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        return build_problem(spec, m, cycle, kind)
+
+
+DIRECT_CASES = (
+    [("sdirk", 3, 5.0, kind) for kind in ("modified", "rediscretized",
+                                          "plain_sl", "ideal")]
+    + [("sdirk", 1, 2.0, kind) for kind in ("modified", "rediscretized")]
+    + [("erk", 3, 0.85, "plain_sl"), ("erk", 1, 0.85, "ideal")]
+)
+
+
+@pytest.mark.parametrize("cycle", ["two_level", "v_cycle"])
+@pytest.mark.parametrize("family,p,c,kind", DIRECT_CASES)
+def test_solve_matches_physical_residual_history(family, p, c, kind, cycle):
+    if family == "erk":
+        c *= cfl_limit(p)
+    n_x = 63 if kind == "plain_sl" else 64
+    problem = hierarchy(family, p, c, kind, cycle, n_x=n_x)
+    config = MgritConfig(nu=1, cycle=cycle, max_iters=30, rng_seed=1)
+    ref_norms, ref_u = physical_reference(problem, config)
+    solver = MgritSolver(problem, config)
+    u = solver.initial_state()
+    report = solver.solve(u)
+    assert report.iterations == len(ref_norms) - 1
+    # entries at the rounding floor (1e-16 of the iterate) carry no digits
+    np.testing.assert_allclose(report.residual_norms, ref_norms, rtol=1e-6,
+                               atol=1e-14 * ref_norms[0])
+    scale = np.max(np.abs(ref_u))
+    assert np.max(np.abs(u - ref_u)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("p,n_x", [(1, 64), (3, 64), (3, 63)])
+def test_capped_gmres_v_cycle_matches_physical_counts(p, n_x):
+    problem = hierarchy("erk", p, 0.85 * cfl_limit(p), "modified", "v_cycle",
+                        n_x=n_x, n_t=256)
+    assert problem.n_levels > 2
+    config = MgritConfig(nu=1, cycle="v_cycle", max_iters=30, rng_seed=0)
+    ref_norms, _ = physical_reference(problem, config)
+    solver = MgritSolver(problem, config)
+    u = solver.initial_state()
+    report = solver.solve(u)
+    assert report.converged
+    assert report.iterations == len(ref_norms) - 1
+    exact = sequential_solve(problem)
+    assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+def test_in_basis_keeps_level_and_symbol():
+    problem = hierarchy("erk", 3, 0.85 * cfl_limit(3), "modified", "v_cycle")
+    om = np.linspace(-np.pi, np.pi, 7)
+    for stepper in problem.steppers:
+        basis = stepper.in_basis()
+        assert basis.level == stepper.level
+        np.testing.assert_array_equal(basis.symbol(om), stepper.symbol(om))
+
+
+def raising_after(n_calls):
+    """A Stepper.apply that fails on call number ``n_calls`` (from 0)."""
+    original = Stepper.apply
+    calls = itertools.count()
+
+    def apply(self, u):
+        if next(calls) == n_calls:
+            raise RuntimeError("stepper failed")
+        return original(self, u)
+
+    return apply
+
+
+@pytest.mark.parametrize("n_calls", [0, 40])
+def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
+    # a two-level cycle here makes 27 applies plus one per residual norm, so
+    # 40 fails inside the second cycle; the physical loop stops at the same
+    # apply, and both iterates must then agree
+    problem = hierarchy("sdirk", 3, 5.0, "modified", "two_level")
+    config = MgritConfig(nu=1, max_iters=5, rng_seed=2)
+    solver = MgritSolver(problem, config)
+    u = solver.initial_state()
+    monkeypatch.setattr(Stepper, "apply", raising_after(n_calls))
+    with pytest.raises(RuntimeError, match="stepper failed"):
+        solver.solve(u)
+
+    ref, g = solver.initial_state(), solver.rhs()
+    stepper, m = problem.steppers[0], problem.m[0]
+    monkeypatch.setattr(Stepper, "apply", raising_after(n_calls))
+    with pytest.raises(RuntimeError, match="stepper failed"):
+        cpoint_residual_norm(ref, g, stepper, m)
+        for _ in range(config.max_iters):
+            solver.iterate(ref, g)
+            cpoint_residual_norm(ref, g, stepper, m)
+    np.testing.assert_allclose(u, ref, atol=1e-12)
+    np.testing.assert_allclose(u[0], problem.u0, atol=1e-14)

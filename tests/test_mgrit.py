@@ -263,6 +263,9 @@ def test_config_validation():
         MgritConfig(cycle="w_cycle")
     with pytest.raises(ValueError):
         MgritConfig(max_iters=0)
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            MgritConfig(tol=tol)
 
 
 def test_initial_condition_profile():
