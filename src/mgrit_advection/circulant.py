@@ -116,6 +116,14 @@ class CirculantOperator:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.weights)
 
+    def is_symmetric(self) -> bool:
+        """Real weights with w_o == w_{-o} (offsets mod n_x): the dense matrix
+        is symmetric and every eigenvalue is real."""
+        mirror = CirculantOperator.from_arrays(self.n_x, -self.offsets,
+                                               self.weights)
+        return (self.is_real() and np.array_equal(mirror.offsets, self.offsets)
+                and np.array_equal(mirror.weights, self.weights))
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product; ``v`` may be batched with shape (..., n_x)."""
         v = np.asarray(v)
@@ -248,6 +256,8 @@ class CirculantOperator:
         """Unrestarted GMRES with zero initial guess on a single vector."""
         if not 0.0 < rel_tol < 1.0:
             raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
         b = np.asarray(b, dtype=float)
         if b.ndim != 1 or b.shape[0] != self.n_x:
             raise DimensionMismatchError(
@@ -413,11 +423,109 @@ def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
         j += 1
         active = active & (res > rel_tol) & ~happy
 
-    # back-substitute per row using however many columns that row completed
-    for k in range(K):
-        jk = int(depth[k])
-        if jk == 0:
-            continue
-        y = np.linalg.solve(H[k, :jk, :jk], g[k, :jk])
-        X[k] = y @ V[k, :jk, :]
+    # H is upper triangular after the rotations: back-substitute all rows at
+    # once, column by column; a row uses only the ``depth`` columns it built
+    y = g[:, :j].copy()
+    for i in range(j - 1, -1, -1):
+        built = depth > i
+        y[:, i] = np.where(built, y[:, i], 0.0)
+        np.divide(y[:, i], H[:, i, i], out=y[:, i], where=built)
+        y[:, :i] -= y[:, i, None] * H[:, :i, i]
+        X += y[:, i, None] * V[:, i, :]
+    return X, res, j, breakdown
+
+
+def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
+                     max_iters: int):
+    """``_gmres_batched`` for a symmetric operator, by MINRES on each row's
+    frequency spectrum.
+
+    A real symmetric circulant has real eigenvalues, and GMRES on a symmetric
+    matrix is MINRES in exact arithmetic (Paige & Saunders 1975): the same
+    iterates, residuals and stopping steps from a three-term recurrence, with
+    no Krylov basis stored.  Every iterate is p(A) b for a polynomial p that
+    depends on b only through the weights |X_k|^2 of its frequencies, so the
+    recurrence runs on the n//2 + 1 magnitudes c_k = |X_k| of each basis row
+    (the head slots, and the interior complex pairs) against the operator's
+    real eigenvalues, and maps back per frequency: x = (x_c / c) b.
+
+    Rows stop at relative residual ``rel_tol``, at Lanczos breakdown (the
+    counterpart of GMRES's happy breakdown) or at the cap, and leave the
+    batch when they stop.  Returns what ``_gmres_batched`` returns.
+
+    In floating point the two methods part ways once the Lanczos vectors
+    lose orthogonality, which takes iteration counts near the n//2 + 1
+    distinct eigenvalues of an ill-conditioned correction; a row reported
+    within ``rel_tol`` is still within it.
+    """
+    K, n = B.shape
+    max_iters = min(max_iters, n)
+    h = len(op._head)
+    lam = np.concatenate([op._head, op._interior.real])
+    c = np.empty((K, len(lam)))
+    np.abs(B[:, :h], out=c[:, :h])
+    np.abs(B[:, h:].view(complex), out=c[:, h:])
+    beta1 = np.linalg.norm(c, axis=-1)
+    rows = np.flatnonzero(beta1 > 0.0)
+    res = np.where(beta1 > 0.0, 1.0, 0.0)
+    xc = np.zeros_like(c)
+    breakdown = False
+
+    # per live row: Lanczos vectors v and v_prev with coupling beta, the last
+    # two search directions d1 and d2, the last two Givens rotations (cs1,
+    # sn1) and (cs2, sn2), the residual estimate phibar and the iterate x
+    b1 = beta1[rows]
+    v = c[rows] / b1[:, None]
+    v_prev = np.zeros_like(v)
+    d1, d2, x = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    beta = np.zeros(len(rows))
+    cs1, sn1 = np.ones(len(rows)), np.zeros(len(rows))
+    cs2, sn2 = np.ones(len(rows)), np.zeros(len(rows))
+    phibar = b1.copy()
+
+    j = 0
+    while j < max_iters and len(rows):
+        w = lam * v
+        w -= beta[:, None] * v_prev
+        alpha = np.einsum("kn,kn->k", w, v)
+        w -= alpha[:, None] * v
+        beta_next = np.linalg.norm(w, axis=-1)
+        # rotate the new tridiagonal column [beta, alpha, beta_next]
+        eps = sn2 * beta
+        delta_hat = cs2 * beta
+        delta = cs1 * delta_hat + sn1 * alpha
+        gamma_bar = cs1 * alpha - sn1 * delta_hat
+        gamma = np.hypot(gamma_bar, beta_next)
+        gamma = np.where(gamma > 0.0, gamma, 1.0)
+        cs, sn = gamma_bar / gamma, beta_next / gamma
+        tau = cs * phibar
+        phibar = -sn * phibar
+        d = v - delta[:, None] * d1
+        d -= eps[:, None] * d2
+        d /= gamma[:, None]
+        x += tau[:, None] * d
+        j += 1
+
+        r = np.abs(phibar) / b1
+        res[rows] = r
+        happy = beta_next <= 1e-14 * b1
+        breakdown |= bool(np.any(happy))
+        stop = (r <= rel_tol) | happy | (j == max_iters)
+        if np.any(stop):
+            xc[rows[stop]] = x[stop]
+            keep = ~stop
+            rows, b1, x = rows[keep], b1[keep], x[keep]
+            w, v, d, d1 = w[keep], v[keep], d[keep], d1[keep]
+            beta_next, cs, sn, cs1, sn1 = (beta_next[keep], cs[keep], sn[keep],
+                                           cs1[keep], sn1[keep])
+            phibar = phibar[keep]
+        v_prev, v = v, w / beta_next[:, None]
+        beta = beta_next
+        d2, d1 = d1, d
+        cs2, sn2, cs1, sn1 = cs1, sn1, cs, sn
+
+    scale = np.divide(xc, c, out=np.zeros_like(c), where=c > 0.0)
+    X = np.empty_like(B)
+    np.multiply(B[:, :h], scale[:, :h], out=X[:, :h])
+    np.multiply(B[:, h:].view(complex), scale[:, h:], out=X[:, h:].view(complex))
     return X, res, j, breakdown

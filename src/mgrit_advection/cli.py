@@ -99,6 +99,11 @@ class ExperimentConfig:
             if self.n_x < 1 or self.n_t < 1:
                 raise ConfigError(
                     f"grid sizes must be positive, got {self.n_x},{self.n_t}")
+            need = experiments.min_n_x(self.p, self.coarse)
+            if self.n_x < need:
+                raise ConfigError(
+                    f"n_x = {self.n_x} is too small for the order-{self.p} "
+                    f"stencils of this run; need n_x >= {need}")
             # solve coarsens by the first factor (later ones are deeper
             # v-cycle levels, dropped where they stop dividing); iters and
             # measured sweeps run every factor as a two-level factor

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import lfa, mgrit, stepping
 from .errors import StabilityWarning
+from .stencils import StencilWindow
 from .stepping import (ButcherTableau, DiscretizationSpec, Stepper,
                        cfl_limit, erk_tableau, error_constant_fd,
                        ideal_coarse_stepper, modified_coarse_stepper,
@@ -32,6 +33,20 @@ COARSE_KINDS = ("modified", "rediscretized", "plain_sl", "ideal")
 
 def gmres_cap(p: int) -> int:
     return GMRES_MAX_ITERS.get(p, 20)
+
+
+def min_n_x(p: int, coarse_kind: str) -> int:
+    """Fewest mesh points that hold every stencil an order-p hierarchy with
+    this coarse kind builds without wrapping onto itself: the fine upwind
+    window, the semi-Lagrangian interpolation windows of corrected and plain
+    semi-Lagrangian coarse levels, and the correction operator's window of
+    corrected ones."""
+    windows = [StencilWindow.upwind(p)]
+    if coarse_kind in ("modified", "plain_sl"):
+        windows += [StencilWindow.interpolation(p, eps) for eps in (0.0, 0.75)]
+    if coarse_kind == "modified":
+        windows.append(stepping.correction_window(p))
+    return 2 * max(max(w.ell, w.r) for w in windows) + 1
 
 
 def fine_stepper(spec: DiscretizationSpec,
@@ -74,7 +89,9 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     ``m`` is a single coarsening factor or a per-level sequence (the last
     entry repeats for deeper levels).  Implicit-correction solves are direct
     except on multilevel explicit hierarchies, where every coarse level uses
-    capped GMRES.
+    capped GMRES (relative residual ``GMRES_TOL``, at most ``gmres_cap(p)``
+    iterations); in the Fourier basis of ``mgrit.solve`` that GMRES runs as
+    spectral MINRES for odd p, whose correction is symmetric.
     """
     fine = fine_stepper(spec, tab)
     m_list = [m] if np.isscalar(m) else list(m)

@@ -88,6 +88,17 @@ class StencilWindow:
             return cls(p // 2 + 1, p // 2 - 1)
         return cls(p // 2, p // 2)
 
+    @classmethod
+    def high_derivative(cls, d: int, bias: str) -> "StencilWindow":
+        """Window of the minimal-width d-th difference stencil: ``symmetric``
+        centres d + 1 points (even d), ``left_biased`` puts the extra point
+        west (odd d)."""
+        if bias == "symmetric" and d % 2 == 0:
+            return cls(d // 2, d // 2)
+        if bias == "left_biased" and d % 2 == 1:
+            return cls(d // 2 + 1, d // 2)
+        raise ValueError(f"no {bias!r} window for derivative order {d}")
+
 
 def upwind_derivative(p: int, n_x: int) -> CirculantOperator:
     """The operator L_p: L_p/h approximates d/dx at order p on the periodic mesh."""
@@ -115,26 +126,22 @@ def high_derivative_operator(d: int, s: int, bias: str, n_x: int) -> CirculantOp
     Two minimal-width variants are supported:
 
     - ``symmetric``  (even d, s = 2): centered window of d + 1 points, which
-      gains one order from symmetry;
+      gains one order from symmetry; the weights are exactly symmetric;
     - ``left_biased`` (odd d, s = 1): d + 1 points with one extra point west.
     """
     if d < 1:
         raise ValueError(f"derivative order must be >= 1, got {d}")
-    if bias == "symmetric":
-        if d % 2 != 0 or s != 2:
-            raise ValueError(
-                f"symmetric variant needs even d and s = 2, got d={d}, s={s}")
-        win = StencilWindow(d // 2, d // 2)
-    elif bias == "left_biased":
-        if d % 2 != 1 or s != 1:
-            raise ValueError(
-                f"left-biased variant needs odd d and s = 1, got d={d}, s={s}")
-        win = StencilWindow(d // 2 + 1, d - (d // 2 + 1))
-    else:
-        raise ValueError(f"unknown bias {bias!r}")
+    win = StencilWindow.high_derivative(d, bias)
+    order = 2 if bias == "symmetric" else 1
+    if s != order:
+        raise ValueError(f"the {bias} variant has order {order}, got s={s}")
     if n_x <= 2 * max(win.ell, win.r):
         raise ValueError(f"n_x = {n_x} too small for the stencil window {win}")
     w = fd_weights(d, win.offsets, 0.0)
+    if bias == "symmetric":
+        # the centred weights are symmetric; averaging each pair removes the
+        # rounding of the moment solve, so the operator is exactly symmetric
+        w = 0.5 * (w + w[::-1])
     return CirculantOperator.from_arrays(n_x, win.offsets, w)
 
 

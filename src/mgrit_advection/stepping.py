@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .circulant import (CirculantOperator, FourierBasisOperator,
-                        _gmres_batched)
+                        _gmres_batched, _minres_spectral)
 from .errors import SingularOperatorError, StabilityWarning, TableauError
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
@@ -300,7 +300,8 @@ class Stepper:
 
         There every circulant factor is a diagonal multiply (see
         ``FourierBasisOperator``): a capped-GMRES correction step runs its
-        semi-Lagrangian step and its GMRES in the basis; every other stepper
+        semi-Lagrangian step and its Krylov solve in the basis
+        (``CappedCorrection.in_basis``); every other stepper
         multiplies by the eigenvalues of its assembled ``op``, the map its
         physical ``apply`` realizes.  Level and symbol are unchanged.
         """
@@ -336,24 +337,35 @@ class CappedCorrection(NamedTuple):
 
     ``step`` and ``correction`` need only a batched ``apply``: circulant
     operators on physical rows, or their ``FourierBasisOperator`` forms on
-    rows in the Fourier basis (``in_basis``).
+    rows in the Fourier basis (``in_basis``).  ``krylov`` is the batched
+    solver, ``_gmres_batched`` or a drop-in with the same iterates.
     """
 
     step: object
     correction: object
     tol: float
     max_iters: int
+    krylov: Callable = _gmres_batched
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         rhs = self.step.apply(u)
         flat = rhs.reshape(-1, rhs.shape[-1])
-        x, _, _, _ = _gmres_batched(self.correction, flat, self.tol,
-                                    self.max_iters)
+        x, _, _, _ = self.krylov(self.correction, flat, self.tol,
+                                 self.max_iters)
         return x.reshape(rhs.shape)
 
     def in_basis(self) -> "CappedCorrection":
+        """The same step on rows in the Fourier basis.  A symmetric
+        correction (odd p) is diagonal with real eigenvalues there, so GMRES
+        is replaced by MINRES on each row's frequency spectrum
+        (``_minres_spectral``), which has the same iterates and stopping
+        steps in exact arithmetic; any other correction keeps
+        ``_gmres_batched``."""
+        krylov = (_minres_spectral if self.correction.is_symmetric()
+                  else _gmres_batched)
         return self._replace(step=FourierBasisOperator(self.step),
-                             correction=FourierBasisOperator(self.correction))
+                             correction=FourierBasisOperator(self.correction),
+                             krylov=krylov)
 
 
 def _assemble(n_x: int, symbol_fn) -> CirculantOperator:
@@ -548,6 +560,12 @@ def correction_operator(p: int, n_x: int) -> CirculantOperator:
     return high_derivative_operator(d, 1, "left_biased", n_x)
 
 
+def correction_window(p: int) -> StencilWindow:
+    """Offset window of ``correction_operator(p, n_x)``."""
+    return StencilWindow.high_derivative(
+        p + 1, "symmetric" if p % 2 == 1 else "left_biased")
+
+
 def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
                             solver: str = "direct",
                             gmres_tol: float = 1e-2,
@@ -559,7 +577,12 @@ def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
     One application is a semi-Lagrangian step at the level's CFL number
     followed by the implicit correction solve (I - phi D) x = intermediate.
     With ``solver='direct'`` the solve is exact (FFT); with ``solver='gmres'``
-    it is approximated by unrestarted GMRES with the given tolerance and cap.
+    it is approximated by unrestarted GMRES from a zero guess, stopped per
+    row at relative residual ``gmres_tol`` in (0, 1) or after
+    ``gmres_max_iters`` >= 1 iterations (``CappedCorrection``).  In the
+    Fourier basis the symmetric correction of odd p runs that GMRES as MINRES
+    on each row's frequency spectrum: in exact arithmetic the same iterates
+    and stopping steps, from a short recurrence.
 
     ``cumulative_factor`` overrides the uniform-coarsening step multiple
     m**level for hierarchies with per-level factors; the level recursion for
@@ -598,6 +621,11 @@ def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
     if solver == "direct":
         apply_fn = None  # assembled stencil is the exact product operator
     elif solver == "gmres":
+        if not 0.0 < gmres_tol < 1.0:
+            raise ValueError(f"gmres_tol must be in (0, 1), got {gmres_tol}")
+        if gmres_max_iters < 1:
+            raise ValueError(
+                f"gmres_max_iters must be >= 1, got {gmres_max_iters}")
         apply_fn = CappedCorrection(sl.stepper.op, correction, gmres_tol,
                                     gmres_max_iters)
     else:

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              SingularOperatorError)
+from mgrit_advection.circulant import (_ROLL_LIMIT, FourierBasisOperator,
+                                       _gmres_batched, _minres_spectral)
+from mgrit_advection.stepping import correction_operator
 
 
 def random_operator(rng, n_x, n_offsets=4, complex_weights=False):
@@ -68,6 +73,42 @@ def test_wide_stencil_fft_apply_matches_dense():
     op = CirculantOperator.from_arrays(n_x, offsets, weights)
     v = rng.standard_normal(n_x)
     np.testing.assert_allclose(op.apply(v), op.dense() @ v, atol=1e-10)
+
+
+@st.composite
+def operator_and_rows(draw, wide):
+    """A stencil on the rolled-sum path (``wide`` False) or the FFT path, and
+    a batch of rows; complex weights or rows take the full-FFT branch."""
+    n_x = draw(st.integers(_ROLL_LIMIT + 1, 48) if wide else st.integers(1, 48))
+    span = range(-(n_x // 2), n_x - n_x // 2)
+    n_pts = draw(st.integers(_ROLL_LIMIT + 1, n_x) if wide
+                 else st.integers(1, min(n_x, _ROLL_LIMIT)))
+    offsets = draw(st.lists(st.sampled_from(span), min_size=n_pts,
+                            max_size=n_pts, unique=True))
+    weights = np.array(draw(st.lists(
+        st.floats(0.01, 2.0) | st.floats(-2.0, -0.01), min_size=n_pts,
+        max_size=n_pts)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        weights = weights + 1j * rng.standard_normal(n_pts)
+    v = rng.standard_normal(draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+                            + (n_x,))
+    if draw(st.booleans()):
+        v = v + 1j * rng.standard_normal(v.shape)
+    return CirculantOperator.from_arrays(n_x, offsets, weights), v
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["rolled", "fft"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_physical_apply_matches_dense_product(wide, data):
+    op, v = data.draw(operator_and_rows(wide))
+    assert (len(op.offsets) > _ROLL_LIMIT) == wide
+    expected = v @ op.dense().T
+    got = op.apply(v)
+    assert got.shape == v.shape
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
 # -------------------------------------------------------------------- symbol
@@ -256,6 +297,190 @@ def test_gmres_rejects_bad_tolerance():
     op = CirculantOperator.identity(8)
     with pytest.raises(ValueError):
         op.solve_gmres(np.ones(8), rel_tol=1.5)
+
+
+@pytest.mark.parametrize("max_iters", [0, -3])
+def test_gmres_rejects_bad_cap(max_iters):
+    op = CirculantOperator.identity(8)
+    with pytest.raises(ValueError, match="max_iters"):
+        op.solve_gmres(np.ones(8), max_iters=max_iters)
+
+
+def gmres_reference(op, b, rel_tol, max_iters):
+    """Textbook GMRES on one vector: Arnoldi with modified Gram-Schmidt and a
+    least-squares solve of the Hessenberg system at every step."""
+    n = len(b)
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros(n), 0.0
+    V = [b / beta]
+    H = np.zeros((max_iters + 1, max_iters))
+    for j in range(min(max_iters, n)):
+        w = op.apply(V[j])
+        for i in range(j + 1):
+            H[i, j] = w @ V[i]
+            w = w - H[i, j] * V[i]
+        H[j + 1, j] = np.linalg.norm(w)
+        e1 = np.zeros(j + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
+        res = np.linalg.norm(e1 - H[: j + 2, : j + 1] @ y) / beta
+        if res <= rel_tol or H[j + 1, j] <= 1e-14 * beta:
+            break
+        V.append(w / H[j + 1, j])
+    return np.array(V[: j + 1]).T @ y, res
+
+
+def test_batched_gmres_matches_per_row_reference():
+    # rows stop at different steps: one Fourier mode after two (its cosine
+    # and sine span the Krylov space), a smooth row after three, white noise
+    # at the cap; a zero row never starts
+    n_x = 48
+    D = correction_operator(2, n_x)  # left-biased: non-symmetric
+    op = CirculantOperator.identity(n_x) - D.scale(-0.4)
+    rng = np.random.default_rng(4)
+    x = np.arange(n_x) * 2 * np.pi / n_x
+    B = np.stack([np.cos(3 * x), np.exp(np.sin(x)), rng.standard_normal(n_x),
+                  np.zeros(n_x), rng.standard_normal(n_x)])
+    with np.errstate(all="raise"):
+        X, res, _, _ = _gmres_batched(op, B, 1e-6, 12)
+    for k in range(len(B)):
+        ref_x, ref_res = gmres_reference(op, B[k], 1e-6, 12)
+        scale = max(1.0, np.max(np.abs(ref_x)))
+        assert np.max(np.abs(X[k] - ref_x)) <= 1e-10 * scale
+        assert res[k] == pytest.approx(ref_res, rel=1e-8, abs=1e-14)
+    assert res[2] > 1e-6 and res[0] <= 1e-6 and res[3] == 0.0
+
+
+# --------------------------------------------------------- spectral MINRES
+
+def symmetric_correction(p, n_x, cond):
+    """I - phi D for the symmetric correction operator of odd p, with phi
+    chosen so that the eigenvalues span [1, cond], as on the coarse levels
+    of explicit hierarchies (cond reaches about 1e4 there)."""
+    D = correction_operator(p, n_x)
+    d_hat = D.eigenvalues().real
+    phi = (cond - 1.0) / np.max(np.abs(d_hat)) * -np.sign(d_hat[n_x // 2])
+    return FourierBasisOperator(CirculantOperator.identity(n_x) - D.scale(phi))
+
+
+def basis_rows(rng, k, n_x):
+    rows = rng.standard_normal((k, n_x))
+    FourierBasisOperator.to_basis(rows)
+    return rows
+
+
+def assert_minres_matches_gmres(op, B, tol, cap):
+    with np.errstate(all="raise"):
+        xg, rg, jg, bg = _gmres_batched(op, B, tol, cap)
+        xm, rm, jm, bm = _minres_spectral(op, B, tol, cap)
+    scale = np.maximum(np.max(np.abs(xg), axis=1), 1e-300)
+    assert np.all(np.max(np.abs(xm - xg), axis=1) <= 1e-10 * scale)
+    np.testing.assert_array_equal(rm <= tol, rg <= tol)
+    np.testing.assert_allclose(rm, rg, rtol=1e-6, atol=1e-12)
+    return xm, rm, jm, bm
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([1, 3, 5]), n_x=st.integers(64, 160),
+       log_cond=st.floats(0.0, 5.0), k=st.integers(1, 6),
+       cap=st.integers(1, 20), log_tol=st.floats(-8.0, -0.3),
+       seed=st.integers(0, 2 ** 16))
+def test_minres_matches_gmres_at_the_package_caps(p, n_x, log_cond, k, cap,
+                                                  log_tol, seed):
+    # caps up to 20 (the package uses 10 and 20) on meshes with at least 33
+    # distinct eigenvalues, corrections up to condition number 1e5
+    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    B = basis_rows(np.random.default_rng(seed), k, n_x)
+    assert_minres_matches_gmres(op, B, 10.0 ** log_tol, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([1, 3, 5]), n_x=st.integers(3, 63),
+       cond=st.floats(1.0, 10.0), k=st.integers(1, 6), extra=st.integers(0, 4),
+       cap_fraction=st.floats(0.0, 1.0), log_tol=st.floats(-8.0, -0.3),
+       seed=st.integers(0, 2 ** 16))
+def test_minres_matches_gmres_with_caps_beyond_the_mesh(p, n_x, cond, k, extra,
+                                                        cap_fraction, log_tol,
+                                                        seed):
+    # caps from 1 to above n_x: the tolerance or the exhausted Krylov space
+    # stops the rows first on these well-conditioned corrections
+    assume(n_x >= p + 2)
+    cap = 1 + int(cap_fraction * (n_x + extra - 1))
+    op = symmetric_correction(p, n_x, cond)
+    B = basis_rows(np.random.default_rng(seed), k, n_x)
+    assert_minres_matches_gmres(op, B, 10.0 ** log_tol, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([1, 3, 5]), n_x=st.integers(3, 160),
+       log_cond=st.floats(0.0, 5.0), k=st.integers(1, 4),
+       cap_fraction=st.floats(0.0, 1.0), log_tol=st.floats(-8.0, -0.3),
+       seed=st.integers(0, 2 ** 16))
+def test_minres_reports_its_true_residual(p, n_x, log_cond, k, cap_fraction,
+                                          log_tol, seed):
+    # everywhere, also where rounding makes MINRES and GMRES part ways (deep
+    # iterations on ill-conditioned corrections), a row reported as within
+    # the tolerance is within it
+    assume(n_x >= p + 2)
+    tol = 10.0 ** log_tol
+    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    B = basis_rows(np.random.default_rng(seed), k, n_x)
+    with np.errstate(all="raise"):
+        X, res, _, _ = _minres_spectral(op, B, tol, 1 + int(cap_fraction * n_x))
+    true = np.linalg.norm(B - op.apply(X), axis=1) / np.linalg.norm(B, axis=1)
+    assert np.all(true[res <= tol] <= tol * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("n_x", [64, 65])
+def test_minres_zero_rows_among_live_rows(n_x):
+    op = symmetric_correction(3, n_x, 300.0)
+    B = basis_rows(np.random.default_rng(n_x), 5, n_x)
+    B[[0, 3]] = 0.0
+    X, res, _, _ = assert_minres_matches_gmres(op, B, 1e-2, 20)
+    np.testing.assert_array_equal(X[[0, 3]], 0.0)
+    np.testing.assert_array_equal(res[[0, 3]], 0.0)
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+@pytest.mark.parametrize("slot", [0, 1, 10, 11])
+def test_minres_eigenvector_breaks_down_after_one_iteration(n_x, slot):
+    # a head slot, or one component of an interior pair, is an eigenvector
+    op = symmetric_correction(5, n_x, 50.0)
+    B = np.zeros((1, n_x))
+    B[0, slot] = 2.5
+    X, res, iters, breakdown = assert_minres_matches_gmres(op, B, 1e-12, 20)
+    assert iters == 1 and breakdown
+    assert res[0] <= 1e-15
+    np.testing.assert_allclose(X, B / op.apply(np.ones((1, n_x))), rtol=1e-14)
+
+
+def test_minres_single_row_and_mixed_stopping_steps():
+    n_x = 128
+    op = symmetric_correction(3, n_x, 1e4)
+    rng = np.random.default_rng(9)
+    smooth = np.exp(np.sin(2 * np.pi * np.arange(n_x) / n_x))[None, :]
+    FourierBasisOperator.to_basis(smooth)
+    eigen = np.zeros((1, n_x))
+    eigen[0, 7] = 1.0
+    B = np.concatenate([basis_rows(rng, 2, n_x), smooth, eigen])
+    X, res, iters, _ = assert_minres_matches_gmres(op, B, 1e-2, 20)
+    assert iters == 20
+    assert np.all(res[:2] > 1e-2) and np.all(res[2:] <= 1e-2)
+    for k in range(len(B)):  # K = 1: the batch composition changes nothing
+        Xk, res_k, _, _ = assert_minres_matches_gmres(op, B[k: k + 1], 1e-2, 20)
+        np.testing.assert_array_equal(Xk[0], X[k])
+        assert res_k[0] == res[k]
+
+
+def test_is_symmetric():
+    for p in (1, 3, 5):
+        assert correction_operator(p, 64).is_symmetric()
+    for p in (2, 4):
+        assert not correction_operator(p, 64).is_symmetric()
+    assert CirculantOperator(8, [(4, 1.0)]).is_symmetric()  # 4 == -4 mod 8
+    assert not CirculantOperator.shift(8, 1).is_symmetric()
+    assert not CirculantOperator(8, [(-1, 1j), (1, 1j)]).is_symmetric()
 
 
 def test_complex_weights_supported():

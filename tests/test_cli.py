@@ -63,6 +63,33 @@ def test_solve_rejects_bad_run_settings(tmp_path, capsys, flags, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("solve", ["--grid", "4,16", "--p", "5", "--family", "erk",
+               "--c-fraction", "0.5", "--m", "2"]),
+    ("solve", ["--grid", "6,16", "--p", "4", "--family", "sdirk", "--c", "1.0",
+               "--coarse", "plain_sl", "--m", "2", "--cycle", "v"]),
+    ("iters", ["--grid", "4,16", "--p", "3", "--family", "sdirk", "--c", "1.0",
+               "--coarse", "rediscretized", "--m", "2"]),
+    ("sweep", ["--grid", "2,16", "--p", "1", "--family", "sdirk",
+               "--c-range", "1.0,1.0,1", "--m", "2", "--measure"]),
+])
+def test_grid_too_small_for_the_stencils(tmp_path, capsys, command, flags):
+    code, _ = run_cli([command] + flags, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "too small" in err
+    assert "Traceback" not in err
+
+
+def test_smallest_accepted_grid_solves(tmp_path):
+    code, text = run_cli(["solve", "--grid", "7,16", "--p", "5", "--family",
+                          "erk", "--c-fraction", "0.5", "--m", "2", "--cycle",
+                          "v", "--threads", "1"], tmp_path)
+    assert code == 0
+    assert "# converged: True" in text
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_config_file_rejects_bad_tolerance(tmp_path, capsys, tol):
     path = tmp_path / "run.ini"

@@ -190,8 +190,10 @@ def test_solve_matches_physical_residual_history(family, p, c, kind, cycle):
     assert np.max(np.abs(u - ref_u)) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("p,n_x", [(1, 64), (3, 64), (3, 63)])
+@pytest.mark.parametrize("p,n_x", [(1, 64), (3, 64), (3, 63), (2, 64)])
 def test_capped_gmres_v_cycle_matches_physical_counts(p, n_x):
+    # odd p runs spectral MINRES in the basis, even p basis GMRES; the
+    # physical reference runs GMRES
     problem = hierarchy("erk", p, 0.85 * cfl_limit(p), "modified", "v_cycle",
                         n_x=n_x, n_t=256)
     assert problem.n_levels > 2
@@ -204,6 +206,19 @@ def test_capped_gmres_v_cycle_matches_physical_counts(p, n_x):
     assert report.iterations == len(ref_norms) - 1
     exact = sequential_solve(problem)
     assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_capped_v_cycle_histories_do_not_depend_on_threads(p):
+    # the Krylov solves reduce per row, so splitting the rows between
+    # threads leaves every residual norm bitwise unchanged
+    problem = hierarchy("erk", p, 0.85 * cfl_limit(p), "modified", "v_cycle",
+                        n_x=64, n_t=256)
+    config = MgritConfig(nu=1, cycle="v_cycle", max_iters=30, rng_seed=0)
+    serial = MgritSolver(problem, config, threads=1).solve()
+    threaded = MgritSolver(problem, config, threads=2).solve()
+    assert serial.converged
+    assert threaded.residual_norms == serial.residual_norms
 
 
 def test_in_basis_keeps_level_and_symbol():

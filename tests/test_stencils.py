@@ -206,6 +206,24 @@ def test_left_biased_third_difference():
     np.testing.assert_allclose(op.weights, [-1.0, 3.0, -3.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_symmetric_weights_are_exactly_symmetric(d):
+    op = high_derivative_operator(d, 2, "symmetric", 32)
+    np.testing.assert_array_equal(op.offsets, -op.offsets[::-1])
+    np.testing.assert_array_equal(op.weights, op.weights[::-1])
+    assert op.is_symmetric()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_correction_window_is_the_correction_stencil(p):
+    from mgrit_advection.stepping import correction_operator, correction_window
+    win = correction_window(p)
+    np.testing.assert_array_equal(correction_operator(p, 64).offsets,
+                                  win.offsets)
+    with pytest.raises(ValueError):
+        correction_operator(p, 2 * max(win.ell, win.r))
+
+
 def test_invalid_bias_parity_combinations():
     with pytest.raises(ValueError):
         high_derivative_operator(3, 2, "symmetric", 16)

@@ -16,6 +16,8 @@ from mgrit_advection import (ButcherTableau, DiscretizationSpec,
                              rediscretized_coarse_stepper, rk_error_constant,
                              sdirk_tableau, sl_stepper, stability_function,
                              truncation_residual)
+from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
+                                       _minres_spectral)
 from mgrit_advection.stepping import global_error_order, f_poly
 
 
@@ -319,6 +321,48 @@ def test_modified_gmres_matches_direct_application():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(128)
     np.testing.assert_allclose(approx.apply(v), direct.apply(v), atol=1e-8)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gmres_tol": 0.0}, {"gmres_tol": 1.0}, {"gmres_tol": -0.5},
+    {"gmres_tol": float("nan")}, {"gmres_max_iters": 0},
+    {"gmres_max_iters": -1}])
+def test_modified_gmres_rejects_bad_tolerance_and_cap(kwargs):
+    spec = DiscretizationSpec("erk", 3, 0.8, 64, 16)
+    with pytest.raises(ValueError):
+        modified_coarse_stepper(spec, 4, solver="gmres", **kwargs)
+    # the exact solve takes no Krylov settings, so it ignores them
+    modified_coarse_stepper(spec, 4, solver="direct", **kwargs)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_capped_correction_selects_minres_on_symmetric_corrections(p):
+    spec = DiscretizationSpec("erk", p, 0.5 * cfl_limit(p), 64, 16)
+    capped = modified_coarse_stepper(spec, 4, level=2, solver="gmres")._apply_fn
+    assert capped.krylov is _gmres_batched  # physical rows: the oracle
+    symmetric = capped.correction.is_symmetric()
+    assert symmetric == (p % 2 == 1)
+    basis = capped.in_basis()
+    assert basis.krylov is (_minres_spectral if symmetric else _gmres_batched)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_x", [64, 96])
+def test_modified_gmres_basis_step_matches_physical_step(p, n_x):
+    spec = DiscretizationSpec("erk", p, 0.85 * cfl_limit(p), n_x, 16)
+    for level in (1, 3):
+        stepper = modified_coarse_stepper(spec, 4, level=level, solver="gmres")
+        rng = np.random.default_rng(level)
+        x = 2 * np.pi * np.arange(n_x) / n_x
+        V = np.stack([rng.standard_normal(n_x), np.exp(np.sin(x)),
+                      np.zeros(n_x)])
+        expected = stepper.apply(V)
+        U = V.copy()
+        FourierBasisOperator.to_basis(U)
+        got = stepper.in_basis().apply(U)
+        FourierBasisOperator.from_basis(got)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-10 * np.maximum(scale, 1e-300))
 
 
 def test_modified_gmres_batched_rows_match_single():
