@@ -21,10 +21,6 @@ PRUNE_TOL = 1e-15
 #: |symbol| below this counts as a singular mode in direct solves
 SINGULAR_TOL = 1e-14
 
-#: stencils at most this wide are applied by rolled sums; wider ones go
-#: through the FFT (both are exact for circulants)
-_ROLL_LIMIT = 16
-
 #: rows per block of the in-place basis changes, which bounds their complex
 #: temporaries to a few MB however many rows are transformed
 _BASIS_BLOCK_ROWS = 256
@@ -125,19 +121,17 @@ class CirculantOperator:
                 and np.array_equal(mirror.weights, self.weights))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product; ``v`` may be batched with shape (..., n_x)."""
+        """Matrix-vector product; ``v`` may be batched with shape (..., n_x).
+
+        A one-point stencil (a scaled cyclic shift) is an exact scaled roll;
+        wider stencils multiply by their eigenvalues between FFTs.
+        """
         v = np.asarray(v)
         if v.shape[-1] != self.n_x:
             raise DimensionMismatchError(
                 f"vector length {v.shape[-1]} != n_x {self.n_x}")
-        if len(self.offsets) <= _ROLL_LIMIT:
-            out = np.zeros(v.shape, dtype=np.result_type(v, self.weights))
-            for o, w in zip(self.offsets, self.weights):
-                out += w * np.roll(v, -int(o), axis=-1)
-            return out
-        return self._apply_fft(v)
-
-    def _apply_fft(self, v: np.ndarray) -> np.ndarray:
+        if len(self.offsets) == 1:
+            return self.weights[0] * np.roll(v, -int(self.offsets[0]), axis=-1)
         lam = self.eigenvalues()
         if self.is_real() and not np.iscomplexobj(v):
             half = lam[: self.n_x // 2 + 1]
@@ -280,16 +274,25 @@ class FourierBasisOperator:
     ``to_basis`` and ``from_basis`` change the basis in place on a vector or
     a stack of rows (rows may be strided, the last axis must be contiguous);
     ``apply`` multiplies by the operator's half-spectrum eigenvalues.
+
+    ``op`` is anything with ``n_x`` and ``eigenvalues()`` (its symbol at
+    2*pi*k/n_x, FFT order), such as a ``CirculantOperator`` or a ``Stepper``;
+    a spectrum that is not conjugate-symmetric (not a real operator) is
+    refused.
     """
 
     __slots__ = ("n_x", "_head", "_interior")
 
-    def __init__(self, op: CirculantOperator):
-        if not op.is_real():
-            raise ValueError("the real Fourier basis diagonalizes real "
-                             "operators only")
+    def __init__(self, op):
         n = op.n_x
-        lam = op.eigenvalues()[: n // 2 + 1]
+        lam = op.eigenvalues()
+        # to 1e-8: a symbol evaluated at rounded frequencies carries phase
+        # errors that grow with its offsets (a semi-Lagrangian shift)
+        mirror = np.conj(lam[-np.arange(n) % n])
+        if np.max(np.abs(lam - mirror)) > 1e-8 * np.max(np.abs(lam)):
+            raise ValueError("the real Fourier basis needs a real operator "
+                             "(a conjugate-symmetric spectrum)")
+        lam = lam[: n // 2 + 1]
         self.n_x = n
         # eigenvalues of the real modes are real up to rounding; the
         # physical rfft/irfft round trip discards the same imaginary parts
@@ -367,6 +370,9 @@ def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
     Each row of ``B`` gets its own Krylov space; the Arnoldi matrix-vector
     products are batched across rows.  Breakdown (a zero Krylov vector) stops
     the affected rows with their current iterate; it is a status, not an error.
+    The new vector counts as zero at 1e-14 of the norm of its Hessenberg
+    column (that of ``op`` times the last vector), a test that does not
+    depend on the scale of the right-hand side.
 
     Returns (X, relative residuals, iterations used, breakdown flag).
     """
@@ -399,7 +405,8 @@ def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
             H[:, i, j] = np.where(active, hij, H[:, i, j])
             w -= np.where(active, hij, 0.0)[:, None] * V[:, i, :]
         hnorm = np.linalg.norm(w, axis=-1)
-        happy = active & (hnorm <= 1e-14 * beta)
+        column = np.sqrt(np.sum(H[:, : j + 1, j] ** 2, axis=-1) + hnorm ** 2)
+        happy = active & (hnorm <= 1e-14 * column)
         if np.any(happy):
             breakdown = True
         H[:, j + 1, j] = np.where(active, hnorm, 0.0)
@@ -450,8 +457,9 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
     real eigenvalues, and maps back per frequency: x = (x_c / c) b.
 
     Rows stop at relative residual ``rel_tol``, at Lanczos breakdown (the
-    counterpart of GMRES's happy breakdown) or at the cap, and leave the
-    batch when they stop.  Returns what ``_gmres_batched`` returns.
+    counterpart of GMRES's happy breakdown, with the same scale-free test)
+    or at the cap, and leave the batch when they stop.  Returns what
+    ``_gmres_batched`` returns.
 
     In floating point the two methods part ways once the Lanczos vectors
     lose orthogonality, which takes iteration counts near the n//2 + 1
@@ -508,7 +516,9 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
 
         r = np.abs(phibar) / b1
         res[rows] = r
-        happy = beta_next <= 1e-14 * b1
+        # the tridiagonal column [beta, alpha, beta_next] has the norm of
+        # lam * v in exact arithmetic
+        happy = beta_next <= 1e-14 * np.hypot(np.hypot(beta, alpha), beta_next)
         breakdown |= bool(np.any(happy))
         stop = (r <= rel_tol) | happy | (j == max_iters)
         if np.any(stop):

@@ -4,8 +4,8 @@ Provides the method-of-lines steppers (explicit and singly diagonally
 implicit Runge-Kutta in time, upwind finite differences in space), the
 unconditionally stable semi-Lagrangian steppers, and the corrected
 semi-Lagrangian coarse steppers whose truncation error matches that of a
-repeated fine step.  Each stepper carries both an assembled circulant stencil
-and an exact Fourier symbol closure.
+repeated fine step.  A stepper is its exact Fourier symbol; the circulant
+stencil is built from the symbol only when physical rows are stepped.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
                        upwind_derivative)
 
-#: pruning threshold for assembled one-step stencils
+#: pruning threshold for one-step stencils built from mesh eigenvalues
 STEPPER_PRUNE_TOL = 1e-14
 
 #: amplification factors up to 1 + this count as stable when locating CFL
@@ -267,27 +267,35 @@ class DiscretizationSpec:
 class Stepper:
     """One-step propagation operator u_{n+1} = Phi u_n on the periodic mesh.
 
-    ``op`` is the assembled circulant stencil; ``symbol`` is the exact Fourier
-    symbol closure used by the convergence analysis.  ``apply`` dispatches on
-    the mode: assembled stencils act directly (rolled sums or FFT), staged
-    mode sweeps the Runge-Kutta stages, and implicit-correction mode performs
-    a semi-Lagrangian step followed by a linear solve.
+    The exact Fourier symbol ``symbol_fn`` is the one representation: the
+    mode analysis evaluates it anywhere, and the Fourier-basis step
+    (``in_basis``) multiplies by its mesh values, ``eigenvalues()``.  ``op``
+    is the physical reference stencil, built from those values when first
+    read unless an exact one was passed.  ``apply`` steps physical rows with
+    ``op``, or with ``apply_fn``: a capped stepper's ``CappedCorrection``,
+    which approximates the exact map ``op``.
     """
 
-    def __init__(self, n_x: int, op: CirculantOperator,
+    def __init__(self, n_x: int, op: Optional[CirculantOperator],
                  symbol_fn: Callable[[np.ndarray], np.ndarray],
-                 mode: str = "assembled",
                  level: int = 0, dt_multiplier: float = 1.0,
                  apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  description: str = ""):
         self.n_x = n_x
-        self.op = op
-        self.mode = mode
         self.level = level
         self.dt_multiplier = dt_multiplier
         self.description = description
+        self._op = op
         self._symbol_fn = symbol_fn
         self._apply_fn = apply_fn
+        self._eig = None
+
+    @property
+    def op(self) -> CirculantOperator:
+        if self._op is None:
+            self._op = CirculantOperator.from_eigenvalues(
+                self.n_x, self.eigenvalues(), STEPPER_PRUNE_TOL)
+        return self._op
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Advance one step; ``u`` may be batched with shape (..., n_x)."""
@@ -298,35 +306,36 @@ class Stepper:
     def in_basis(self) -> "Stepper":
         """The same step on rows held in the real orthonormal Fourier basis.
 
-        There every circulant factor is a diagonal multiply (see
-        ``FourierBasisOperator``): a capped-GMRES correction step runs its
-        semi-Lagrangian step and its Krylov solve in the basis
-        (``CappedCorrection.in_basis``); every other stepper
-        multiplies by the eigenvalues of its assembled ``op``, the map its
-        physical ``apply`` realizes.  Level and symbol are unchanged.
+        There the step multiplies by ``eigenvalues()`` (see
+        ``FourierBasisOperator``), except that a capped correction step runs
+        its semi-Lagrangian step and its Krylov solve in the basis
+        (``CappedCorrection.in_basis``).  Level and symbol are unchanged.
         """
         if isinstance(self._apply_fn, CappedCorrection):
             apply_fn = self._apply_fn.in_basis()
         else:
-            apply_fn = FourierBasisOperator(self.op).apply
-        return Stepper(self.n_x, self.op, self._symbol_fn, mode=self.mode,
-                       level=self.level, dt_multiplier=self.dt_multiplier,
-                       apply_fn=apply_fn,
-                       description=f"{self.description or self.mode}, "
-                                   "Fourier basis")
+            apply_fn = FourierBasisOperator(self).apply
+        return Stepper(self.n_x, self._op, self._symbol_fn, level=self.level,
+                       dt_multiplier=self.dt_multiplier, apply_fn=apply_fn,
+                       description=f"{self.description}, Fourier basis")
 
     def symbol(self, omega) -> np.ndarray:
         return self._symbol_fn(np.asarray(omega, dtype=float))
 
     def eigenvalues(self) -> np.ndarray:
-        return self.symbol(2.0 * np.pi * np.arange(self.n_x) / self.n_x)
+        """Symbol at the mesh frequencies 2*pi*k/n_x (FFT order), cached."""
+        if self._eig is None:
+            om = 2.0 * np.pi * np.arange(self.n_x) / self.n_x
+            self._eig = self.symbol(om)
+            self._eig.setflags(write=False)
+        return self._eig
 
     def max_amplification(self, n_samples: int = 4096) -> float:
         om = -np.pi + 2.0 * np.pi * np.arange(n_samples) / n_samples
         return float(np.max(np.abs(self.symbol(om))))
 
     def __repr__(self):
-        return (f"Stepper({self.description or self.mode}, n_x={self.n_x}, "
+        return (f"Stepper({self.description}, n_x={self.n_x}, "
                 f"level={self.level})")
 
 
@@ -368,20 +377,13 @@ class CappedCorrection(NamedTuple):
                              krylov=krylov)
 
 
-def _assemble(n_x: int, symbol_fn) -> CirculantOperator:
-    lam = symbol_fn(2.0 * np.pi * np.arange(n_x) / n_x)
-    return CirculantOperator.from_eigenvalues(n_x, lam, STEPPER_PRUNE_TOL)
-
-
-def mol_stepper(spec: DiscretizationSpec, tab: Optional[ButcherTableau] = None,
-                mode: str = "assembled") -> Stepper:
+def mol_stepper(spec: DiscretizationSpec,
+                tab: Optional[ButcherTableau] = None) -> Stepper:
     """Method-of-lines stepper R_q(-c L_p) for the given discretization.
 
-    ``assembled`` builds the one-step stencil from the exact symbol (pruned
-    at 1e-14); ``staged`` runs the standard stage sweep, with each implicit
-    stage solved directly.  Both realize the same circulant map.  An explicit
-    spec beyond its stability limit is constructed but flagged with a
-    StabilityWarning.
+    Its symbol is the stability function at -c times the upwind symbol.  An
+    explicit spec beyond its stability limit is constructed but flagged with
+    a StabilityWarning.
     """
     if tab is None:
         tab = spec.tableau()
@@ -401,42 +403,8 @@ def mol_stepper(spec: DiscretizationSpec, tab: Optional[ButcherTableau] = None,
                 f"CFL number {c:.6g} exceeds the stability limit "
                 f"{limit:.6g} for {tab.name}+U{spec.p}", StabilityWarning)
 
-    op = _assemble(spec.n_x, symbol_fn)
-    apply_fn = None
-    if mode == "staged":
-        apply_fn = _staged_apply_fn(tab, c, L)
-    elif mode != "assembled":
-        raise ValueError(f"unknown stepper mode {mode!r}")
-    return Stepper(spec.n_x, op, symbol_fn, mode=mode, apply_fn=apply_fn,
+    return Stepper(spec.n_x, None, symbol_fn,
                    description=f"{tab.name}+U{spec.p}, c={c:.6g}")
-
-
-def _staged_apply_fn(tab: ButcherTableau, c: float, L: CirculantOperator):
-    cL = L.scale(-c)
-    stage_matrix = None
-    if tab.kind == "sdirk":
-        # equal diagonal entries: one stage matrix serves every stage
-        eye = CirculantOperator.identity(L.n_x)
-        stage_matrix = eye - cL.scale(tab.A[0, 0])
-
-    def apply_fn(u):
-        z = []
-        for i in range(tab.stages):
-            rhs = u.copy()
-            for j in range(i):
-                if tab.A[i, j] != 0.0:
-                    rhs = rhs + tab.A[i, j] * z[j]
-            if stage_matrix is None:
-                z.append(cL.apply(rhs))
-            else:
-                z.append(cL.apply(stage_matrix.solve_direct(rhs)))
-        out = u.copy()
-        for i in range(tab.stages):
-            if tab.b[i] != 0.0:
-                out = out + tab.b[i] * z[i]
-        return out
-
-    return apply_fn
 
 
 class SemiLagrangianStep(NamedTuple):
@@ -472,8 +440,7 @@ def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> SemiLagrangianSte
     def symbol_fn(om):
         return np.exp(1j * np.multiply.outer(om, off_f)) @ w.astype(complex)
 
-    stepper = Stepper(n_x, op, symbol_fn, mode="assembled", level=level,
-                      dt_multiplier=mc,
+    stepper = Stepper(n_x, op, symbol_fn, level=level, dt_multiplier=mc,
                       description=f"SL{p}, step CFL={mc:.6g}")
     return SemiLagrangianStep(stepper, eps, shift, window)
 
@@ -616,10 +583,8 @@ def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
     def symbol_fn(om):
         return sl.stepper.symbol(om) / (1.0 - phi * D.symbol(om))
 
-    op = _assemble(spec.n_x, symbol_fn)
-
     if solver == "direct":
-        apply_fn = None  # assembled stencil is the exact product operator
+        apply_fn = None  # ``op``, built from the symbol, is the exact product
     elif solver == "gmres":
         if not 0.0 < gmres_tol < 1.0:
             raise ValueError(f"gmres_tol must be in (0, 1), got {gmres_tol}")
@@ -631,8 +596,8 @@ def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    return Stepper(spec.n_x, op, symbol_fn, mode="implicit_correction",
-                   level=level, dt_multiplier=step_cfl, apply_fn=apply_fn,
+    return Stepper(spec.n_x, None, symbol_fn, level=level,
+                   dt_multiplier=step_cfl, apply_fn=apply_fn,
                    description=(f"corrected SL{spec.p} (phi={phi:.4g}, "
                                 f"level {level}, {solver})"))
 
@@ -661,9 +626,8 @@ def ideal_coarse_stepper(fine: Stepper, m: int) -> Stepper:
     def symbol_fn(om):
         return fine.symbol(om) ** m
 
-    op = _assemble(fine.n_x, symbol_fn)
-    return Stepper(fine.n_x, op, symbol_fn, mode="assembled", level=1,
-                   dt_multiplier=float(m), description=f"ideal (fine^{m})")
+    return Stepper(fine.n_x, None, symbol_fn, level=1, dt_multiplier=float(m),
+                   description=f"ideal (fine^{m})")
 
 
 def plain_sl_coarse_stepper(spec: DiscretizationSpec, m: int,

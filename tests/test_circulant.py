@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              SingularOperatorError)
-from mgrit_advection.circulant import (_ROLL_LIMIT, FourierBasisOperator,
-                                       _gmres_batched, _minres_spectral)
+from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
+                                       _minres_spectral)
 from mgrit_advection.stepping import correction_operator
 
 
@@ -68,7 +68,7 @@ def test_batched_apply_matches_loop():
 def test_wide_stencil_fft_apply_matches_dense():
     rng = np.random.default_rng(11)
     n_x = 32
-    offsets = np.arange(-14, 14)  # wider than the rolled-sum limit
+    offsets = np.arange(-14, 14)
     weights = rng.standard_normal(len(offsets)) * np.exp(-0.3 * np.abs(offsets))
     op = CirculantOperator.from_arrays(n_x, offsets, weights)
     v = rng.standard_normal(n_x)
@@ -76,13 +76,13 @@ def test_wide_stencil_fft_apply_matches_dense():
 
 
 @st.composite
-def operator_and_rows(draw, wide):
-    """A stencil on the rolled-sum path (``wide`` False) or the FFT path, and
-    a batch of rows; complex weights or rows take the full-FFT branch."""
-    n_x = draw(st.integers(_ROLL_LIMIT + 1, 48) if wide else st.integers(1, 48))
+def operator_and_rows(draw, one_point):
+    """A one-point stencil (a scaled cyclic shift, applied as a rolled copy)
+    or a multi-point stencil (applied through the FFT), and a batch of rows;
+    complex weights or rows take the full-FFT branch."""
+    n_x = draw(st.integers(1, 48) if one_point else st.integers(2, 48))
     span = range(-(n_x // 2), n_x - n_x // 2)
-    n_pts = draw(st.integers(_ROLL_LIMIT + 1, n_x) if wide
-                 else st.integers(1, min(n_x, _ROLL_LIMIT)))
+    n_pts = 1 if one_point else draw(st.integers(2, n_x))
     offsets = draw(st.lists(st.sampled_from(span), min_size=n_pts,
                             max_size=n_pts, unique=True))
     weights = np.array(draw(st.lists(
@@ -98,17 +98,33 @@ def operator_and_rows(draw, wide):
     return CirculantOperator.from_arrays(n_x, offsets, weights), v
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["rolled", "fft"])
+@pytest.mark.parametrize("one_point", [True, False],
+                         ids=["one_point", "multi_point"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_physical_apply_matches_dense_product(wide, data):
-    op, v = data.draw(operator_and_rows(wide))
-    assert (len(op.offsets) > _ROLL_LIMIT) == wide
+def test_physical_apply_matches_dense_product(one_point, data):
+    op, v = data.draw(operator_and_rows(one_point))
+    assert (len(op.offsets) == 1) == one_point
     expected = v @ op.dense().T
     got = op.apply(v)
     assert got.shape == v.shape
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("weight", [1.0, -0.75, 0.5 - 2.0j])
+@pytest.mark.parametrize("offset", [0, -3, 5])
+def test_one_point_stencil_applies_exactly(weight, offset):
+    # a scaled cyclic shift is one multiply per entry, (S v)_i = w v_{i+o}
+    n_x = 12
+    op = CirculantOperator(n_x, [(offset, weight)])
+    V = np.random.default_rng(5).standard_normal((4, 6, n_x))
+    cols = (np.arange(n_x) + offset) % n_x
+    rows = (V[0, 0], V, V[:, ::2], V[1] - 1j * V[2], (V + 2j * V)[::3, 1::2])
+    for v in rows:
+        got = op.apply(v)
+        np.testing.assert_array_equal(got, weight * v[..., cols])
+        assert got.dtype == np.result_type(v, op.weights)
 
 
 # -------------------------------------------------------------------- symbol
@@ -325,7 +341,7 @@ def gmres_reference(op, b, rel_tol, max_iters):
         e1[0] = beta
         y = np.linalg.lstsq(H[: j + 2, : j + 1], e1, rcond=None)[0]
         res = np.linalg.norm(e1 - H[: j + 2, : j + 1] @ y) / beta
-        if res <= rel_tol or H[j + 1, j] <= 1e-14 * beta:
+        if res <= rel_tol or H[j + 1, j] <= 1e-14 * np.linalg.norm(H[:, j]):
             break
         V.append(w / H[j + 1, j])
     return np.array(V[: j + 1]).T @ y, res
@@ -471,6 +487,36 @@ def test_minres_single_row_and_mixed_stopping_steps():
         Xk, res_k, _, _ = assert_minres_matches_gmres(op, B[k: k + 1], 1e-2, 20)
         np.testing.assert_array_equal(Xk[0], X[k])
         assert res_k[0] == res[k]
+
+
+@pytest.mark.parametrize("solver", ["gmres", "minres"])
+@pytest.mark.parametrize("big,small,cap", [
+    pytest.param(1e6, 1e-6, 9, id="1e6_1e-6_cap9"),
+    pytest.param(2.0 ** 20, 2.0 ** -20, 20, id="2^20_2^-20_cap20")])
+def test_breakdown_verdict_does_not_depend_on_rhs_scale(solver, big, small,
+                                                        cap):
+    # the 16-point p = 3 correction has 9 distinct eigenvalues, so its Krylov
+    # spaces are exhausted after 9 iterations; beyond that, at a tolerance
+    # of 1e-14, rounding noise decides when a row stops, so the decimal
+    # scales are capped there; power-of-two scales change no rounding, and
+    # the two rows must then stop alike at any cap
+    n_x = 16
+    D = correction_operator(3, n_x)
+    op = CirculantOperator.identity(n_x) - D.scale(-30.0)
+    b = np.random.default_rng(0).standard_normal(n_x)
+    runs = []
+    for scale in (big, small):
+        B = scale * b[None, :]
+        if solver == "gmres":
+            runs.append(_gmres_batched(op, B, 1e-14, cap))
+        else:
+            FourierBasisOperator.to_basis(B)
+            runs.append(_minres_spectral(FourierBasisOperator(op), B, 1e-14,
+                                         cap))
+    (_, res_big, it_big, brk_big), (_, res_small, it_small, brk_small) = runs
+    assert it_big == it_small and brk_big == brk_small
+    if cap == 20:
+        assert res_big[0] == res_small[0] and not brk_big
 
 
 def test_is_symmetric():

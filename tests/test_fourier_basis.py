@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              DiscretizationSpec, MgritConfig, MgritSolver,
                              Stepper, StabilityWarning, cfl_limit,
-                             cpoint_residual_norm, sequential_solve)
+                             cpoint_residual_norm, ideal_coarse_stepper,
+                             modified_coarse_stepper, mol_stepper,
+                             plain_sl_coarse_stepper,
+                             rediscretized_coarse_stepper, sequential_solve,
+                             sl_stepper)
 from mgrit_advection.circulant import FourierBasisOperator
 from mgrit_advection.experiments import build_problem
 
@@ -120,6 +124,85 @@ def test_basis_apply_matches_dense_product(case):
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
 
 
+def basis_matrix(symbol, n_x):
+    """The matrix of a real circulant with the given symbol in the real
+    orthonormal Fourier basis: the head slots hold the real modes, and each
+    interior pair (re, im) one complex mode, which multiplies by the
+    eigenvalue lambda_k = symbol(2*pi*k/n_x)."""
+    lam = symbol(2.0 * np.pi * np.arange(n_x // 2 + 1) / n_x)
+    h, q = 2 - n_x % 2, (n_x - 1) // 2
+    M = np.zeros((n_x, n_x))
+    M[0, 0] = lam[0].real
+    if h == 2:
+        M[1, 1] = lam[-1].real
+    for k in range(1, q + 1):
+        r = h + 2 * (k - 1)
+        M[r: r + 2, r: r + 2] = [[lam[k].real, lam[k].imag],
+                                 [-lam[k].imag, lam[k].real]]
+    return M, lam[[0, -1][:h]]
+
+
+def assert_basis_apply_is_symbol(apply, symbol, n_x):
+    # row j of the response is the basis apply of the unit vector e_j; it
+    # must hold the symbol's values to two ulps of the largest entry
+    M, head = basis_matrix(symbol, n_x)
+    scale = np.max(np.abs(M))
+    assert np.max(np.abs(head.imag)) <= 1e-13 * scale
+    got = apply(np.eye(n_x))
+    assert np.max(np.abs(got - M)) <= 4.5e-16 * scale
+
+
+def stepper_of_kind(kind, n_x):
+    erk = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 64)
+    sdirk = DiscretizationSpec("sdirk", 3, 5.0, n_x, 64)
+    build = {
+        "erk": lambda: mol_stepper(erk),
+        "sdirk": lambda: mol_stepper(sdirk),
+        "semi_lagrangian": lambda: sl_stepper(3, 20.3, n_x).stepper,
+        "modified_direct": lambda: modified_coarse_stepper(erk, 4, level=2),
+        "ideal": lambda: ideal_coarse_stepper(mol_stepper(sdirk), 4),
+        "rediscretized": lambda: rediscretized_coarse_stepper(sdirk, 4),
+    }
+    return build[kind]()
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+@pytest.mark.parametrize("kind", ["erk", "sdirk", "semi_lagrangian",
+                                  "modified_direct", "ideal", "rediscretized"])
+def test_basis_step_of_unit_vectors_is_the_symbol(kind, n_x):
+    stepper = stepper_of_kind(kind, n_x)
+    assert_basis_apply_is_symbol(stepper.in_basis().apply, stepper.symbol,
+                                 n_x)
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+def test_capped_basis_step_and_correction_are_the_symbol(n_x):
+    # the capped step approximates its correction solve, so its basis form
+    # is pinned through its parts: the semi-Lagrangian step and the
+    # correction, whose symbols divide to the stepper's symbol
+    spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 64)
+    capped = modified_coarse_stepper(spec, 4, level=2, solver="gmres")
+    sl = plain_sl_coarse_stepper(spec, 4, level=2)
+    correction = capped._apply_fn.correction
+    basis = capped.in_basis()._apply_fn
+    assert_basis_apply_is_symbol(basis.step.apply, sl.symbol, n_x)
+    assert_basis_apply_is_symbol(basis.correction.apply, correction.symbol,
+                                 n_x)
+    om = 2.0 * np.pi * np.arange(n_x) / n_x
+    np.testing.assert_allclose(sl.symbol(om) / correction.symbol(om),
+                               capped.symbol(om), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+def test_basis_operator_takes_steppers_with_long_shifts(n_x):
+    # phases of ~2e6 radians leave the mirror eigenvalues conjugate only to
+    # ~1e-10; the stepper is real and its basis step is still its symbol
+    stepper = sl_stepper(3, 327680.3, n_x).stepper
+    M, _ = basis_matrix(stepper.symbol, n_x)
+    got = FourierBasisOperator(stepper).apply(np.eye(n_x))
+    np.testing.assert_allclose(got, M, rtol=0, atol=1e-15)
+
+
 def test_basis_apply_on_strided_rows_leaves_input_alone():
     rng = np.random.default_rng(0)
     op = CirculantOperator(63, [(-2, 0.5), (0, 1.0), (5, -0.25)])
@@ -135,6 +218,9 @@ def test_basis_apply_on_strided_rows_leaves_input_alone():
 def test_basis_operator_rejects_complex_and_wrong_length():
     with pytest.raises(ValueError):
         FourierBasisOperator(CirculantOperator(8, [(1, 1j)]))
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        FourierBasisOperator(Stepper(8, None,
+                                     lambda om: 1j * np.exp(1j * om)))
     with pytest.raises(DimensionMismatchError):
         FourierBasisOperator(CirculantOperator.identity(8)).apply(np.ones(7))
 
