@@ -11,8 +11,8 @@ from .circulant import CirculantOperator, GmresResult
 from .errors import (DimensionMismatchError, SingularOperatorError,
                      StabilityWarning, TableauError)
 from .lfa import (LfaSweep, classify, default_exclusion_count, rho_check,
-                  rho_mode, rho_two_level, rho_two_level_steppers,
-                  validate_eigenvalue_estimates, verify_lower_bound)
+                  rho_mode, rho_two_level, validate_eigenvalue_estimates,
+                  verify_lower_bound)
 from .mgrit import (MgritConfig, MgritSolver, SolveReport, TimeGridProblem,
                     c_relax, cpoint_residual_norm, f_relax, initial_condition,
                     restrict_residual, sequential_solve, solve)

@@ -105,10 +105,6 @@ class CirculantOperator:
 
     # ------------------------------------------------------------------ algebra
 
-    @property
-    def bandwidth(self) -> int:
-        return int(np.max(np.abs(self.offsets)))
-
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.weights)
 

@@ -22,12 +22,12 @@ import io
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import experiments, mgrit
+from . import experiments, lfa, mgrit
 from .errors import SingularOperatorError
 from .stepping import DiscretizationSpec, cfl_limit
 
@@ -95,6 +95,15 @@ class ExperimentConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        if self.threads < 0:
+            raise ConfigError(f"threads must be >= 0, got {self.threads}")
+        excluded = (lfa.default_exclusion_count(self.p)
+                    if self.lfa_excluded < 0 else self.lfa_excluded)
+        if command == "sweep" and self.lfa_samples <= excluded + 1:
+            # the scan drops omega = 0 and the excluded frequencies nearest it
+            raise ConfigError(f"lfa_samples = {self.lfa_samples} leaves no "
+                              f"sample once omega = 0 and {excluded} more are "
+                              f"excluded; need > {excluded + 1}")
         if command in ("solve", "iters") or (command == "sweep" and self.measure):
             if self.n_x < 1 or self.n_t < 1:
                 raise ConfigError(
@@ -145,7 +154,6 @@ class ExperimentConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for section in parser.sections():
             if section not in cls.SECTIONS:
@@ -239,7 +247,12 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     measure_grid = (config.n_x, config.n_t) if config.measure else None
     cfg = mgrit.MgritConfig(nu=config.nu, cycle="two_level", tol=config.tol,
                             max_iters=config.max_iters, rng_seed=config.seed)
-    points = _parallel_sweep(config, c_values, with_bound, measure_grid, cfg)
+    points = experiments.lfa_sweep(
+        config.family, config.p, config.coarse, c_values, config.m,
+        nu=config.nu, n_samples=config.lfa_samples,
+        n_excluded=None if config.lfa_excluded < 0 else config.lfa_excluded,
+        with_bound=with_bound, measure_grid=measure_grid, measure_config=cfg,
+        threads=config.threads)
 
     header = ["c", "c_over_cmax", "m", "rho_lfa", "divergent", "rho_bound",
               "rho_measured", "measured_converged", "measured_iters"]
@@ -253,27 +266,6 @@ def cmd_sweep(config: ExperimentConfig) -> int:
                      "" if pt.measured_iters is None else pt.measured_iters))
     write_csv(config.out or None, header, rows, _metadata(config, "sweep"))
     return 0
-
-
-def _parallel_sweep(config: ExperimentConfig, c_values, with_bound,
-                    measure_grid, mgrit_config) -> List[experiments.SweepPoint]:
-    """Dispatch sweep points to a thread pool; order is restored afterwards."""
-    n_excl = None if config.lfa_excluded < 0 else config.lfa_excluded
-
-    def one(c):
-        return experiments.lfa_sweep(
-            config.family, config.p, config.coarse, [c], config.m,
-            nu=config.nu, n_samples=config.lfa_samples, n_excluded=n_excl,
-            with_bound=with_bound, measure_grid=measure_grid,
-            measure_config=mgrit_config)
-
-    if config.threads <= 1 or len(c_values) == 1:
-        batches = [one(c) for c in c_values]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            batches = list(pool.map(one, c_values))
-    return [pt for batch in batches for pt in batch]
 
 
 def cmd_iters(config: ExperimentConfig) -> int:
@@ -341,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="configuration file (ini format)")
         cmd.add_argument("--out", help="output CSV path (default: stdout)")
-        cmd.add_argument("--threads", type=int, help="worker threads")
+        cmd.add_argument("--threads", type=int, help=(
+            "worker threads, 0 for all cores: MGRIT phases split into blocks "
+            "of coarse intervals, sweeps into (c, m) points"))
         cmd.add_argument("--seed", type=int, help="random seed")
         cmd.add_argument("--measure", action="store_true", default=None,
                          help="attach measured factors to sweep points")
@@ -423,9 +417,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             config = ExperimentConfig()
         config = _apply_overrides(config, args)
-        if config.threads <= 0:
-            config.threads = os.cpu_count() or 1
         config.validate(args.command)
+        if config.threads == 0:
+            config.threads = os.cpu_count() or 1
         return COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

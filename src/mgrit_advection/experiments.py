@@ -9,6 +9,7 @@ and the discretization-order validation suite.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -176,38 +177,45 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     With ``with_bound`` the odd-order characteristic lower bound is attached
     (rediscretized coarse grids).  With ``measure_grid = (n_x, n_t)`` each
     point also runs MGRIT on that grid and records the effective factor of
-    the final iteration.
+    the final iteration.  With ``threads`` > 1 the points run on a thread
+    pool, each solve serially, and come back in sweep order.
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
     tab = None if family == "semi_lagrangian" else tableau(family, p)
-    points = []
-    for c in c_values:
-        for m in m_values:
-            spec = DiscretizationSpec(family, p, float(c), 64, 64)
-            fine, coarse = _symbols_for(spec, coarse_kind, m, tab)
-            sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, nu,
-                                      n_samples, k_excl)
-            point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.divergent)
-            if with_bound and p % 2 == 1 and tab is not None:
-                e_rk = rk_error_constant(tab)
-                point.rho_bound = lfa.rho_check(p, float(c), m, e_rk, e_rk,
-                                                error_constant_fd(p))
-            if measure_grid is not None:
-                n_x, n_t = measure_grid
-                cfg = measure_config or mgrit.MgritConfig(nu=nu, max_iters=30)
-                report = measured_point(family, p, coarse_kind, float(c), m,
-                                        n_x, n_t, cfg, threads=threads)
-                point.rho_measured = report.effective_rho
-                point.measured_converged = report.converged
-                point.measured_iters = report.iterations
-            points.append(point)
-    return points
+
+    def sweep_point(c, m):
+        spec = DiscretizationSpec(family, p, float(c), 64, 64)
+        fine, coarse = _symbols_for(spec, coarse_kind, m, tab)
+        sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, nu,
+                                  n_samples, k_excl)
+        point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.divergent)
+        if with_bound and p % 2 == 1 and tab is not None:
+            e_rk = rk_error_constant(tab)
+            point.rho_bound = lfa.rho_check(p, float(c), m, e_rk, e_rk,
+                                            error_constant_fd(p))
+        if measure_grid is not None:
+            n_x, n_t = measure_grid
+            cfg = measure_config or mgrit.MgritConfig(nu=nu, max_iters=30)
+            report = measured_point(family, p, coarse_kind, float(c), m,
+                                    n_x, n_t, cfg)
+            point.rho_measured = report.effective_rho
+            point.measured_converged = report.converged
+            point.measured_iters = report.iterations
+        return point
+
+    grid = [(c, m) for c in c_values for m in m_values]
+    if threads <= 1 or len(grid) == 1:
+        return [sweep_point(c, m) for c, m in grid]
+    # catch_warnings is not thread-safe: the workers' own interleave, so the
+    # caller's warning filters are restored once the workers are done
+    with warnings.catch_warnings(), ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(sweep_point, *zip(*grid)))
 
 
 def measured_point(family: str, p: int, coarse_kind: str, c: float, m: int,
                    n_x: int, n_t: int,
                    config: Optional[mgrit.MgritConfig] = None,
-                   cycle: str = "two_level", threads: int = 1) -> mgrit.SolveReport:
+                   cycle: str = "two_level") -> mgrit.SolveReport:
     """One MGRIT run returning the measured convergence report."""
     config = config or mgrit.MgritConfig()
     if config.cycle != cycle:
@@ -215,7 +223,7 @@ def measured_point(family: str, p: int, coarse_kind: str, c: float, m: int,
                                    config.max_iters, config.rng_seed)
     spec = DiscretizationSpec(family, p, c, n_x, n_t)
     problem = build_problem(spec, m, cycle, coarse_kind)
-    return mgrit.solve(problem, config, threads=threads)
+    return mgrit.solve(problem, config)
 
 
 # ------------------------------------------------------------ iteration table

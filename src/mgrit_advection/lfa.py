@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularOperatorError
-from .stepping import Stepper
 
 #: denominators smaller than this mean the mode is not damped at all
 DENOM_TOL = 1e-13
@@ -101,13 +100,6 @@ def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
     return LfaSweep(om, lam, mu, rho, float(np.max(rho)), float(om[best]),
                     m, nu, n_excluded, bool(np.any(~np.isfinite(rho))),
                     dict(params or {}))
-
-
-def rho_two_level_steppers(fine: Stepper, coarse: Stepper, m: int, nu: int,
-                           n_samples: int = 2 ** 11, n_excluded: int = 2,
-                           params: Optional[dict] = None) -> LfaSweep:
-    return rho_two_level(fine.symbol, coarse.symbol, m, nu, n_samples,
-                         n_excluded, params)
 
 
 def rho_check(p: int, c: float, m: int, e_rk_fine: float, e_rk_coarse: float,

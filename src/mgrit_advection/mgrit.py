@@ -21,6 +21,11 @@ norms, and relaxation, restriction and the capped GMRES coarse solves run
 unchanged.  ``MgritSolver.iterate`` runs the same cycle on physical arrays
 with the physical steppers; it is the reference the basis solve is tested
 against.
+
+``threads`` splits each F- and C-relaxation sweep and each residual
+restriction into one task per block of whole coarse intervals, on levels with
+at least two intervals per thread; every row keeps its serial arithmetic, so
+residual histories are bitwise independent of ``threads``.
 """
 
 from __future__ import annotations
@@ -124,27 +129,7 @@ class SolveReport:
         return self.residual_norms[-1] / self.residual_norms[0]
 
 
-def _batched_apply(stepper: Stepper, block: np.ndarray,
-                   pool: Optional[ThreadPoolExecutor], threads: int) -> np.ndarray:
-    """Apply a stepper to a stack of vectors, optionally chunked over threads.
-
-    Chunking changes only the scheduling: every row is computed by the same
-    arithmetic, so results are identical to the serial path.
-    """
-    if pool is None or threads <= 1 or block.shape[0] < 2 * threads:
-        return stepper.apply(block)
-    chunks = np.array_split(np.arange(block.shape[0]), threads)
-    out = np.empty_like(block)
-
-    def work(idx):
-        out[idx] = stepper.apply(block[idx])
-
-    list(pool.map(work, [c for c in chunks if len(c)]))
-    return out
-
-
-def f_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
-            pool=None, threads: int = 1) -> None:
+def f_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int) -> None:
     """Zero the residual at the m-1 points after each coarse point.
 
     Sequential inside an interval, batched across intervals.
@@ -152,35 +137,33 @@ def f_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
     for j in range(1, m):
         src = u[j - 1::m]
         dst = u[j::m]
-        upd = _batched_apply(stepper, src[: dst.shape[0]], pool, threads)
+        upd = stepper.apply(src[: dst.shape[0]])
         np.add(upd, g[j::m], out=dst)
 
 
-def c_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
-            pool=None, threads: int = 1) -> None:
+def c_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int) -> None:
     """Zero the residual at every coarse point after the first."""
-    upd = _batched_apply(stepper, u[m - 1::m], pool, threads)
+    upd = stepper.apply(u[m - 1::m])
     dst = u[m::m]
     np.add(upd[: dst.shape[0]], g[m::m], out=dst)
 
 
 def restrict_residual(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
-                      pool=None, threads: int = 1,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """Coarse-point residuals g_km + Phi u_{km-1} - u_km for k >= 1.
 
     Injected to the coarse grid; valid as the full residual once the interior
     points have been F-relaxed.  Written to ``out`` when given.
     """
-    prop = _batched_apply(stepper, u[m - 1::m], pool, threads)
+    prop = stepper.apply(u[m - 1::m])
     n_c = u[m::m].shape[0]
     r = np.add(g[m::m], prop[:n_c], out=out)
     r -= u[m::m]
     return r
 
 
-def cpoint_residual_norm(u, g, stepper, m, pool=None, threads: int = 1) -> float:
-    r = restrict_residual(u, g, stepper, m, pool, threads)
+def cpoint_residual_norm(u, g, stepper, m) -> float:
+    r = restrict_residual(u, g, stepper, m)
     return float(np.linalg.norm(r.ravel()))
 
 
@@ -205,7 +188,11 @@ def _forward_substitute(stepper: Stepper, u: np.ndarray) -> np.ndarray:
 
 
 class MgritSolver:
-    """Driver object holding the level hierarchy and the iteration state."""
+    """Driver object holding the level hierarchy and the iteration state.
+
+    ``threads`` > 1 runs ``solve``'s relaxation and restriction phases on a
+    pool, one block of coarse intervals per thread; histories do not change.
+    """
 
     def __init__(self, problem: TimeGridProblem, config: MgritConfig,
                  threads: int = 1):
@@ -236,22 +223,44 @@ class MgritSolver:
         self._cycle(self.problem.steppers, 0, u, g)
         return u
 
+    def _over_intervals(self, kernel, u: np.ndarray, g: np.ndarray,
+                        stepper: Stepper, m: int, *out: np.ndarray) -> None:
+        """Run ``kernel(u, g, stepper, m, *out)`` over the level's coarse
+        intervals: serially, or with at least two intervals per thread as one
+        pool task per contiguous block k0 <= k < k1, on rows k0*m .. k1*m of
+        ``u`` and ``g`` and rows k0 .. k1-1 of ``out``.  Adjacent blocks
+        share only their boundary C-point, which only the left block's
+        C-relaxation writes and the right block's kernels never read.
+        """
+        n_intervals = (u.shape[0] - 1) // m
+        if self._pool is None or n_intervals < 2 * self.threads:
+            kernel(u, g, stepper, m, *out)
+            return
+        edges = [n_intervals * i // self.threads
+                 for i in range(self.threads + 1)]
+
+        def block(k0, k1):
+            rows = slice(k0 * m, k1 * m + 1)
+            kernel(u[rows], g[rows], stepper, m, *(o[k0:k1] for o in out))
+
+        list(self._pool.map(block, edges[:-1], edges[1:]))
+
     def _cycle(self, steppers: List[Stepper], level: int, u: np.ndarray,
                g: np.ndarray) -> None:
         cfg = self.config
         stepper = steppers[level]
         m = self.problem.m[level]
-        pool, threads = self._pool, self.threads
+        phase = self._over_intervals
 
-        f_relax(u, g, stepper, m, pool, threads)
+        phase(f_relax, u, g, stepper, m)
         for _ in range(cfg.nu):
-            c_relax(u, g, stepper, m, pool, threads)
-            f_relax(u, g, stepper, m, pool, threads)
+            phase(c_relax, u, g, stepper, m)
+            phase(f_relax, u, g, stepper, m)
 
         # coarse right-hand side: zero at t = 0, the restricted residual after
         g_coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
         g_coarse[0] = 0.0
-        restrict_residual(u, g, stepper, m, pool, threads, out=g_coarse[1:])
+        phase(restrict_residual, u, g, stepper, m, g_coarse[1:])
 
         last_level = level + 1 == len(self.problem.m)
         if cfg.cycle == "two_level" or last_level:
@@ -261,7 +270,7 @@ class MgritSolver:
             self._cycle(steppers, level + 1, e, g_coarse)
 
         u[m::m] += e[1:]
-        f_relax(u, g, stepper, m, pool, threads)
+        phase(f_relax, u, g, stepper, m)
 
     # ------------------------------------------------------------------ solve
 
@@ -283,15 +292,13 @@ class MgritSolver:
         if self.threads > 1:
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
         try:
-            norms = [cpoint_residual_norm(u, g, stepper, m, self._pool,
-                                          self.threads)]
+            norms = [cpoint_residual_norm(u, g, stepper, m)]
             converged = False
             it = 0
             while it < cfg.max_iters:
                 self._cycle(steppers, 0, u, g)
                 it += 1
-                norms.append(cpoint_residual_norm(u, g, stepper, m, self._pool,
-                                                  self.threads))
+                norms.append(cpoint_residual_norm(u, g, stepper, m))
                 if norms[0] > 0 and norms[-1] / norms[0] <= cfg.tol:
                     converged = True
                     break
@@ -311,7 +318,9 @@ class MgritSolver:
 
 def solve(problem: TimeGridProblem, config: MgritConfig,
           threads: int = 1, initial_iterate: Optional[np.ndarray] = None) -> SolveReport:
-    """Run MGRIT to the halting rule; divergence is reported, not raised."""
+    """Run MGRIT to the halting rule; divergence is reported, not raised.
+    ``threads`` splits each relaxation and restriction phase into blocks of
+    coarse intervals; the residual history does not depend on it."""
     return MgritSolver(problem, config, threads).solve(initial_iterate)
 
 

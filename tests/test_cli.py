@@ -100,6 +100,34 @@ def test_config_file_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert capsys.readouterr().err.startswith("configuration error: tol")
 
 
+@pytest.mark.parametrize("ini,message", [
+    ("[lfa]\nlfa_samples = 4\n", "lfa_samples = 4 leaves no sample"),
+    ("[lfa]\nlfa_samples = 0\n", "lfa_samples = 0 leaves no sample"),
+    ("[lfa]\nlfa_excluded = 5000\n", "lfa_samples = 2048 leaves no sample"),
+    ("[run]\nthreads = -3\n", "threads must be >= 0"),
+], ids=["lfa_samples_4", "lfa_samples_0", "lfa_excluded_5000", "threads_-3"])
+def test_config_file_rejects_empty_lfa_scan_and_negative_threads(
+        tmp_path, capsys, ini, message):
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    code, _ = run_cli(["sweep", "--config", str(path), "--family", "erk",
+                       "--p", "3", "--m", "2", "--c-range", "0.1,0.5,3"],
+                      tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_negative_threads_flag_is_rejected(tmp_path, capsys):
+    code, _ = run_cli(["solve", "--family", "sdirk", "--p", "1", "--c", "1.0",
+                       "--grid", "32,64", "--threads", "-3"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: threads must be >= 0")
+
+
 def test_grid_is_checked_only_where_solves_run(tmp_path):
     # an LFA-only sweep never builds the space-time grid
     code, _ = run_cli(["sweep", "--family", "sdirk", "--p", "1", "--coarse",
@@ -218,6 +246,19 @@ def test_solve_threads_do_not_change_iteration_count(tmp_path):
     iters1 = [l for l in text1.splitlines() if l.startswith("# iterations")]
     iters4 = [l for l in text4.splitlines() if l.startswith("# iterations")]
     assert iters1 == iters4
+
+
+def test_measured_sweep_rows_do_not_depend_on_threads(tmp_path):
+    args = ["sweep", "--family", "sdirk", "--p", "1", "--coarse", "modified",
+            "--m", "2,4", "--c-range", "1.0,3.0,3", "--measure",
+            "--grid", "64,256", "--max-iters", "30"]
+    code1, text1 = run_cli(args + ["--threads", "1"], tmp_path, "one.csv")
+    code2, text2 = run_cli(args + ["--threads", "2"], tmp_path, "two.csv")
+    assert code1 == code2 == 0
+    _, rows1 = parse_csv(text1)
+    _, rows2 = parse_csv(text2)
+    assert len(rows1) == 6
+    assert rows2 == rows1
 
 
 def test_config_file_with_flag_overrides(tmp_path):

@@ -294,15 +294,36 @@ def test_capped_gmres_v_cycle_matches_physical_counts(p, n_x):
     assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
-@pytest.mark.parametrize("p", [1, 3])
-def test_capped_v_cycle_histories_do_not_depend_on_threads(p):
-    # the Krylov solves reduce per row, so splitting the rows between
-    # threads leaves every residual norm bitwise unchanged
-    problem = hierarchy("erk", p, 0.85 * cfl_limit(p), "modified", "v_cycle",
-                        n_x=64, n_t=256)
-    config = MgritConfig(nu=1, cycle="v_cycle", max_iters=30, rng_seed=0)
+THREAD_CASES = {
+    # id: family, p, c (a fraction of c_max for erk), cycle, m, n_x, n_t
+    "1": ("erk", 1, 0.85, "v_cycle", 4, 64, 256),
+    "3": ("erk", 3, 0.85, "v_cycle", 4, 64, 256),
+    "erk2_v_cycle_gmres": ("erk", 2, 0.85, "v_cycle", 4, 64, 256),
+    "sdirk3_two_level": ("sdirk", 3, 5.0, "two_level", 2, 64, 256),
+    "sdirk3_v_cycle_4_2": ("sdirk", 3, 5.0, "v_cycle", [4, 2], 64, 256),
+    # 3 coarse intervals, fewer than two per thread: the serial fallback
+    "sdirk1_serial_fallback": ("sdirk", 1, 2.0, "two_level", 16, 32, 48),
+}
+
+
+@pytest.mark.parametrize(
+    "family,p,c,cycle,m,n_x,n_t,threads",
+    [pytest.param(*case, 2, id=name) for name, case in THREAD_CASES.items()]
+    + [pytest.param(*case, 3, id=f"{name}-threads3")
+       for name, case in THREAD_CASES.items()])
+def test_capped_v_cycle_histories_do_not_depend_on_threads(
+        family, p, c, cycle, m, n_x, n_t, threads):
+    # threads split each phase into blocks of whole coarse intervals (with 3
+    # threads the block edges do not divide the intervals evenly), and every
+    # row keeps its serial arithmetic, Krylov solves included, so every
+    # residual norm is bitwise unchanged
+    if family == "erk":
+        c *= cfl_limit(p)
+    problem = hierarchy(family, p, c, "modified", cycle, n_x=n_x, n_t=n_t,
+                        m=m)
+    config = MgritConfig(nu=1, cycle=cycle, max_iters=30, rng_seed=0)
     serial = MgritSolver(problem, config, threads=1).solve()
-    threaded = MgritSolver(problem, config, threads=2).solve()
+    threaded = MgritSolver(problem, config, threads=threads).solve()
     assert serial.converged
     assert threaded.residual_norms == serial.residual_norms
 

@@ -2,6 +2,7 @@
 characteristic lower bound, and smooth-mode symbol estimates."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mgrit_advection import (DiscretizationSpec, StabilityWarning, classify,
                              rho_check, rho_mode, rho_two_level,
                              rk_error_constant, sdirk_tableau,
                              validate_eigenvalue_estimates)
+from mgrit_advection.experiments import lfa_sweep
 from mgrit_advection.lfa import sample_frequencies
 
 
@@ -243,3 +245,23 @@ def test_extra_relaxation_never_hurts_modified_operator(family, p, c, m):
     rho_f = rho_two_level(fine.symbol, coarse.symbol, m, 0, n_excluded=k).rho_e
     rho_fcf = rho_two_level(fine.symbol, coarse.symbol, m, 1, n_excluded=k).rho_e
     assert rho_fcf <= rho_f + 1e-12
+
+
+def test_threaded_sweep_matches_serial_and_keeps_warning_filters():
+    # the workers' catch_warnings blocks interleave and can leave an extra
+    # "ignore" filter behind; the sweep must restore the caller's filters
+    c_values = [0.5, 1.2, 1.8, 2.5] * 8  # ERK3 c_max is 1.63
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            before = list(warnings.filters)
+            serial = lfa_sweep("erk", 3, "modified", c_values, [2, 4],
+                               n_samples=64)
+            threaded = lfa_sweep("erk", 3, "modified", c_values, [2, 4],
+                                 n_samples=64, threads=4)
+            assert warnings.filters == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
