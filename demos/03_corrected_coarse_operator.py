@@ -28,9 +28,10 @@ e_fd = error_constant_fd(p)
 e_rk = rk_error_constant(erk_tableau(p))
 
 print(f"=== third-order explicit pair at c = {c:.4f} ===")
-print("correction coefficients by coarsening factor and level:")
+print("correction coefficients by coarsening factor and level")
+print("(level l steps over F = m**l fine steps, and phi depends on F alone):")
 for m in (2, 4, 16):
-    phis = [phi_coefficient(p, c, m, lvl, e_fd, e_rk) for lvl in (1, 2, 3)]
+    phis = [phi_coefficient(p, c, m ** lvl, e_fd, e_rk) for lvl in (1, 2, 3)]
     print(f"  m={m:>2}: level 1..3 -> " + ", ".join(f"{x:+.4f}" for x in phis))
 
 print("\nsymbol distance to the repeated fine step, smallest retained mode:")

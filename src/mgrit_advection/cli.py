@@ -59,7 +59,7 @@ class ExperimentConfig:
     c_max: float = 0.0
     c_points: int = 512
     measure: bool = False
-    threads: int = 0            # 0: use the available parallelism
+    threads: int = 1            # 0: use the available parallelism
     out: str = ""
 
     SECTIONS = {
@@ -162,25 +162,32 @@ class ExperimentConfig:
                 if key not in cls.SECTIONS[section]:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
                 kwargs[key] = _convert(key, raw)
-        return cls(**kwargs).validate()
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+        return cls.from_text(text)
 
 
 def _convert(key: str, raw: str):
     raw = raw.strip()
-    if key == "m":
-        return [int(tok) for tok in raw.split(",") if tok]
     if key in ("family", "coarse", "cycle", "out"):
         return raw
     if key == "measure":
         return raw.lower() in ("1", "true", "yes", "on")
-    if key in ("tol", "c", "c_fraction", "c_min", "c_max"):
-        return float(raw)
-    return int(raw)
+    try:
+        if key == "m":
+            return [int(tok) for tok in raw.split(",") if tok]
+        if key in ("tol", "c", "c_fraction", "c_min", "c_max"):
+            return float(raw)
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
 # ------------------------------------------------------------------- CSV output
@@ -319,8 +326,16 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 # ------------------------------------------------------------------------ main
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as configuration errors (exit 1), not argparse's
+    exit 2, which the CLI reserves for numerical singularities."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mgrit-advection",
         description="Multigrid-reduction-in-time studies for 1-D linear advection")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -334,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="configuration file (ini format)")
         cmd.add_argument("--out", help="output CSV path (default: stdout)")
         cmd.add_argument("--threads", type=int, help=(
-            "worker threads, 0 for all cores: MGRIT phases split into blocks "
-            "of coarse intervals, sweeps into (c, m) points"))
+            "worker threads, default 1, 0 for all cores: MGRIT phases split "
+            "into blocks of coarse intervals, sweeps into (c, m) points; "
+            "histories do not depend on it"))
         cmd.add_argument("--seed", type=int, help="random seed")
         cmd.add_argument("--measure", action="store_true", default=None,
                          help="attach measured factors to sweep points")
@@ -369,7 +385,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.nu is not None:
         config.nu = args.nu
     if args.m is not None:
-        config.m = [int(tok) for tok in args.m.split(",") if tok]
+        config.m = _convert("m", args.m)
     if args.grid is not None:
         try:
             n_x, n_t = (int(tok) for tok in args.grid.split(","))
@@ -409,9 +425,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.config:
             config = ExperimentConfig.from_file(args.config)
         else:

@@ -57,28 +57,25 @@ def fine_stepper(spec: DiscretizationSpec,
     return mol_stepper(spec, tab)
 
 
-def coarse_stepper(kind: str, spec: DiscretizationSpec, m: int, level: int,
+def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int, level: int,
                    fine: Stepper, solver: str = "direct",
-                   tab: Optional[ButcherTableau] = None,
-                   cumulative_factor: Optional[int] = None) -> Stepper:
+                   tab: Optional[ButcherTableau] = None) -> Stepper:
+    """Coarse stepper of ``kind`` on ``level``, whose one step covers F fine
+    steps (the product of the coarsening factors down to that level)."""
     if kind == "modified":
         return modified_coarse_stepper(
-            spec, m, level, solver=solver, gmres_tol=GMRES_TOL,
-            gmres_max_iters=gmres_cap(spec.p), tab=tab,
-            cumulative_factor=cumulative_factor)
+            spec, F, level, solver=solver, gmres_tol=GMRES_TOL,
+            gmres_max_iters=gmres_cap(spec.p), tab=tab)
     if kind == "rediscretized":
         if level != 1:
             raise ValueError("rediscretized coarse operators are two-level only")
-        return rediscretized_coarse_stepper(spec, m, tab)
+        return rediscretized_coarse_stepper(spec, F, tab)
     if kind == "plain_sl":
-        if cumulative_factor is not None:
-            return stepping.sl_stepper(spec.p, cumulative_factor * spec.c,
-                                       spec.n_x, level=level).stepper
-        return plain_sl_coarse_stepper(spec, m, level)
+        return plain_sl_coarse_stepper(spec, F, level)
     if kind == "ideal":
         if level != 1:
             raise ValueError("the ideal coarse operator is two-level only")
-        return ideal_coarse_stepper(fine, m)
+        return ideal_coarse_stepper(fine, F)
     raise ValueError(f"unknown coarse kind {kind!r}")
 
 
@@ -88,7 +85,9 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     """Assemble the level hierarchy for one MGRIT run.
 
     ``m`` is a single coarsening factor or a per-level sequence (the last
-    entry repeats for deeper levels).  Implicit-correction solves are direct
+    entry repeats for deeper levels).  Coarse level l is built from its
+    cumulative factor F = m_1 ... m_l, the fine steps one of its steps
+    covers (``coarse_stepper``).  Implicit-correction solves are direct
     except on multilevel explicit hierarchies, where every coarse level uses
     capped GMRES (relative residual ``GMRES_TOL``, at most ``gmres_cap(p)``
     iterations); in the Fourier basis of ``mgrit.solve`` that GMRES runs as
@@ -112,12 +111,11 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     solver = "gmres" if (spec.family == "erk" and cycle == "v_cycle"
                          and coarse_kind == "modified") else "direct"
     steppers = [fine]
-    cumulative = 1
+    F = 1
     for level, mf in enumerate(factors, start=1):
-        cumulative *= mf
-        steppers.append(coarse_stepper(coarse_kind, spec, mf, level, fine,
-                                       solver=solver, tab=tab,
-                                       cumulative_factor=cumulative))
+        F *= mf
+        steppers.append(coarse_stepper(coarse_kind, spec, F, level, fine,
+                                       solver=solver, tab=tab))
     u0 = mgrit.initial_condition(spec.n_x)
     return mgrit.TimeGridProblem(steppers, factors, spec.n_t, u0)
 
@@ -156,15 +154,6 @@ class SweepPoint:
     measured_iters: Optional[int] = None
 
 
-def _symbols_for(spec: DiscretizationSpec, coarse_kind: str, m: int,
-                 tab: Optional[ButcherTableau]):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StabilityWarning)
-        fine = fine_stepper(spec, tab)
-        coarse = coarse_stepper(coarse_kind, spec, m, 1, fine, tab=tab)
-    return fine, coarse
-
-
 def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
               m_values: Sequence[int], nu: int = 1,
               n_samples: int = 2 ** 11, n_excluded: Optional[int] = None,
@@ -179,13 +168,19 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     point also runs MGRIT on that grid and records the effective factor of
     the final iteration.  With ``threads`` > 1 the points run on a thread
     pool, each solve serially, and come back in sweep order.
+
+    A sweep may cross the stability limit, so ``StabilityWarning`` is
+    silenced for the whole sweep, measured solves included.  The filter is
+    set once in the calling thread: ``catch_warnings`` is not thread-safe,
+    so worker threads never touch the filters.
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
     tab = None if family == "semi_lagrangian" else tableau(family, p)
 
     def sweep_point(c, m):
         spec = DiscretizationSpec(family, p, float(c), 64, 64)
-        fine, coarse = _symbols_for(spec, coarse_kind, m, tab)
+        fine = fine_stepper(spec, tab)
+        coarse = coarse_stepper(coarse_kind, spec, m, 1, fine, tab=tab)
         sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, nu,
                                   n_samples, k_excl)
         point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.divergent)
@@ -204,12 +199,12 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
         return point
 
     grid = [(c, m) for c in c_values for m in m_values]
-    if threads <= 1 or len(grid) == 1:
-        return [sweep_point(c, m) for c, m in grid]
-    # catch_warnings is not thread-safe: the workers' own interleave, so the
-    # caller's warning filters are restored once the workers are done
-    with warnings.catch_warnings(), ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(sweep_point, *zip(*grid)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        if threads <= 1 or len(grid) == 1:
+            return [sweep_point(c, m) for c, m in grid]
+        with ThreadPoolExecutor(threads) as pool:
+            return list(pool.map(sweep_point, *zip(*grid)))
 
 
 def measured_point(family: str, p: int, coarse_kind: str, c: float, m: int,

@@ -122,12 +122,6 @@ class SolveReport:
     converged: bool
     wall_time: float = 0.0
 
-    @property
-    def total_reduction(self) -> float:
-        if self.residual_norms[0] == 0.0:
-            return 0.0
-        return self.residual_norms[-1] / self.residual_norms[0]
-
 
 def f_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int) -> None:
     """Zero the residual at the m-1 points after each coarse point.

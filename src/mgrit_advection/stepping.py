@@ -278,12 +278,11 @@ class Stepper:
 
     def __init__(self, n_x: int, op: Optional[CirculantOperator],
                  symbol_fn: Callable[[np.ndarray], np.ndarray],
-                 level: int = 0, dt_multiplier: float = 1.0,
+                 level: int = 0,
                  apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  description: str = ""):
         self.n_x = n_x
         self.level = level
-        self.dt_multiplier = dt_multiplier
         self.description = description
         self._op = op
         self._symbol_fn = symbol_fn
@@ -316,7 +315,7 @@ class Stepper:
         else:
             apply_fn = FourierBasisOperator(self).apply
         return Stepper(self.n_x, self._op, self._symbol_fn, level=self.level,
-                       dt_multiplier=self.dt_multiplier, apply_fn=apply_fn,
+                       apply_fn=apply_fn,
                        description=f"{self.description}, Fourier basis")
 
     def symbol(self, omega) -> np.ndarray:
@@ -414,6 +413,14 @@ class SemiLagrangianStep(NamedTuple):
     window: StencilWindow
 
 
+def split_cfl(mc: float) -> Tuple[int, float]:
+    """Split a step CFL number into whole cells k and a fraction eps in
+    [0, 1); within 1e-13 of a whole cell the fraction is taken as 0."""
+    k = int(math.floor(mc + 1e-13))
+    eps = mc - k
+    return k, (0.0 if eps < 1e-13 else eps)
+
+
 def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> SemiLagrangianStep:
     """Semi-Lagrangian stepper of order p for a step with CFL number ``mc``.
 
@@ -425,10 +432,7 @@ def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> SemiLagrangianSte
     """
     if mc <= 0:
         raise ValueError(f"step CFL must be positive, got {mc}")
-    k = int(math.floor(mc + 1e-13))
-    eps = mc - k
-    if eps < 1e-13:
-        eps = 0.0
+    k, eps = split_cfl(mc)
     shift = -k
     window = StencilWindow.interpolation(p, eps)
     w = lagrange_weights(window, eps)
@@ -440,7 +444,7 @@ def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> SemiLagrangianSte
     def symbol_fn(om):
         return np.exp(1j * np.multiply.outer(om, off_f)) @ w.astype(complex)
 
-    stepper = Stepper(n_x, op, symbol_fn, level=level, dt_multiplier=mc,
+    stepper = Stepper(n_x, op, symbol_fn, level=level,
                       description=f"SL{p}, step CFL={mc:.6g}")
     return SemiLagrangianStep(stepper, eps, shift, window)
 
@@ -488,34 +492,21 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None,
 
 # -------------------------------------------------- corrected coarse operators
 
-def phi_coefficient(p: int, c: float, m: int, level: int,
+def phi_coefficient(p: int, c: float, F: int,
                     e_fd: float, e_rk: float) -> float:
-    """Correction coefficient multiplying the high-derivative operator on a
-    coarse level.
+    """Correction coefficient multiplying the high-derivative operator on the
+    coarse level whose step is F fine steps.
 
-    Level 1 combines the accumulated one-step errors of m fine steps with the
-    interpolation error of the coarse semi-Lagrangian step; deeper levels are
-    defined by the recursion
-    phi_l = (-1)^(p+1) [ -m f(eps_{l-1}) + f(eps_l) ] + m phi_{l-1}.
+    It combines the accumulated one-step errors of F fine steps with the
+    interpolation error f(eps) of one semi-Lagrangian step at CFL F*c.  The
+    paper defines it level by level: phi_1 at F = m, then
+    phi_l = (-1)^(p+1) [ -m_l f(eps_{l-1}) + f(eps_l) ] + m_l phi_{l-1}.
+    That recursion telescopes, so phi depends only on the cumulative factor
+    F = m_1 ... m_l.
     """
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-
-    def sl_error_term(step_cfl: float) -> float:
-        k = int(math.floor(step_cfl + 1e-13))
-        eps = step_cfl - k
-        if eps < 1e-13:
-            eps = 0.0
-        window = StencilWindow.interpolation(p, eps)
-        return f_poly(p, window, eps)
-
-    phi = (m * (c * e_fd + (-c) ** (p + 1) * e_rk)
-           + (-1) ** (p + 1) * sl_error_term(m * c))
-    for lvl in range(2, level + 1):
-        f_prev = sl_error_term(m ** (lvl - 1) * c)
-        f_cur = sl_error_term(m ** lvl * c)
-        phi = (-1) ** (p + 1) * (-m * f_prev + f_cur) + m * phi
-    return phi
+    eps = split_cfl(F * c)[1]
+    f_sl = f_poly(p, StencilWindow.interpolation(p, eps), eps)
+    return F * (c * e_fd + (-c) ** (p + 1) * e_rk) + (-1) ** (p + 1) * f_sl
 
 
 def correction_operator(p: int, n_x: int) -> CirculantOperator:
@@ -533,42 +524,32 @@ def correction_window(p: int) -> StencilWindow:
         p + 1, "symmetric" if p % 2 == 1 else "left_biased")
 
 
-def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
+def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
                             solver: str = "direct",
                             gmres_tol: float = 1e-2,
                             gmres_max_iters: int = 20,
-                            tab: Optional[ButcherTableau] = None,
-                            cumulative_factor: Optional[int] = None) -> Stepper:
+                            tab: Optional[ButcherTableau] = None) -> Stepper:
     """Corrected semi-Lagrangian coarse stepper for a method-of-lines fine grid.
 
-    One application is a semi-Lagrangian step at the level's CFL number
-    followed by the implicit correction solve (I - phi D) x = intermediate.
-    With ``solver='direct'`` the solve is exact (FFT); with ``solver='gmres'``
+    One application advances F fine steps: a semi-Lagrangian step at CFL
+    number F*c followed by the implicit correction solve
+    (I - phi D) x = intermediate, with phi set by F alone
+    (``phi_coefficient``).  ``level`` only labels the stepper.  With
+    ``solver='direct'`` the solve is exact (FFT); with ``solver='gmres'``
     it is approximated by unrestarted GMRES from a zero guess, stopped per
     row at relative residual ``gmres_tol`` in (0, 1) or after
     ``gmres_max_iters`` >= 1 iterations (``CappedCorrection``).  In the
     Fourier basis the symmetric correction of odd p runs that GMRES as MINRES
     on each row's frequency spectrum: in exact arithmetic the same iterates
     and stopping steps, from a short recurrence.
-
-    ``cumulative_factor`` overrides the uniform-coarsening step multiple
-    m**level for hierarchies with per-level factors; the level recursion for
-    the correction coefficient telescopes, so the coefficient depends only on
-    the cumulative factor.
     """
     if level < 1:
         raise ValueError(f"coarse level must be >= 1, got {level}")
     if tab is None:
         tab = spec.tableau()
-    e_fd = error_constant_fd(spec.p)
-    e_rk = rk_error_constant(tab)
-    if cumulative_factor is None:
-        phi = phi_coefficient(spec.p, spec.c, m, level, e_fd, e_rk)
-        step_cfl = m ** level * spec.c
-    else:
-        phi = phi_coefficient(spec.p, spec.c, cumulative_factor, 1, e_fd, e_rk)
-        step_cfl = cumulative_factor * spec.c
-    sl = sl_stepper(spec.p, step_cfl, spec.n_x, level=level)
+    phi = phi_coefficient(spec.p, spec.c, F, error_constant_fd(spec.p),
+                          rk_error_constant(tab))
+    sl = sl_stepper(spec.p, F * spec.c, spec.n_x, level=level)
     D = correction_operator(spec.p, spec.n_x)
     correction = CirculantOperator.identity(spec.n_x) - D.scale(phi)
 
@@ -596,8 +577,7 @@ def modified_coarse_stepper(spec: DiscretizationSpec, m: int, level: int = 1,
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    return Stepper(spec.n_x, None, symbol_fn, level=level,
-                   dt_multiplier=step_cfl, apply_fn=apply_fn,
+    return Stepper(spec.n_x, None, symbol_fn, level=level, apply_fn=apply_fn,
                    description=(f"corrected SL{spec.p} (phi={phi:.4g}, "
                                 f"level {level}, {solver})"))
 
@@ -616,7 +596,6 @@ def rediscretized_coarse_stepper(spec: DiscretizationSpec, m: int,
                                 max(spec.n_t // m, 1), spec.alpha, spec.q)
     stepper = mol_stepper(coarse, tab)
     stepper.level = 1
-    stepper.dt_multiplier = float(m)
     return stepper
 
 
@@ -626,14 +605,15 @@ def ideal_coarse_stepper(fine: Stepper, m: int) -> Stepper:
     def symbol_fn(om):
         return fine.symbol(om) ** m
 
-    return Stepper(fine.n_x, None, symbol_fn, level=1, dt_multiplier=float(m),
+    return Stepper(fine.n_x, None, symbol_fn, level=1,
                    description=f"ideal (fine^{m})")
 
 
-def plain_sl_coarse_stepper(spec: DiscretizationSpec, m: int,
+def plain_sl_coarse_stepper(spec: DiscretizationSpec, F: int,
                             level: int = 1) -> Stepper:
-    """Uncorrected semi-Lagrangian coarse stepper (for comparison runs)."""
-    return sl_stepper(spec.p, m ** level * spec.c, spec.n_x, level=level).stepper
+    """Uncorrected semi-Lagrangian coarse stepper over F fine steps (for
+    comparison runs)."""
+    return sl_stepper(spec.p, F * spec.c, spec.n_x, level=level).stepper
 
 
 # ------------------------------------------------------ truncation-error fits
@@ -647,12 +627,6 @@ class TruncationReport:
     predicted_constant: float
     residual_norms: list
     remainder_norms: list
-
-    @property
-    def constant_ratios(self) -> list:
-        if self.predicted_constant == 0.0:
-            return [math.nan for _ in self.fitted_constants]
-        return [k / self.predicted_constant for k in self.fitted_constants]
 
     @property
     def remainder_order(self) -> float:
@@ -693,10 +667,7 @@ def truncation_residual(family: str, p: int, c: float, n_x_list: Sequence[int],
         e_rk = rk_error_constant(tab)
         predicted = -(c * error_constant_fd(p) + (-c) ** (q + 1) * e_rk)
     elif family == "semi_lagrangian":
-        k = int(math.floor(c + 1e-13))
-        eps = c - k
-        if eps < 1e-13:
-            eps = 0.0
+        eps = split_cfl(c)[1]
         predicted = (-1.0) ** (p + 1) * f_poly(
             p, StencilWindow.interpolation(p, eps), eps)
     else:

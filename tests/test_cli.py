@@ -128,6 +128,36 @@ def test_negative_threads_flag_is_rejected(tmp_path, capsys):
         "configuration error: threads must be >= 0")
 
 
+@pytest.mark.parametrize("ini,flags", [
+    ("[discretization]\np = abc\n", []),
+    (None, ["--m", "2,x"]),
+    (None, ["--config", "no-such-dir/run.ini"]),
+    (None, ["--p", "abc"]),
+    (None, ["--no-such-flag"]),
+], ids=["file_value", "m_list", "missing_config", "flag_value",
+        "unknown_flag"])
+def test_bad_input_is_a_configuration_error(tmp_path, capsys, ini, flags):
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        flags = ["--config", str(path)] + flags
+    code, _ = run_cli(["constants"] + flags, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+def test_flags_override_config_values_before_validation(tmp_path):
+    # the file alone is invalid; the flag replaces the bad value
+    path = tmp_path / "run.ini"
+    path.write_text("[discretization]\np = 7\n")
+    code, text = run_cli(["constants", "--config", str(path), "--p", "3"],
+                         tmp_path)
+    assert code == 0
+    assert "p = 3" in text
+
+
 def test_grid_is_checked_only_where_solves_run(tmp_path):
     # an LFA-only sweep never builds the space-time grid
     code, _ = run_cli(["sweep", "--family", "sdirk", "--p", "1", "--coarse",
@@ -234,6 +264,13 @@ def test_solve_reports_history_and_wall_time(tmp_path):
     norms = [float(r["residual_norm"]) for r in rows]
     assert len(norms) >= 2
     assert norms[-1] < norms[0]
+
+
+def test_solve_runs_one_thread_by_default(tmp_path):
+    code, text = run_cli(["solve", "--family", "sdirk", "--p", "1", "--c",
+                          "1.0", "--m", "4", "--grid", "32,64"], tmp_path)
+    assert code == 0
+    assert "# threads: 1\n" in text
 
 
 def test_solve_threads_do_not_change_iteration_count(tmp_path):

@@ -159,7 +159,7 @@ def stepper_of_kind(kind, n_x):
         "erk": lambda: mol_stepper(erk),
         "sdirk": lambda: mol_stepper(sdirk),
         "semi_lagrangian": lambda: sl_stepper(3, 20.3, n_x).stepper,
-        "modified_direct": lambda: modified_coarse_stepper(erk, 4, level=2),
+        "modified_direct": lambda: modified_coarse_stepper(erk, 16, level=2),
         "ideal": lambda: ideal_coarse_stepper(mol_stepper(sdirk), 4),
         "rediscretized": lambda: rediscretized_coarse_stepper(sdirk, 4),
     }
@@ -181,8 +181,8 @@ def test_capped_basis_step_and_correction_are_the_symbol(n_x):
     # is pinned through its parts: the semi-Lagrangian step and the
     # correction, whose symbols divide to the stepper's symbol
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 64)
-    capped = modified_coarse_stepper(spec, 4, level=2, solver="gmres")
-    sl = plain_sl_coarse_stepper(spec, 4, level=2)
+    capped = modified_coarse_stepper(spec, 16, level=2, solver="gmres")
+    sl = plain_sl_coarse_stepper(spec, 16, level=2)
     correction = capped._apply_fn.correction
     basis = capped.in_basis()._apply_fn
     assert_basis_apply_is_symbol(basis.step.apply, sl.symbol, n_x)

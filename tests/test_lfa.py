@@ -265,3 +265,20 @@ def test_threaded_sweep_matches_serial_and_keeps_warning_filters():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_threaded_sweep_emits_no_stability_warnings():
+    # a per-worker catch_warnings block could lift another worker's filter
+    # mid-sweep and let a past-c_max point warn; the sweep filters once
+    c_values = [0.5, 1.2, 1.8, 2.5] * 4  # ERK3 c_max is 1.63
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(8):
+                lfa_sweep("erk", 3, "modified", c_values, [2, 4],
+                          n_samples=256, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [w for w in caught if issubclass(w.category, StabilityWarning)]

@@ -8,7 +8,8 @@ from mgrit_advection import (CirculantOperator, DiscretizationSpec,
                              MgritConfig, MgritSolver, Stepper,
                              TimeGridProblem, c_relax,
                              f_relax, ideal_coarse_stepper, initial_condition,
-                             mol_stepper, rediscretized_coarse_stepper,
+                             modified_coarse_stepper, mol_stepper,
+                             rediscretized_coarse_stepper,
                              restrict_residual, sequential_solve, solve)
 from mgrit_advection.experiments import build_problem
 
@@ -210,9 +211,13 @@ def test_mixed_per_level_coarsening_factors():
     spec = DiscretizationSpec("erk", 1, 0.85 * cfl_limit(1), 64, 256)
     problem = build_problem(spec, [16, 4], "v_cycle", "modified")
     assert problem.m == [16, 4, 4]
-    multiples = [s.dt_multiplier for s in problem.steppers[1:]]
-    np.testing.assert_allclose(multiples, [16 * spec.c, 64 * spec.c,
-                                           256 * spec.c])
+    # each level is built from its cumulative factor F = 16, 16*4, 16*4*4
+    for level, (F, stepper) in enumerate(zip([16, 64, 256],
+                                             problem.steppers[1:]), start=1):
+        assert stepper.level == level
+        np.testing.assert_array_equal(
+            stepper.eigenvalues(),
+            modified_coarse_stepper(spec, F, level).eigenvalues())
     report = solve(problem, MgritConfig(nu=1, cycle="v_cycle", max_iters=30,
                                         rng_seed=0))
     assert report.converged

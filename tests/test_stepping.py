@@ -265,7 +265,7 @@ def test_phi_vanishes_for_unit_coarsening():
     e_fd = error_constant_fd(1)
     e_rk = rk_error_constant(erk_tableau(1))
     for c in (0.2, 0.5, 0.9):
-        assert phi_coefficient(1, c, 1, 1, e_fd, e_rk) == pytest.approx(
+        assert phi_coefficient(1, c, 1, e_fd, e_rk) == pytest.approx(
             0.0, abs=1e-14)
 
 
@@ -275,7 +275,7 @@ def test_phi_small_coarse_cfl_closed_form():
     e_fd = error_constant_fd(1)
     e_rk = rk_error_constant(erk_tableau(1))
     m, c = 2, 0.4
-    assert phi_coefficient(1, c, m, 1, e_fd, e_rk) == pytest.approx(
+    assert phi_coefficient(1, c, m, e_fd, e_rk) == pytest.approx(
         m * (m - 1) * c * c / 2, abs=1e-14)
 
 
@@ -283,29 +283,33 @@ def test_phi_hand_computed_value():
     # m=4, c=0.4: 4 [0.2 - 0.08] + f_2(0.6) = 0.48 - 0.12 = 0.36
     e_fd = error_constant_fd(1)
     e_rk = rk_error_constant(erk_tableau(1))
-    assert phi_coefficient(1, 0.4, 4, 1, e_fd, e_rk) == pytest.approx(
+    assert phi_coefficient(1, 0.4, 4, e_fd, e_rk) == pytest.approx(
         0.36, abs=1e-14)
 
 
-def test_phi_level_recursion_consistency():
-    # composing two levels of factor m must reproduce the direct two-level
-    # value at factor m^2 when the intermediate interpolation errors cancel
-    e_fd = error_constant_fd(3)
-    e_rk = rk_error_constant(erk_tableau(3))
-    p, c, m = 3, 0.3, 2
-    phi1 = phi_coefficient(p, c, m, 1, e_fd, e_rk)
-    phi2 = phi_coefficient(p, c, m, 2, e_fd, e_rk)
-    win = StencilWindow.interpolation(p, 0.0)
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_phi_level_recursion_consistency(p, m, level):
+    # the closed form in the cumulative factor F = m^level satisfies the
+    # paper's level recursion
+    # phi_l = (-1)^(p+1) [ -m f(eps_{l-1}) + f(eps_l) ] + m phi_{l-1}
+    e_fd = error_constant_fd(p)
+    e_rk = rk_error_constant(erk_tableau(p))
+    c = 0.3
 
     def frac_part(x):
         return x - math.floor(x + 1e-13)
 
-    f1 = f_poly(p, StencilWindow.interpolation(p, frac_part(m * c)),
-                frac_part(m * c))
-    f2 = f_poly(p, StencilWindow.interpolation(p, frac_part(m * m * c)),
-                frac_part(m * m * c))
-    expected = (-1) ** (p + 1) * (-m * f1 + f2) + m * phi1
-    assert phi2 == pytest.approx(expected, rel=1e-13)
+    def f(F):
+        eps = frac_part(F * c)
+        return f_poly(p, StencilWindow.interpolation(p, eps), eps)
+
+    F_prev, F = m ** (level - 1), m ** level
+    phi_prev = phi_coefficient(p, c, F_prev, e_fd, e_rk)
+    expected = (-1) ** (p + 1) * (-m * f(F_prev) + f(F)) + m * phi_prev
+    assert phi_coefficient(p, c, F, e_fd, e_rk) == pytest.approx(
+        expected, rel=1e-13)
 
 
 # ------------------------------------------------- corrected coarse operators
@@ -313,7 +317,7 @@ def test_phi_level_recursion_consistency():
 def test_zero_phi_reduces_to_plain_sl():
     # m = 1 makes the correction vanish for the first-order pair
     spec = DiscretizationSpec("erk", 1, 0.5, 64, 16)
-    corrected = modified_coarse_stepper(spec, m=1, level=1)
+    corrected = modified_coarse_stepper(spec, F=1, level=1)
     plain = sl_stepper(1, 0.5, 64).stepper
     om = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     np.testing.assert_allclose(corrected.symbol(om), plain.symbol(om),
@@ -364,7 +368,7 @@ def test_modified_gmres_rejects_bad_tolerance_and_cap(kwargs):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_capped_correction_selects_minres_on_symmetric_corrections(p):
     spec = DiscretizationSpec("erk", p, 0.5 * cfl_limit(p), 64, 16)
-    capped = modified_coarse_stepper(spec, 4, level=2, solver="gmres")._apply_fn
+    capped = modified_coarse_stepper(spec, 16, level=2, solver="gmres")._apply_fn
     assert capped.krylov is _gmres_batched  # physical rows: the oracle
     symmetric = capped.correction.is_symmetric()
     assert symmetric == (p % 2 == 1)
@@ -377,7 +381,8 @@ def test_capped_correction_selects_minres_on_symmetric_corrections(p):
 def test_modified_gmres_basis_step_matches_physical_step(p, n_x):
     spec = DiscretizationSpec("erk", p, 0.85 * cfl_limit(p), n_x, 16)
     for level in (1, 3):
-        stepper = modified_coarse_stepper(spec, 4, level=level, solver="gmres")
+        stepper = modified_coarse_stepper(spec, 4 ** level, level=level,
+                                          solver="gmres")
         rng = np.random.default_rng(level)
         x = 2 * np.pi * np.arange(n_x) / n_x
         V = np.stack([rng.standard_normal(n_x), np.exp(np.sin(x)),
