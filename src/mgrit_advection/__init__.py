@@ -7,7 +7,7 @@ convergence analysis (``lfa``), and experiment drivers (``experiments``,
 ``cli``).
 """
 
-from .circulant import CirculantOperator, GmresResult
+from .circulant import CirculantOperator
 from .errors import (DimensionMismatchError, SingularOperatorError,
                      StabilityWarning, TableauError)
 from .lfa import (LfaSweep, classify, default_exclusion_count, rho_check,

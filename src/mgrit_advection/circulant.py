@@ -9,7 +9,7 @@ symbols exact and makes direct solves an FFT diagonalization.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -241,21 +241,6 @@ class CirculantOperator:
             return np.fft.irfft(np.fft.rfft(b, axis=-1) / half, n=self.n_x, axis=-1)
         return np.fft.ifft(np.fft.fft(b, axis=-1) / lam, axis=-1)
 
-    def solve_gmres(self, b: np.ndarray, rel_tol: float = 1e-2,
-                    max_iters: int = 20) -> "GmresResult":
-        """Unrestarted GMRES with zero initial guess on a single vector."""
-        if not 0.0 < rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-        if max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 1 or b.shape[0] != self.n_x:
-            raise DimensionMismatchError(
-                f"rhs must be a vector of length {self.n_x}")
-        x, res, iters, brk = _gmres_batched(self, b[None, :], rel_tol, max_iters)
-        return GmresResult(x[0], int(iters), float(res[0]),
-                           bool(res[0] <= rel_tol), bool(brk))
-
 
 class FourierBasisOperator:
     """A real circulant operator acting on rows held in the real orthonormal
@@ -295,14 +280,17 @@ class FourierBasisOperator:
         self._head = lam[[0, -1][: _head_slots(n)]].real
         self._interior = lam[1: 1 + (n - 1) // 2]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Operator applied to basis rows ``v`` of shape (..., n_x)."""
+    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Operator applied to basis rows ``v`` of shape (..., n_x), written
+        to ``out`` (same shape, last axis contiguous; it may be ``v``
+        itself) when given."""
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.n_x:
             raise DimensionMismatchError(
                 f"vector length {v.shape[-1]} != n_x {self.n_x}")
         h = len(self._head)
-        out = np.empty(v.shape)
+        if out is None:
+            out = np.empty(v.shape)
         np.multiply(v[..., :h], self._head, out=out[..., :h])
         np.multiply(v[..., h:].view(complex), self._interior,
                     out=out[..., h:].view(complex))
@@ -347,14 +335,6 @@ def _row_blocks(u: np.ndarray):
     h, q = _head_slots(n), (n - 1) // 2
     for start in range(0, rows.shape[0], _BASIS_BLOCK_ROWS):
         yield rows[start: start + _BASIS_BLOCK_ROWS], h, q
-
-
-class GmresResult(NamedTuple):
-    x: np.ndarray
-    iterations: int
-    relative_residual: float
-    converged: bool
-    breakdown: bool
 
 
 def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):

@@ -261,12 +261,13 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         with_bound=with_bound, measure_grid=measure_grid, measure_config=cfg,
         threads=config.threads)
 
-    header = ["c", "c_over_cmax", "m", "rho_lfa", "divergent", "rho_bound",
-              "rho_measured", "measured_converged", "measured_iters"]
+    header = ["c", "c_over_cmax", "m", "rho_lfa", "divergent",
+              "coarse_unstable", "rho_bound", "rho_measured",
+              "measured_converged", "measured_iters"]
     rows = []
     for pt in sorted(points, key=lambda s: (s.c, s.m)):
         rows.append((pt.c, pt.c / limit if config.family == "erk" else "",
-                     pt.m, pt.rho_lfa, pt.divergent,
+                     pt.m, pt.rho_lfa, pt.divergent, pt.coarse_unstable,
                      "" if pt.rho_bound is None else pt.rho_bound,
                      "" if pt.rho_measured is None else pt.rho_measured,
                      "" if pt.measured_converged is None else pt.measured_converged,

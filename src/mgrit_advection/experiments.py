@@ -144,10 +144,15 @@ def constants_rows() -> List[dict]:
 
 @dataclass
 class SweepPoint:
+    """One (c, m) point of a sweep.  ``divergent`` means rho_lfa >= 1;
+    ``coarse_unstable`` means |mu| >= 1 at some sample, where rho_lfa is
+    infinite, so it implies ``divergent``."""
+
     c: float
     m: int
     rho_lfa: float
     divergent: bool
+    coarse_unstable: bool
     rho_bound: Optional[float] = None
     rho_measured: Optional[float] = None
     measured_converged: Optional[bool] = None
@@ -183,7 +188,8 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
         coarse = coarse_stepper(coarse_kind, spec, m, 1, fine, tab=tab)
         sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, nu,
                                   n_samples, k_excl)
-        point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.divergent)
+        point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.rho_e >= 1.0,
+                           sweep.divergent)
         if with_bound and p % 2 == 1 and tab is not None:
             e_rk = rk_error_constant(tab)
             point.rho_bound = lfa.rho_check(p, float(c), m, e_rk, e_rk,

@@ -17,10 +17,16 @@ the iterate in place once, cycles with the levels' basis steppers
 (``Stepper.in_basis``), where every circulant apply is a diagonal multiply,
 and changes back when it returns or raises.  The change of basis is
 orthogonal, so the residual norms it computes there equal the physical l2
-norms, and relaxation, restriction and the capped GMRES coarse solves run
-unchanged.  ``MgritSolver.iterate`` runs the same cycle on physical arrays
-with the physical steppers; it is the reference the basis solve is tested
-against.
+norms, and relaxation, restriction and the capped coarse solves (MINRES or
+GMRES) run unchanged.  ``MgritSolver.iterate`` runs the same cycle on
+physical arrays with the physical steppers and a dense right-hand side; it
+is the reference the basis solve is tested against.
+
+``solve`` does each fine-level sweep once, bit for bit the cycle as written:
+level 0 passes ``g = None`` (its right-hand side is u0 at t = 0, which row 0
+of the iterate holds, and zero elsewhere); after the first cycle it skips the
+opening F-relaxation, which the closing one already did, and its first
+C-relaxation copies the values the residual norm propagated.
 
 ``threads`` splits each F- and C-relaxation sweep and each residual
 restriction into one task per block of whole coarse intervals, on levels with
@@ -123,42 +129,51 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def f_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int) -> None:
+def _step_rows(u, g, stepper, m, j, out) -> np.ndarray:
+    """Phi u_{km+j-1} + g_{km+j} for every interval k, with ``g`` None read
+    as zero; written to ``out`` when given."""
+    out = stepper.apply(u[j - 1:-1:m], out=out)
+    if g is not None:
+        out += g[j::m]
+    return out
+
+
+def f_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
+            m: int) -> None:
     """Zero the residual at the m-1 points after each coarse point.
 
-    Sequential inside an interval, batched across intervals.
+    Sequential inside an interval, batched across intervals, each step
+    written straight into ``u``.  ``g`` None is read as zero.
     """
     for j in range(1, m):
-        src = u[j - 1::m]
-        dst = u[j::m]
-        upd = stepper.apply(src[: dst.shape[0]])
-        np.add(upd, g[j::m], out=dst)
+        _step_rows(u, g, stepper, m, j, u[j::m])
 
 
-def c_relax(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int) -> None:
-    """Zero the residual at every coarse point after the first."""
-    upd = stepper.apply(u[m - 1::m])
-    dst = u[m::m]
-    np.add(upd[: dst.shape[0]], g[m::m], out=dst)
+def c_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
+            m: int) -> None:
+    """Zero the residual at every coarse point after the first, writing
+    straight into ``u``; ``g`` None is read as zero."""
+    _step_rows(u, g, stepper, m, m, u[m::m])
 
 
-def restrict_residual(u: np.ndarray, g: np.ndarray, stepper: Stepper, m: int,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
+def restrict_residual(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
+                      m: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Coarse-point residuals g_km + Phi u_{km-1} - u_km for k >= 1.
 
     Injected to the coarse grid; valid as the full residual once the interior
-    points have been F-relaxed.  Written to ``out`` when given.
+    points have been F-relaxed.  ``g`` None is read as zero.  Written to
+    ``out`` when given.
     """
-    prop = stepper.apply(u[m - 1::m])
-    n_c = u[m::m].shape[0]
-    r = np.add(g[m::m], prop[:n_c], out=out)
+    r = _step_rows(u, g, stepper, m, m, out)
     r -= u[m::m]
     return r
 
 
-def cpoint_residual_norm(u, g, stepper, m) -> float:
-    r = restrict_residual(u, g, stepper, m)
-    return float(np.linalg.norm(r.ravel()))
+def cpoint_residual_norm(u, g, stepper, m, out=None) -> float:
+    """Global l2 norm of the coarse-point residuals; ``out``, when given,
+    receives g_km + Phi u_{km-1}, what a C-relaxation of ``u`` would write."""
+    relaxed = _step_rows(u, g, stepper, m, m, out)
+    return float(np.linalg.norm((relaxed - u[m::m]).ravel()))
 
 
 def sequential_solve(problem: TimeGridProblem, level: int = 0,
@@ -176,8 +191,9 @@ def sequential_solve(problem: TimeGridProblem, level: int = 0,
 def _forward_substitute(stepper: Stepper, u: np.ndarray) -> np.ndarray:
     """Solve u_n = Phi u_{n-1} + g_n, u_0 = g_0 in place: ``u`` holds g on
     entry and the solution on return."""
+    step = np.empty(u.shape[1:])
     for n in range(1, u.shape[0]):
-        u[n] += stepper.apply(u[n - 1])
+        u[n] += stepper.apply(u[n - 1], out=step)
     return u
 
 
@@ -217,7 +233,7 @@ class MgritSolver:
         self._cycle(self.problem.steppers, 0, u, g)
         return u
 
-    def _over_intervals(self, kernel, u: np.ndarray, g: np.ndarray,
+    def _over_intervals(self, kernel, u: np.ndarray, g: Optional[np.ndarray],
                         stepper: Stepper, m: int, *out: np.ndarray) -> None:
         """Run ``kernel(u, g, stepper, m, *out)`` over the level's coarse
         intervals: serially, or with at least two intervals per thread as one
@@ -235,33 +251,45 @@ class MgritSolver:
 
         def block(k0, k1):
             rows = slice(k0 * m, k1 * m + 1)
-            kernel(u[rows], g[rows], stepper, m, *(o[k0:k1] for o in out))
+            kernel(u[rows], None if g is None else g[rows], stepper, m,
+                   *(o[k0:k1] for o in out))
 
         list(self._pool.map(block, edges[:-1], edges[1:]))
 
     def _cycle(self, steppers: List[Stepper], level: int, u: np.ndarray,
-               g: np.ndarray) -> None:
+               g: Optional[np.ndarray], coarse: Optional[np.ndarray] = None,
+               warm: bool = False) -> None:
+        """One cycle in place on ``u``, with its coarse problem in ``coarse``
+        (n_c + 1 rows, allocated if None).  ``warm``: the F-points of ``u``
+        are relaxed and ``coarse[1:]`` holds its relaxed C-point values
+        (``cpoint_residual_norm``'s ``out``), so the first F- and
+        C-relaxation are skipped and copied."""
         cfg = self.config
         stepper = steppers[level]
         m = self.problem.m[level]
         phase = self._over_intervals
+        if coarse is None:
+            coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
 
-        phase(f_relax, u, g, stepper, m)
-        for _ in range(cfg.nu):
-            phase(c_relax, u, g, stepper, m)
+        if not warm:
+            phase(f_relax, u, g, stepper, m)
+        for sweep in range(cfg.nu):
+            if warm and sweep == 0:
+                u[m::m] = coarse[1:]
+            else:
+                phase(c_relax, u, g, stepper, m)
             phase(f_relax, u, g, stepper, m)
 
         # coarse right-hand side: zero at t = 0, the restricted residual after
-        g_coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
-        g_coarse[0] = 0.0
-        phase(restrict_residual, u, g, stepper, m, g_coarse[1:])
+        coarse[0] = 0.0
+        phase(restrict_residual, u, g, stepper, m, coarse[1:])
 
         last_level = level + 1 == len(self.problem.m)
         if cfg.cycle == "two_level" or last_level:
-            e = _forward_substitute(steppers[level + 1], g_coarse)
+            e = _forward_substitute(steppers[level + 1], coarse)
         else:
-            e = np.zeros(g_coarse.shape)
-            self._cycle(steppers, level + 1, e, g_coarse)
+            e = np.zeros(coarse.shape)
+            self._cycle(steppers, level + 1, e, coarse)
 
         u[m::m] += e[1:]
         phase(f_relax, u, g, stepper, m)
@@ -273,26 +301,27 @@ class MgritSolver:
         state if None).  ``u`` is in the Fourier basis while the solve runs
         and physical again when it returns or raises."""
         cfg = self.config
-        g = self.rhs()
         if u is None:
             u = self.initial_state()
         m = self.problem.m[0]
+        # level 0's coarse problem; between cycles, the norm's relaxed C-values
+        coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
 
         start = time.perf_counter()
         steppers = [s.in_basis() for s in self.problem.steppers]
         stepper = steppers[0]
-        FourierBasisOperator.to_basis(g[0])  # the other rows of g are zero
         FourierBasisOperator.to_basis(u)
         if self.threads > 1:
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
         try:
-            norms = [cpoint_residual_norm(u, g, stepper, m)]
+            norms = [cpoint_residual_norm(u, None, stepper, m, coarse[1:])]
             converged = False
             it = 0
             while it < cfg.max_iters:
-                self._cycle(steppers, 0, u, g)
+                self._cycle(steppers, 0, u, None, coarse, warm=it > 0)
                 it += 1
-                norms.append(cpoint_residual_norm(u, g, stepper, m))
+                norms.append(cpoint_residual_norm(u, None, stepper, m,
+                                                  coarse[1:]))
                 if norms[0] > 0 and norms[-1] / norms[0] <= cfg.tol:
                     converged = True
                     break

@@ -272,8 +272,8 @@ class Stepper:
     (``in_basis``) multiplies by its mesh values, ``eigenvalues()``.  ``op``
     is the physical reference stencil, built from those values when first
     read unless an exact one was passed.  ``apply`` steps physical rows with
-    ``op``, or with ``apply_fn``: a capped stepper's ``CappedCorrection``,
-    which approximates the exact map ``op``.
+    ``op``, or with ``apply_fn(u, out)``: a capped stepper's
+    ``CappedCorrection``, which approximates the exact map ``op``.
     """
 
     def __init__(self, n_x: int, op: Optional[CirculantOperator],
@@ -296,11 +296,12 @@ class Stepper:
                 self.n_x, self.eigenvalues(), STEPPER_PRUNE_TOL)
         return self._op
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """Advance one step; ``u`` may be batched with shape (..., n_x)."""
+    def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Advance one step; ``u`` may be batched with shape (..., n_x).
+        Written to ``out`` when given."""
         if self._apply_fn is not None:
-            return self._apply_fn(np.asarray(u))
-        return self.op.apply(u)
+            return self._apply_fn(np.asarray(u), out)
+        return _into(self.op.apply(u), out)
 
     def in_basis(self) -> "Stepper":
         """The same step on rows held in the real orthonormal Fourier basis.
@@ -355,12 +356,13 @@ class CappedCorrection(NamedTuple):
     max_iters: int
     krylov: Callable = _gmres_batched
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         rhs = self.step.apply(u)
         flat = rhs.reshape(-1, rhs.shape[-1])
         x, _, _, _ = self.krylov(self.correction, flat, self.tol,
                                  self.max_iters)
-        return x.reshape(rhs.shape)
+        return _into(x.reshape(rhs.shape), out)
 
     def in_basis(self) -> "CappedCorrection":
         """The same step on rows in the Fourier basis.  A symmetric
@@ -374,6 +376,14 @@ class CappedCorrection(NamedTuple):
         return self._replace(step=FourierBasisOperator(self.step),
                              correction=FourierBasisOperator(self.correction),
                              krylov=krylov)
+
+
+def _into(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``x``, or ``out`` holding a copy of it when ``out`` is given."""
+    if out is None:
+        return x
+    out[...] = x
+    return out
 
 
 def mol_stepper(spec: DiscretizationSpec,

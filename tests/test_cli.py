@@ -213,6 +213,31 @@ def test_sweep_degenerate_single_point(tmp_path):
     assert float(rows[0]["rho_bound"]) == pytest.approx(4.0 / 9.0, abs=0.01)
 
 
+def test_sweep_separates_divergence_from_an_unstable_coarse_operator(
+        tmp_path):
+    # past c_max the ERK2 point's rho_lfa is finite but far above 1: it is
+    # divergent although every coarse eigenvalue has |mu| < 1
+    code, text = run_cli(
+        ["sweep", "--family", "erk", "--p", "2", "--coarse", "modified",
+         "--m", "8", "--c-range", "0.5,1.2,2"], tmp_path)
+    assert code == 0
+    header, (inside, past) = parse_csv(text)
+    assert header[4:6] == ["divergent", "coarse_unstable"]
+    assert float(inside["rho_lfa"]) < 1.0
+    assert (inside["divergent"], inside["coarse_unstable"]) == ("false",
+                                                                "false")
+    assert float(past["rho_lfa"]) > 100.0
+    assert (past["divergent"], past["coarse_unstable"]) == ("true", "false")
+    # an unstable coarse operator makes rho_lfa infinite, and divergent
+    code, text = run_cli(
+        ["sweep", "--family", "erk", "--p", "2", "--coarse", "plain_sl",
+         "--m", "16", "--c-range", "1.0,1.0,1"], tmp_path, "unstable.csv")
+    assert code == 0
+    _, (row,) = parse_csv(text)
+    assert float(row["rho_lfa"]) == float("inf")
+    assert (row["divergent"], row["coarse_unstable"]) == ("true", "true")
+
+
 def test_sweep_rejects_explicit_rediscretized(tmp_path):
     code, _ = run_cli(
         ["sweep", "--family", "erk", "--p", "1", "--coarse", "rediscretized",

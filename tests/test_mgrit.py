@@ -6,11 +6,14 @@ import pytest
 
 from mgrit_advection import (CirculantOperator, DiscretizationSpec,
                              MgritConfig, MgritSolver, Stepper,
-                             TimeGridProblem, c_relax,
-                             f_relax, ideal_coarse_stepper, initial_condition,
+                             TimeGridProblem, c_relax, cfl_limit,
+                             cpoint_residual_norm, f_relax,
+                             ideal_coarse_stepper, initial_condition,
                              modified_coarse_stepper, mol_stepper,
                              rediscretized_coarse_stepper,
                              restrict_residual, sequential_solve, solve)
+from mgrit_advection import mgrit
+from mgrit_advection.circulant import FourierBasisOperator
 from mgrit_advection.experiments import build_problem
 
 
@@ -195,6 +198,136 @@ def test_different_seeds_change_history_not_convergence():
     assert abs(a.iterations - b.iterations) <= 2
 
 
+# ------------------------------------------------ each fine-level sweep once
+
+def unreduced_basis_solve(problem, config, u):
+    """The MGRIT cycle as written, in place on ``u``: basis steppers, a dense
+    fine right-hand side, the opening F-relaxation in every cycle and every
+    C-relaxation stepped.  Returns the residual history."""
+    steppers = [s.in_basis() for s in problem.steppers]
+    basis = TimeGridProblem(steppers, problem.m, problem.n_t, problem.u0)
+    g = np.zeros_like(u)
+    g[0] = problem.u0
+    FourierBasisOperator.to_basis(g[0])
+    FourierBasisOperator.to_basis(u)
+
+    def cycle(level, u, g):
+        stepper, m = steppers[level], problem.m[level]
+        f_relax(u, g, stepper, m)
+        for _ in range(config.nu):
+            c_relax(u, g, stepper, m)
+            f_relax(u, g, stepper, m)
+        g_coarse = np.zeros((u[m::m].shape[0] + 1, u.shape[1]))
+        restrict_residual(u, g, stepper, m, g_coarse[1:])
+        if config.cycle == "two_level" or level + 2 == len(steppers):
+            e = sequential_solve(basis, level + 1, g_coarse)
+        else:
+            e = np.zeros_like(g_coarse)
+            cycle(level + 1, e, g_coarse)
+        u[m::m] += e[1:]
+        f_relax(u, g, stepper, m)
+
+    m = problem.m[0]
+    norms = [cpoint_residual_norm(u, g, steppers[0], m)]
+    for _ in range(config.max_iters):
+        cycle(0, u, g)
+        norms.append(cpoint_residual_norm(u, g, steppers[0], m))
+        if norms[0] > 0 and norms[-1] / norms[0] <= config.tol:
+            break
+    FourierBasisOperator.from_basis(u)
+    return norms
+
+
+REDUCED_CASES = [
+    pytest.param("sdirk", 3, 5.0, cycle, m, nu, n_x, threads,
+                 id=f"{cycle}-m{m}-nu{nu}-nx{n_x}-threads{threads}")
+    for cycle in ("two_level", "v_cycle")
+    for m in (2, 4, [4, 2])
+    for nu in (0, 1, 2)
+    for n_x in (63, 64)
+    for threads in (1, 2, 3)
+] + [
+    pytest.param("erk", 3, 0.85, "v_cycle", 4, 1, 64, threads,
+                 id=f"erk3_capped_v_cycle-threads{threads}")
+    for threads in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("family,p,c,cycle,m,nu,n_x,threads", REDUCED_CASES)
+def test_solve_is_the_unreduced_cycle_bit_for_bit(family, p, c, cycle, m, nu,
+                                                  n_x, threads):
+    # solve skips the opening F-relaxation after the first cycle, copies the
+    # residual norm's propagation as the first C-relaxation and reads no
+    # fine right-hand side; none of it may change a single bit
+    if family == "erk":
+        c *= cfl_limit(p)
+    problem = build_problem(DiscretizationSpec(family, p, c, n_x, 64), m,
+                            cycle, "modified")
+    config = MgritConfig(nu=nu, cycle=cycle, max_iters=10, rng_seed=5)
+    solver = MgritSolver(problem, config, threads=threads)
+    u, ref = solver.initial_state(), solver.initial_state()
+    report = solver.solve(u)
+    norms = unreduced_basis_solve(problem, config, ref)
+    assert report.residual_norms == norms
+    assert u.tobytes() == ref.tobytes()
+
+
+class RowCountingStepper(Stepper):
+    """Forwards every apply to ``inner`` and records its row count, in and
+    out of the Fourier basis."""
+
+    def __init__(self, inner, rows=None):
+        super().__init__(inner.n_x, None, inner.symbol, level=inner.level,
+                         description=inner.description)
+        self.inner = inner
+        self.rows = [] if rows is None else rows
+
+    def apply(self, u, out=None):
+        u = np.asarray(u)
+        self.rows.append(u.size // u.shape[-1])
+        return self.inner.apply(u, out)
+
+    def in_basis(self):
+        return RowCountingStepper(self.inner.in_basis(), self.rows)
+
+
+def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
+    # m = 2, nu = 1: the first cycle steps every interval for F, C, F,
+    # restriction and the closing F, and the residual norm once more; later
+    # cycles reuse the closing F-relaxation and the norm's propagation
+    n_t, m = 64, 2
+    problem = fine_problem(n_x=32, n_t=n_t, m=m, coarse="rediscretized",
+                           c=0.5)
+    counter = RowCountingStepper(problem.steppers[0])
+    problem.steppers[0] = counter
+    rhs, marks = [], []
+
+    def recording(kernel):
+        def wrapped(u, g, stepper, m, *out):
+            if stepper.level == 0:
+                rhs.append(g)
+            return kernel(u, g, stepper, m, *out)
+        return wrapped
+
+    for name in ("f_relax", "c_relax", "restrict_residual"):
+        monkeypatch.setattr(mgrit, name, recording(getattr(mgrit, name)))
+    norm = recording(mgrit.cpoint_residual_norm)
+
+    def marked_norm(*args):
+        value = norm(*args)
+        marks.append(sum(counter.rows))
+        return value
+
+    monkeypatch.setattr(mgrit, "cpoint_residual_norm", marked_norm)
+    report = solve(problem, MgritConfig(nu=1, tol=1e-300, max_iters=5,
+                                        rng_seed=0))
+    n_c = n_t // m
+    assert report.iterations == 5
+    assert list(np.diff(marks)) == [6 * n_c] + [4 * n_c] * 4
+    # no level-0 kernel reads a full-size right-hand side
+    assert len(rhs) > 0 and all(g is None for g in rhs)
+
+
 # ------------------------------------------------------------------- v-cycles
 
 def test_v_cycle_converges_on_small_modified_hierarchy():
@@ -207,7 +340,6 @@ def test_v_cycle_converges_on_small_modified_hierarchy():
 
 
 def test_mixed_per_level_coarsening_factors():
-    from mgrit_advection import cfl_limit
     spec = DiscretizationSpec("erk", 1, 0.85 * cfl_limit(1), 64, 256)
     problem = build_problem(spec, [16, 4], "v_cycle", "modified")
     assert problem.m == [16, 4, 4]
