@@ -102,6 +102,60 @@ def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
                     dict(params or {}))
 
 
+def predict_history(fine_symbol: Callable[[np.ndarray], np.ndarray],
+                    coarse_symbol: Callable[[np.ndarray], np.ndarray],
+                    m: int, nu: int, u_c: np.ndarray,
+                    iterations: int) -> list:
+    """Residual history of a two-level solve with a direct coarse solve,
+    predicted mode by mode on the finite time grid.
+
+    With circulant steppers every spatial frequency omega_k = 2 pi k / n_x
+    is its own scalar time problem, with fine and coarse symbols lambda and
+    mu there.  ``u_c`` holds the physical C-point rows U_0, U_1, ..., U_Nc
+    of the initial iterate (its rows 0, m, 2m, ...; U_0 the initial
+    condition).  The opening F-relaxation leaves, in each frequency of their
+    real FFTs, the C-point residual r0_j = lambda^m U_{j-1} - U_j for
+    j = 1 .. Nc.  A cycle with F(CF)^nu relaxation multiplies it by the
+    Nc x Nc lower-triangular Toeplitz matrix E whose generating function is
+
+        e(z) = (lambda^m - mu) lambda^(m nu) z^(1 + nu) / (1 - mu z)
+
+    (Dobrev, Kolev, Petersson & Schroder, SISC 2017), so the residual after
+    i cycles is E^i r0, the series of e(z)^i r0(z) truncated to Nc terms.
+    Each factor E multiplies the series by (lambda^m - mu) lambda^(m nu)
+    z^(1 + nu) and divides it by 1 - mu z, a first-order recurrence in j
+    that keeps each entry's rounding relative to that entry.  This is
+    semi-algebraic mode analysis (Friedhoff & MacLachlan, NLAA 2015) for
+    circulant space operators; it calls no solver kernel and no stepper.
+
+    Returns the l2 norms over all C-points and mesh points after cycles
+    1 .. ``iterations``, which are ``SolveReport.residual_norms[1:]``.  By
+    Parseval over the orthonormal real FFT, the real modes (k = 0, and
+    n_x / 2 for even n_x) weigh 1 and every other mode 2.
+    """
+    u_c = np.asarray(u_c, dtype=float)
+    n_c, n_x = u_c.shape[0] - 1, u_c.shape[1]
+    om = 2.0 * np.pi * np.arange(n_x // 2 + 1) / n_x
+    lam_m = np.asarray(fine_symbol(om), dtype=complex) ** m
+    mu = np.asarray(coarse_symbol(om), dtype=complex)
+    U = np.fft.rfft(u_c, axis=-1, norm="ortho")
+    r = lam_m * U[:-1] - U[1:]
+    weight = np.full(len(om), 2.0)
+    weight[[0, -1][: 2 - n_x % 2]] = 1.0
+
+    gain = (lam_m - mu) * lam_m ** nu
+    shift = min(1 + nu, n_c)
+    norms = []
+    for _ in range(iterations):
+        e = np.zeros_like(r)
+        e[shift:] = gain * r[: n_c - shift]
+        for j in range(1, n_c):
+            e[j] += mu * e[j - 1]
+        r = e
+        norms.append(float(np.sqrt(weight @ np.sum(np.abs(r) ** 2, axis=0))))
+    return norms
+
+
 def rho_check(p: int, c: float, m: int, e_rk_fine: float, e_rk_coarse: float,
               e_fd: float) -> float:
     """Characteristic-component lower bound for rediscretized coarse grids.

@@ -13,14 +13,13 @@ residuals; after a closing F-relaxation the remaining points have zero
 residual by construction.
 
 ``solve`` runs in the real orthonormal Fourier basis: it changes the basis of
-the iterate in place once, cycles with the levels' basis steppers
-(``Stepper.in_basis``), where every circulant apply is a diagonal multiply,
-and changes back when it returns or raises.  The change of basis is
-orthogonal, so the residual norms it computes there equal the physical l2
-norms, and relaxation, restriction and the capped coarse solves (MINRES or
-GMRES) run unchanged.  ``MgritSolver.iterate`` runs the same cycle on
-physical arrays with the physical steppers and a dense right-hand side; it
-is the reference the basis solve is tested against.
+the iterate in place once, cycles with the levels' steppers, whose
+``Stepper.apply`` steps basis rows (a diagonal multiply, or a capped
+correction's MINRES or GMRES solve), and changes back when it returns or
+raises.  The change of basis is orthogonal, so the residual norms it computes
+there equal the physical l2 norms.  Its two-level residual histories with a
+direct coarse solve are predicted mode by mode by ``lfa.predict_history``,
+and ``sequential_solve`` steps the physical stencils for the exact solution.
 
 ``solve`` does each fine-level sweep once, bit for bit the cycle as written:
 level 0 passes ``g = None`` (its right-hand side is u0 at t = 0, which row 0
@@ -111,12 +110,6 @@ class TimeGridProblem:
     def n_x(self) -> int:
         return len(self.u0)
 
-    def points_on_level(self, level: int) -> int:
-        n = self.n_t
-        for mf in self.m[:level]:
-            n //= mf
-        return n + 1
-
 
 @dataclass
 class SolveReport:
@@ -176,21 +169,21 @@ def cpoint_residual_norm(u, g, stepper, m, out=None) -> float:
     return float(np.linalg.norm((relaxed - u[m::m]).ravel()))
 
 
-def sequential_solve(problem: TimeGridProblem, level: int = 0,
-                     g: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact forward substitution on the given level; the ground truth."""
-    n_pts = problem.points_on_level(level)
-    if g is None:
-        u = np.zeros((n_pts, problem.n_x))
-        u[0] = problem.u0
-    else:
-        u = np.array(g[:n_pts], dtype=float)
-    return _forward_substitute(problem.steppers[level], u)
+def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
+    """Exact physical forward substitution u_n = Phi u_{n-1} from u_0 = u0 on
+    the fine grid, stepped with the physical stencil ``Stepper.op``; the
+    ground truth."""
+    op = problem.steppers[0].op
+    u = np.empty((problem.n_t + 1, problem.n_x))
+    u[0] = problem.u0
+    for n in range(1, problem.n_t + 1):
+        u[n] = op.apply(u[n - 1])
+    return u
 
 
 def _forward_substitute(stepper: Stepper, u: np.ndarray) -> np.ndarray:
-    """Solve u_n = Phi u_{n-1} + g_n, u_0 = g_0 in place: ``u`` holds g on
-    entry and the solution on return."""
+    """Solve u_n = Phi u_{n-1} + g_n, u_0 = g_0 in place on basis rows: ``u``
+    holds g on entry and the solution on return."""
     step = np.empty(u.shape[1:])
     for n in range(1, u.shape[0]):
         u[n] += stepper.apply(u[n - 1], out=step)
@@ -220,19 +213,6 @@ class MgritSolver:
         u[0] = self.problem.u0
         return u
 
-    def rhs(self) -> np.ndarray:
-        g = np.zeros((self.problem.n_t + 1, self.problem.n_x))
-        g[0] = self.problem.u0
-        return g
-
-    def iterate(self, u: np.ndarray, g: Optional[np.ndarray] = None) -> np.ndarray:
-        """One MGRIT cycle in place on physical arrays with the physical
-        steppers; returns the updated iterate."""
-        if g is None:
-            g = self.rhs()
-        self._cycle(self.problem.steppers, 0, u, g)
-        return u
-
     def _over_intervals(self, kernel, u: np.ndarray, g: Optional[np.ndarray],
                         stepper: Stepper, m: int, *out: np.ndarray) -> None:
         """Run ``kernel(u, g, stepper, m, *out)`` over the level's coarse
@@ -256,15 +236,15 @@ class MgritSolver:
 
         list(self._pool.map(block, edges[:-1], edges[1:]))
 
-    def _cycle(self, steppers: List[Stepper], level: int, u: np.ndarray,
-               g: Optional[np.ndarray], coarse: Optional[np.ndarray] = None,
-               warm: bool = False) -> None:
+    def _cycle(self, level: int, u: np.ndarray, g: Optional[np.ndarray],
+               coarse: Optional[np.ndarray] = None, warm: bool = False) -> None:
         """One cycle in place on ``u``, with its coarse problem in ``coarse``
         (n_c + 1 rows, allocated if None).  ``warm``: the F-points of ``u``
         are relaxed and ``coarse[1:]`` holds its relaxed C-point values
         (``cpoint_residual_norm``'s ``out``), so the first F- and
         C-relaxation are skipped and copied."""
         cfg = self.config
+        steppers = self.problem.steppers
         stepper = steppers[level]
         m = self.problem.m[level]
         phase = self._over_intervals
@@ -289,7 +269,7 @@ class MgritSolver:
             e = _forward_substitute(steppers[level + 1], coarse)
         else:
             e = np.zeros(coarse.shape)
-            self._cycle(steppers, level + 1, e, coarse)
+            self._cycle(level + 1, e, coarse)
 
         u[m::m] += e[1:]
         phase(f_relax, u, g, stepper, m)
@@ -298,18 +278,28 @@ class MgritSolver:
 
     def solve(self, u: Optional[np.ndarray] = None) -> SolveReport:
         """Iterate to the halting rule, in place on ``u`` (the seeded random
-        state if None).  ``u`` is in the Fourier basis while the solve runs
-        and physical again when it returns or raises."""
+        state if None): a float64 array of shape (n_t + 1, n_x) with a
+        contiguous last axis, checked before it is touched.  Its row 0 is
+        set to the initial condition ``problem.u0``.  ``u`` is in the
+        Fourier basis while the solve runs and physical again when it
+        returns or raises."""
         cfg = self.config
+        problem = self.problem
         if u is None:
             u = self.initial_state()
-        m = self.problem.m[0]
+        shape = (problem.n_t + 1, problem.n_x)
+        if (u.shape != shape or u.dtype != np.float64
+                or u.strides[-1] != u.itemsize):
+            raise ValueError(
+                f"the iterate must be a float64 array of shape {shape} with a "
+                f"contiguous last axis, got {u.dtype} of shape {u.shape}")
+        m = problem.m[0]
         # level 0's coarse problem; between cycles, the norm's relaxed C-values
         coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
 
         start = time.perf_counter()
-        steppers = [s.in_basis() for s in self.problem.steppers]
-        stepper = steppers[0]
+        stepper = problem.steppers[0]
+        u[0] = problem.u0
         FourierBasisOperator.to_basis(u)
         if self.threads > 1:
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
@@ -318,7 +308,7 @@ class MgritSolver:
             converged = False
             it = 0
             while it < cfg.max_iters:
-                self._cycle(steppers, 0, u, None, coarse, warm=it > 0)
+                self._cycle(0, u, None, coarse, warm=it > 0)
                 it += 1
                 norms.append(cpoint_residual_norm(u, None, stepper, m,
                                                   coarse[1:]))

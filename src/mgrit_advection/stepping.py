@@ -4,8 +4,9 @@ Provides the method-of-lines steppers (explicit and singly diagonally
 implicit Runge-Kutta in time, upwind finite differences in space), the
 unconditionally stable semi-Lagrangian steppers, and the corrected
 semi-Lagrangian coarse steppers whose truncation error matches that of a
-repeated fine step.  A stepper is its exact Fourier symbol; the circulant
-stencil is built from the symbol only when physical rows are stepped.
+repeated fine step.  A stepper is its exact Fourier symbol: it steps rows held
+in the real orthonormal Fourier basis by multiplying with the symbol's mesh
+values, and builds its physical circulant stencil from them only when read.
 """
 
 from __future__ import annotations
@@ -268,12 +269,13 @@ class Stepper:
     """One-step propagation operator u_{n+1} = Phi u_n on the periodic mesh.
 
     The exact Fourier symbol ``symbol_fn`` is the one representation: the
-    mode analysis evaluates it anywhere, and the Fourier-basis step
-    (``in_basis``) multiplies by its mesh values, ``eigenvalues()``.  ``op``
-    is the physical reference stencil, built from those values when first
-    read unless an exact one was passed.  ``apply`` steps physical rows with
-    ``op``, or with ``apply_fn(u, out)``: a capped stepper's
-    ``CappedCorrection``, which approximates the exact map ``op``.
+    mode analysis evaluates it anywhere, and ``apply`` steps rows held in the
+    real orthonormal Fourier basis (``FourierBasisOperator``) by multiplying
+    with its mesh values, ``eigenvalues()``, or with ``apply_fn(u, out)``: a
+    capped stepper's ``CappedCorrection``, which approximates that product.
+    ``op`` is the physical reference stencil, built from the same values when
+    first read unless an exact one was passed; ``sequential_solve`` and
+    ``truncation_residual`` step physical rows with it.
     """
 
     def __init__(self, n_x: int, op: Optional[CirculantOperator],
@@ -288,6 +290,7 @@ class Stepper:
         self._symbol_fn = symbol_fn
         self._apply_fn = apply_fn
         self._eig = None
+        self._basis = None
 
     @property
     def op(self) -> CirculantOperator:
@@ -297,27 +300,14 @@ class Stepper:
         return self._op
 
     def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Advance one step; ``u`` may be batched with shape (..., n_x).
-        Written to ``out`` when given."""
+        """Advance rows held in the real orthonormal Fourier basis one step;
+        ``u`` may be batched with shape (..., n_x).  Written to ``out`` when
+        given."""
         if self._apply_fn is not None:
-            return self._apply_fn(np.asarray(u), out)
-        return _into(self.op.apply(u), out)
-
-    def in_basis(self) -> "Stepper":
-        """The same step on rows held in the real orthonormal Fourier basis.
-
-        There the step multiplies by ``eigenvalues()`` (see
-        ``FourierBasisOperator``), except that a capped correction step runs
-        its semi-Lagrangian step and its Krylov solve in the basis
-        (``CappedCorrection.in_basis``).  Level and symbol are unchanged.
-        """
-        if isinstance(self._apply_fn, CappedCorrection):
-            apply_fn = self._apply_fn.in_basis()
-        else:
-            apply_fn = FourierBasisOperator(self).apply
-        return Stepper(self.n_x, self._op, self._symbol_fn, level=self.level,
-                       apply_fn=apply_fn,
-                       description=f"{self.description}, Fourier basis")
+            return self._apply_fn(u, out)
+        if self._basis is None:
+            self._basis = FourierBasisOperator(self)
+        return self._basis.apply(u, out)
 
     def symbol(self, omega) -> np.ndarray:
         return self._symbol_fn(np.asarray(omega, dtype=float))
@@ -340,21 +330,22 @@ class Stepper:
 
 
 class CappedCorrection(NamedTuple):
-    """One corrected coarse step with the correction solve approximated:
-    x = GMRES(correction, step u), unrestarted from a zero guess, stopped at
-    relative residual ``tol`` or after ``max_iters`` iterations per row.
+    """One corrected coarse step on rows in the real orthonormal Fourier
+    basis, with the correction solve approximated: x = krylov(correction,
+    step u), unrestarted from a zero guess, stopped at relative residual
+    ``tol`` or after ``max_iters`` iterations per row.
 
-    ``step`` and ``correction`` need only a batched ``apply``: circulant
-    operators on physical rows, or their ``FourierBasisOperator`` forms on
-    rows in the Fourier basis (``in_basis``).  ``krylov`` is the batched
-    solver, ``_gmres_batched`` or a drop-in with the same iterates.
+    ``step`` and ``correction`` are the ``FourierBasisOperator`` forms of the
+    semi-Lagrangian step and the correction.  ``krylov`` is
+    ``_gmres_batched``, or ``_minres_spectral`` for a symmetric correction,
+    which has the same iterates and stopping steps in exact arithmetic.
     """
 
-    step: object
-    correction: object
+    step: FourierBasisOperator
+    correction: FourierBasisOperator
     tol: float
     max_iters: int
-    krylov: Callable = _gmres_batched
+    krylov: Callable
 
     def __call__(self, u: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -362,28 +353,11 @@ class CappedCorrection(NamedTuple):
         flat = rhs.reshape(-1, rhs.shape[-1])
         x, _, _, _ = self.krylov(self.correction, flat, self.tol,
                                  self.max_iters)
-        return _into(x.reshape(rhs.shape), out)
-
-    def in_basis(self) -> "CappedCorrection":
-        """The same step on rows in the Fourier basis.  A symmetric
-        correction (odd p) is diagonal with real eigenvalues there, so GMRES
-        is replaced by MINRES on each row's frequency spectrum
-        (``_minres_spectral``), which has the same iterates and stopping
-        steps in exact arithmetic; any other correction keeps
-        ``_gmres_batched``."""
-        krylov = (_minres_spectral if self.correction.is_symmetric()
-                  else _gmres_batched)
-        return self._replace(step=FourierBasisOperator(self.step),
-                             correction=FourierBasisOperator(self.correction),
-                             krylov=krylov)
-
-
-def _into(x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-    """``x``, or ``out`` holding a copy of it when ``out`` is given."""
-    if out is None:
-        return x
-    out[...] = x
-    return out
+        x = x.reshape(rhs.shape)
+        if out is None:
+            return x
+        out[...] = x
+        return out
 
 
 def mol_stepper(spec: DiscretizationSpec,
@@ -545,13 +519,15 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     number F*c followed by the implicit correction solve
     (I - phi D) x = intermediate, with phi set by F alone
     (``phi_coefficient``).  ``level`` only labels the stepper.  With
-    ``solver='direct'`` the solve is exact (FFT); with ``solver='gmres'``
-    it is approximated by unrestarted GMRES from a zero guess, stopped per
-    row at relative residual ``gmres_tol`` in (0, 1) or after
-    ``gmres_max_iters`` >= 1 iterations (``CappedCorrection``).  In the
-    Fourier basis the symmetric correction of odd p runs that GMRES as MINRES
-    on each row's frequency spectrum: in exact arithmetic the same iterates
-    and stopping steps, from a short recurrence.
+    ``solver='direct'`` the solve is exact (a diagonal multiply in the
+    Fourier basis); with ``solver='gmres'`` it is approximated by
+    unrestarted GMRES from a zero guess, stopped per row at relative
+    residual ``gmres_tol`` in (0, 1) or after ``gmres_max_iters`` >= 1
+    iterations (``CappedCorrection``).  The Krylov solver is chosen here,
+    once: the symmetric correction of odd p runs that GMRES as MINRES on
+    each row's frequency spectrum (``_minres_spectral``), in exact
+    arithmetic the same iterates and stopping steps from a short recurrence,
+    and any other correction runs ``_gmres_batched``.
     """
     if level < 1:
         raise ValueError(f"coarse level must be >= 1, got {level}")
@@ -582,8 +558,11 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
         if gmres_max_iters < 1:
             raise ValueError(
                 f"gmres_max_iters must be >= 1, got {gmres_max_iters}")
-        apply_fn = CappedCorrection(sl.stepper.op, correction, gmres_tol,
-                                    gmres_max_iters)
+        krylov = (_minres_spectral if correction.is_symmetric()
+                  else _gmres_batched)
+        apply_fn = CappedCorrection(FourierBasisOperator(sl.stepper.op),
+                                    FourierBasisOperator(correction),
+                                    gmres_tol, gmres_max_iters, krylov)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
@@ -696,7 +675,7 @@ def truncation_residual(family: str, p: int, c: float, n_x_list: Sequence[int],
         dt_shift = c * h
         u_old = _profile(n_x)
         u_new = _profile(n_x, dt_shift)
-        tau = u_new - stepper.apply(u_old)
+        tau = u_new - stepper.op.apply(u_old)
         basis = correction_operator(p, n_x).apply(u_new)
         denom = float(basis @ basis)
         K = float(tau @ basis) / denom if denom > 0 else 0.0

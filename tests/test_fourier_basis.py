@@ -1,7 +1,9 @@
 """Real orthonormal Fourier basis: the in-place basis changes, diagonal
-operator applies against the dense oracle, and basis-space MGRIT solves
-against the physical-space cycle."""
+operator applies against the dense oracle, stepper applies against their
+symbols, and MGRIT solves, which run in the basis, against the finite-grid
+mode prediction from the physical iterate and the sequential solution."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -12,14 +14,16 @@ from hypothesis import strategies as st
 
 from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              DiscretizationSpec, MgritConfig, MgritSolver,
-                             Stepper, StabilityWarning, cfl_limit,
-                             cpoint_residual_norm, ideal_coarse_stepper,
+                             Stepper, StabilityWarning, c_relax, cfl_limit,
+                             error_constant_fd, f_relax, ideal_coarse_stepper,
                              modified_coarse_stepper, mol_stepper,
-                             plain_sl_coarse_stepper,
-                             rediscretized_coarse_stepper, sequential_solve,
-                             sl_stepper)
-from mgrit_advection.circulant import FourierBasisOperator
+                             phi_coefficient, plain_sl_coarse_stepper,
+                             rediscretized_coarse_stepper, rk_error_constant,
+                             sequential_solve, sl_stepper, stepping)
+from mgrit_advection.circulant import FourierBasisOperator, _gmres_batched
 from mgrit_advection.experiments import build_problem
+from mgrit_advection.lfa import predict_history
+from mgrit_advection.stepping import correction_operator
 
 
 def in_basis(v):
@@ -171,8 +175,7 @@ def stepper_of_kind(kind, n_x):
                                   "modified_direct", "ideal", "rediscretized"])
 def test_basis_step_of_unit_vectors_is_the_symbol(kind, n_x):
     stepper = stepper_of_kind(kind, n_x)
-    assert_basis_apply_is_symbol(stepper.in_basis().apply, stepper.symbol,
-                                 n_x)
+    assert_basis_apply_is_symbol(stepper.apply, stepper.symbol, n_x)
 
 
 @pytest.mark.parametrize("n_x", [63, 64])
@@ -183,8 +186,11 @@ def test_capped_basis_step_and_correction_are_the_symbol(n_x):
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 64)
     capped = modified_coarse_stepper(spec, 16, level=2, solver="gmres")
     sl = plain_sl_coarse_stepper(spec, 16, level=2)
-    correction = capped._apply_fn.correction
-    basis = capped.in_basis()._apply_fn
+    phi = phi_coefficient(3, spec.c, 16, error_constant_fd(3),
+                          rk_error_constant(spec.tableau()))
+    correction = (CirculantOperator.identity(n_x)
+                  - correction_operator(3, n_x).scale(phi))
+    basis = capped._apply_fn
     assert_basis_apply_is_symbol(basis.step.apply, sl.symbol, n_x)
     assert_basis_apply_is_symbol(basis.correction.apply, correction.symbol,
                                  n_x)
@@ -227,25 +233,16 @@ def test_basis_operator_rejects_complex_and_wrong_length():
 
 # ------------------------------------------------------------------ solves
 
-def physical_reference(problem, config):
-    """The halting loop of ``solve`` run with ``iterate`` on physical arrays."""
-    solver = MgritSolver(problem, config)
-    u, g = solver.initial_state(), solver.rhs()
-    stepper, m = problem.steppers[0], problem.m[0]
-    norms = [cpoint_residual_norm(u, g, stepper, m)]
-    while len(norms) <= config.max_iters:
-        solver.iterate(u, g)
-        norms.append(cpoint_residual_norm(u, g, stepper, m))
-        if norms[-1] / norms[0] <= config.tol:
-            break
-    return norms, u
-
-
 def hierarchy(family, p, c, kind, cycle, n_x=64, n_t=64, m=4):
     spec = DiscretizationSpec(family, p, c, n_x, n_t)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
         return build_problem(spec, m, cycle, kind)
+
+
+def assert_at_sequential_solution(problem, u):
+    exact = sequential_solve(problem)
+    assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
 DIRECT_CASES = (
@@ -259,39 +256,55 @@ DIRECT_CASES = (
 @pytest.mark.parametrize("cycle", ["two_level", "v_cycle"])
 @pytest.mark.parametrize("family,p,c,kind", DIRECT_CASES)
 def test_solve_matches_physical_residual_history(family, p, c, kind, cycle):
+    # a two-level hierarchy (a V-cycle on ideal and rediscretized coarse
+    # operators is one) is one scalar time problem per frequency: its
+    # history is the finite-grid mode prediction from the physical initial
+    # iterate, which runs no solver kernel; deeper V-cycles are checked
+    # against the sequential solution, as every solve is
     if family == "erk":
         c *= cfl_limit(p)
-    n_x = 63 if kind == "plain_sl" else 64
-    problem = hierarchy(family, p, c, kind, cycle, n_x=n_x)
-    config = MgritConfig(nu=1, cycle=cycle, max_iters=30, rng_seed=1)
-    ref_norms, ref_u = physical_reference(problem, config)
-    solver = MgritSolver(problem, config)
-    u = solver.initial_state()
-    report = solver.solve(u)
-    assert report.iterations == len(ref_norms) - 1
-    # entries at the rounding floor (1e-16 of the iterate) carry no digits
-    np.testing.assert_allclose(report.residual_norms, ref_norms, rtol=1e-6,
-                               atol=1e-14 * ref_norms[0])
-    scale = np.max(np.abs(ref_u))
-    assert np.max(np.abs(u - ref_u)) <= 1e-9 * scale
+    for n_x, nu in itertools.product((63, 64), (0, 1, 2)):
+        problem = hierarchy(family, p, c, kind, cycle, n_x=n_x)
+        config = MgritConfig(nu=nu, cycle=cycle, max_iters=30, rng_seed=1)
+        solver = MgritSolver(problem, config)
+        u = solver.initial_state()
+        report = solver.solve(u)
+        assert report.converged
+        assert_at_sequential_solution(problem, u)
+        if problem.n_levels > 2:
+            continue
+        m = problem.m[0]
+        predicted = predict_history(problem.steppers[0].symbol,
+                                    problem.steppers[1].symbol, m, nu,
+                                    solver.initial_state()[::m],
+                                    report.iterations)
+        # entries at the rounding floor (1e-16 of the iterate) carry no digits
+        np.testing.assert_allclose(report.residual_norms[1:], predicted,
+                                   rtol=1e-10,
+                                   atol=1e-14 * report.residual_norms[0])
 
 
 @pytest.mark.parametrize("p,n_x", [(1, 64), (3, 64), (3, 63), (2, 64)])
-def test_capped_gmres_v_cycle_matches_physical_counts(p, n_x):
-    # odd p runs spectral MINRES in the basis, even p basis GMRES; the
-    # physical reference runs GMRES
-    problem = hierarchy("erk", p, 0.85 * cfl_limit(p), "modified", "v_cycle",
-                        n_x=n_x, n_t=256)
+def test_capped_gmres_v_cycle_matches_physical_counts(monkeypatch, p, n_x):
+    # the capped coarse solve runs spectral MINRES for odd p and GMRES for
+    # even p, both in the basis; a hierarchy built with GMRES in place of
+    # MINRES must take as many iterations
+    def build():
+        return hierarchy("erk", p, 0.85 * cfl_limit(p), "modified",
+                         "v_cycle", n_x=n_x, n_t=256)
+
+    problem = build()
     assert problem.n_levels > 2
     config = MgritConfig(nu=1, cycle="v_cycle", max_iters=30, rng_seed=0)
-    ref_norms, _ = physical_reference(problem, config)
     solver = MgritSolver(problem, config)
     u = solver.initial_state()
     report = solver.solve(u)
     assert report.converged
-    assert report.iterations == len(ref_norms) - 1
-    exact = sequential_solve(problem)
-    assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
+    assert_at_sequential_solution(problem, u)
+    monkeypatch.setattr(stepping, "_minres_spectral", _gmres_batched)
+    gmres = build()
+    assert all(s._apply_fn.krylov is _gmres_batched for s in gmres.steppers[1:])
+    assert MgritSolver(gmres, config).solve().iterations == report.iterations
 
 
 THREAD_CASES = {
@@ -328,15 +341,6 @@ def test_capped_v_cycle_histories_do_not_depend_on_threads(
     assert threaded.residual_norms == serial.residual_norms
 
 
-def test_in_basis_keeps_level_and_symbol():
-    problem = hierarchy("erk", 3, 0.85 * cfl_limit(3), "modified", "v_cycle")
-    om = np.linspace(-np.pi, np.pi, 7)
-    for stepper in problem.steppers:
-        basis = stepper.in_basis()
-        assert basis.level == stepper.level
-        np.testing.assert_array_equal(basis.symbol(om), stepper.symbol(om))
-
-
 def raising_after(n_calls):
     """A Stepper.apply that fails on call number ``n_calls`` (from 0)."""
     original = Stepper.apply
@@ -352,10 +356,11 @@ def raising_after(n_calls):
 
 @pytest.mark.parametrize("n_calls", [0, 40])
 def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
-    # an unreduced two-level cycle here makes 27 applies plus one per
-    # residual norm, and the basis solve's later cycles make 23, so 40 fails
-    # inside the second cycle's coarse solve in both loops, which leaves the
-    # iterate as the relaxation left it; both iterates must then agree
+    # the first residual norm and cycle make 28 applies, the next norm 1,
+    # and the second cycle's F-relaxation and restriction 4 before its
+    # 16-step coarse solve, so call 40 fails inside that coarse solve; the
+    # iterate must come back physical, as the second cycle's relaxation (its
+    # first C-relaxation and an F-relaxation) left it
     problem = hierarchy("sdirk", 3, 5.0, "modified", "two_level")
     config = MgritConfig(nu=1, max_iters=5, rng_seed=2)
     solver = MgritSolver(problem, config)
@@ -363,14 +368,16 @@ def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
     monkeypatch.setattr(Stepper, "apply", raising_after(n_calls))
     with pytest.raises(RuntimeError, match="stepper failed"):
         solver.solve(u)
+    monkeypatch.undo()
 
-    ref, g = solver.initial_state(), solver.rhs()
-    stepper, m = problem.steppers[0], problem.m[0]
-    monkeypatch.setattr(Stepper, "apply", raising_after(n_calls))
-    with pytest.raises(RuntimeError, match="stepper failed"):
-        cpoint_residual_norm(ref, g, stepper, m)
-        for _ in range(config.max_iters):
-            solver.iterate(ref, g)
-            cpoint_residual_norm(ref, g, stepper, m)
+    ref = solver.initial_state()
+    if n_calls:
+        one_cycle = dataclasses.replace(config, max_iters=1)
+        MgritSolver(problem, one_cycle).solve(ref)
+        stepper, m = problem.steppers[0], problem.m[0]
+        FourierBasisOperator.to_basis(ref)
+        c_relax(ref, None, stepper, m)
+        f_relax(ref, None, stepper, m)
+        FourierBasisOperator.from_basis(ref)
     np.testing.assert_allclose(u, ref, atol=1e-12)
     np.testing.assert_allclose(u[0], problem.u0, atol=1e-14)

@@ -1,5 +1,6 @@
 """Two-level mode analysis: per-mode factors, worst-case sweeps, the
-characteristic lower bound, and smooth-mode symbol estimates."""
+finite-grid residual prediction, the characteristic lower bound, and
+smooth-mode symbol estimates."""
 
 import math
 import sys
@@ -10,8 +11,9 @@ import pytest
 
 from mgrit_advection import (DiscretizationSpec, StabilityWarning, classify,
                              default_exclusion_count, erk_tableau,
-                             error_constant_fd, modified_coarse_stepper,
-                             mol_stepper, rediscretized_coarse_stepper,
+                             error_constant_fd, ideal_coarse_stepper,
+                             modified_coarse_stepper, mol_stepper,
+                             predict_history, rediscretized_coarse_stepper,
                              rho_check, rho_mode, rho_two_level,
                              rk_error_constant, sdirk_tableau,
                              validate_eigenvalue_estimates)
@@ -61,6 +63,48 @@ def test_ideal_coarse_symbol_gives_zero_factor():
     sweep = rho_two_level(lam_fn, lambda om: lam_fn(om) ** 2, 2, 1)
     assert sweep.rho_e == pytest.approx(0.0, abs=1e-10)
     assert not sweep.divergent
+
+
+# ------------------------------------------------------ finite-grid prediction
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_predict_history_hand_unrolled(nu):
+    # n_x = 2 has the two real modes omega = 0 and pi, each weighed 1;
+    # N_c = 3 and m = 2, so E is 3 x 3 with a = (lambda^2 - mu) lambda^(2 nu)
+    # on its (1 + nu)-th subdiagonal and a mu below
+    lam, mu = (0.9, -0.6), (0.7, -0.3)
+    u_c = np.random.default_rng(nu).standard_normal((4, 2))
+    modes = np.stack([u_c[:, 0] + u_c[:, 1], u_c[:, 0] - u_c[:, 1]],
+                     axis=1) / np.sqrt(2.0)
+    squares = np.zeros(2)
+    for k in (0, 1):
+        l2, mk, U = lam[k] ** 2, mu[k], modes[:, k]
+        r = [l2 * U[j - 1] - U[j] for j in (1, 2, 3)]  # r0_1, r0_2, r0_3
+        if nu == 0:
+            a = l2 - mk
+            once = [0.0, a * r[0], a * (r[1] + mk * r[0])]
+            twice = [0.0, 0.0, a * a * r[0]]
+        else:
+            a = (l2 - mk) * l2
+            once = [0.0, 0.0, a * r[0]]
+            twice = [0.0, 0.0, 0.0]
+        squares += [sum(x * x for x in once), sum(x * x for x in twice)]
+    predicted = predict_history(lambda om: 0.15 + 0.75 * np.cos(om),
+                                lambda om: 0.2 + 0.5 * np.cos(om), 2, nu, u_c,
+                                2)
+    np.testing.assert_allclose(predicted, np.sqrt(squares), rtol=1e-14,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+@pytest.mark.parametrize("n_x", [63, 64])
+def test_predict_history_ideal_coarse_symbol_is_exact_after_one_cycle(nu, n_x):
+    # mu = lambda^m makes E zero: one cycle reaches the exact solution
+    fine = mol_stepper(DiscretizationSpec("sdirk", 3, 5.0, n_x, 64))
+    ideal = ideal_coarse_stepper(fine, 4)
+    u_c = np.random.default_rng(n_x).random((17, n_x))
+    predicted = predict_history(fine.symbol, ideal.symbol, 4, nu, u_c, 3)
+    assert predicted == [0.0, 0.0, 0.0]
 
 
 def test_theta_maximum_matches_discrete_scan():

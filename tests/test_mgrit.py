@@ -1,6 +1,8 @@
 """MGRIT solver: relaxation contracts, single-iteration exactness with the
 exact coarse operator, determinism, and measured convergence behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,17 @@ def fine_problem(n_x=32, n_t=32, m=4, c=0.8, family="sdirk", p=1,
     return TimeGridProblem([fine, psi], [m], n_t, initial_condition(n_x))
 
 
+def basis_state(problem, seed):
+    """A seeded random iterate and the right-hand side (u0 at t = 0, zero
+    elsewhere), both in the Fourier basis that ``Stepper.apply`` steps."""
+    u = MgritSolver(problem, MgritConfig(rng_seed=seed)).initial_state()
+    g = np.zeros_like(u)
+    g[0] = problem.u0
+    FourierBasisOperator.to_basis(u)
+    FourierBasisOperator.to_basis(g)
+    return u, g
+
+
 # ------------------------------------------------------------------ sequential
 
 def test_sequential_identity_keeps_initial_state():
@@ -63,9 +76,7 @@ def test_mgrit_matches_sequential_solution():
     config = MgritConfig(nu=1, tol=1e-12, max_iters=50, rng_seed=3)
     solver = MgritSolver(problem, config)
     u = solver.initial_state()
-    g = solver.rhs()
-    for _ in range(50):
-        solver.iterate(u, g)
+    assert solver.solve(u).converged
     exact = sequential_solve(problem)
     err = np.linalg.norm((u - exact).ravel()) / np.linalg.norm(exact.ravel())
     assert err <= 1e-9
@@ -75,8 +86,7 @@ def test_mgrit_matches_sequential_solution():
 
 def test_f_relax_zeroes_f_point_residuals():
     problem = fine_problem()
-    solver = MgritSolver(problem, MgritConfig(rng_seed=1))
-    u, g = solver.initial_state(), solver.rhs()
+    u, g = basis_state(problem, 1)
     stepper, m = problem.steppers[0], problem.m[0]
     f_relax(u, g, stepper, m)
     for n in range(1, problem.n_t + 1):
@@ -87,8 +97,7 @@ def test_f_relax_zeroes_f_point_residuals():
 
 def test_f_relax_is_idempotent():
     problem = fine_problem()
-    solver = MgritSolver(problem, MgritConfig(rng_seed=2))
-    u, g = solver.initial_state(), solver.rhs()
+    u, g = basis_state(problem, 2)
     stepper, m = problem.steppers[0], problem.m[0]
     f_relax(u, g, stepper, m)
     once = u.copy()
@@ -98,8 +107,7 @@ def test_f_relax_is_idempotent():
 
 def test_c_relax_zeroes_c_point_residuals():
     problem = fine_problem()
-    solver = MgritSolver(problem, MgritConfig(rng_seed=4))
-    u, g = solver.initial_state(), solver.rhs()
+    u, g = basis_state(problem, 4)
     stepper, m = problem.steppers[0], problem.m[0]
     c_relax(u, g, stepper, m)
     for n in range(m, problem.n_t + 1, m):
@@ -112,13 +120,13 @@ def test_relaxation_composition_reproduces_sequential_on_one_interval():
     # forward substitution
     n_x, m = 16, 8
     problem = fine_problem(n_x=n_x, n_t=m, m=m, c=0.6)
-    solver = MgritSolver(problem, MgritConfig(rng_seed=5))
-    u, g = solver.initial_state(), solver.rhs()
+    u, g = basis_state(problem, 5)
     stepper = problem.steppers[0]
     for _ in range(m):
         f_relax(u, g, stepper, m)
         c_relax(u, g, stepper, m)
     f_relax(u, g, stepper, m)
+    FourierBasisOperator.from_basis(u)
     np.testing.assert_allclose(u, sequential_solve(problem), atol=1e-11)
 
 
@@ -129,13 +137,16 @@ def test_restriction_vanishes_on_exact_solution():
     u = sequential_solve(problem)
     g = np.zeros_like(u)
     g[0] = problem.u0
+    FourierBasisOperator.to_basis(u)
+    FourierBasisOperator.to_basis(g)
     r = restrict_residual(u, g, problem.steppers[0], problem.m[0])
     assert np.linalg.norm(r.ravel()) <= 1e-12
 
 
 def test_restriction_first_interval_hand_unrolled():
     # zero initial guess away from t=0: after F-relaxation the first coarse
-    # residual is the m-fold propagated initial condition
+    # residual is the m-fold propagated initial condition, stepped here with
+    # the physical stencil
     n_x, m = 16, 4
     problem = fine_problem(n_x=n_x, n_t=8, m=m, c=0.5)
     stepper = problem.steppers[0]
@@ -143,11 +154,14 @@ def test_restriction_first_interval_hand_unrolled():
     u[0] = problem.u0
     g = np.zeros_like(u)
     g[0] = problem.u0
+    FourierBasisOperator.to_basis(u)
+    FourierBasisOperator.to_basis(g)
     f_relax(u, g, stepper, m)
     r = restrict_residual(u, g, stepper, m)
+    FourierBasisOperator.from_basis(r)
     expected = problem.u0.copy()
     for _ in range(m):
-        expected = stepper.apply(expected)
+        expected = stepper.op.apply(expected)
     np.testing.assert_allclose(r[0], expected, atol=1e-12)
 
 
@@ -201,11 +215,10 @@ def test_different_seeds_change_history_not_convergence():
 # ------------------------------------------------ each fine-level sweep once
 
 def unreduced_basis_solve(problem, config, u):
-    """The MGRIT cycle as written, in place on ``u``: basis steppers, a dense
-    fine right-hand side, the opening F-relaxation in every cycle and every
-    C-relaxation stepped.  Returns the residual history."""
-    steppers = [s.in_basis() for s in problem.steppers]
-    basis = TimeGridProblem(steppers, problem.m, problem.n_t, problem.u0)
+    """The MGRIT cycle as written, in place on ``u`` in the Fourier basis: a
+    dense fine right-hand side, the opening F-relaxation in every cycle and
+    every C-relaxation stepped.  Returns the residual history."""
+    steppers = problem.steppers
     g = np.zeros_like(u)
     g[0] = problem.u0
     FourierBasisOperator.to_basis(g[0])
@@ -220,7 +233,9 @@ def unreduced_basis_solve(problem, config, u):
         g_coarse = np.zeros((u[m::m].shape[0] + 1, u.shape[1]))
         restrict_residual(u, g, stepper, m, g_coarse[1:])
         if config.cycle == "two_level" or level + 2 == len(steppers):
-            e = sequential_solve(basis, level + 1, g_coarse)
+            e = g_coarse
+            for n in range(1, len(e)):
+                e[n] += steppers[level + 1].apply(e[n - 1])
         else:
             e = np.zeros_like(g_coarse)
             cycle(level + 1, e, g_coarse)
@@ -273,8 +288,7 @@ def test_solve_is_the_unreduced_cycle_bit_for_bit(family, p, c, cycle, m, nu,
 
 
 class RowCountingStepper(Stepper):
-    """Forwards every apply to ``inner`` and records its row count, in and
-    out of the Fourier basis."""
+    """Forwards every apply to ``inner`` and records its row count."""
 
     def __init__(self, inner, rows=None):
         super().__init__(inner.n_x, None, inner.symbol, level=inner.level,
@@ -286,9 +300,6 @@ class RowCountingStepper(Stepper):
         u = np.asarray(u)
         self.rows.append(u.size // u.shape[-1])
         return self.inner.apply(u, out)
-
-    def in_basis(self):
-        return RowCountingStepper(self.inner.in_basis(), self.rows)
 
 
 def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
@@ -380,6 +391,34 @@ def test_divergence_is_reported_not_raised():
 
 
 # ----------------------------------------------------------------- validation
+
+def test_solve_takes_the_initial_condition_from_the_problem():
+    # an iterate with row 0 zeroed once converged to the zero solution
+    spec = DiscretizationSpec("sdirk", 1, 2.0, 32, 64)
+    problem = build_problem(spec, 4, "two_level", "modified")
+    solver = MgritSolver(problem, MgritConfig(nu=1, max_iters=30, rng_seed=0))
+    u = solver.initial_state()
+    u[0] = 0.0
+    assert solver.solve(u).converged
+    exact = sequential_solve(problem)
+    assert np.max(np.abs(u - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(lambda u: u[:-1].copy(), id="wrong_row_count"),
+    pytest.param(lambda u: u.astype(np.float32), id="float32"),
+    pytest.param(lambda u: (8 * u).astype(np.int64), id="int64"),
+    pytest.param(np.asfortranarray, id="fortran_order"),
+])
+def test_solve_rejects_a_bad_iterate_before_touching_it(bad):
+    problem = fine_problem(n_x=32, n_t=64, m=4)
+    solver = MgritSolver(problem, MgritConfig(rng_seed=0))
+    u = bad(solver.initial_state())
+    before = u.copy(order="K")
+    with pytest.raises(ValueError, match=re.escape("shape (65, 32)")):
+        solver.solve(u)
+    np.testing.assert_array_equal(u, before)
+
 
 def test_problem_validation():
     n_x = 8
