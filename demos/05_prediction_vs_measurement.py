@@ -54,8 +54,16 @@ for family, p, kind, c, m in POINTS:
     finite = history[-1] / history[-2]
     label = f"{family}{p} {kind} m={m} c={c:.3g}"
     predicted = "div" if sweep.rho_e > 1 else f"{sweep.rho_e:.4f}"
-    measured = (f"{report.effective_rho:.4f}" if report.converged
-                else f"{report.effective_rho:.3f}*")
+    norms = report.residual_norms
+    if report.converged:
+        measured = f"{report.effective_rho:.4f}"
+    elif max(norms) > norms[0]:
+        # the last ratio of a divergent history that the finite time grid
+        # cut short reads small; say it diverged instead
+        measured = "div*"
+    else:
+        measured = f"{report.effective_rho:.3f}*"
     print(f"{label:>38} {predicted:>10} {finite:>12.4f} {measured:>10} "
           f"{report.iterations:>6}")
-print("\n(* iteration cap reached before the ten-order reduction)")
+print("\n(* iteration cap reached before the ten-order reduction; div*: the"
+      "\n residual rose above its initial value, last ratio not shown)")

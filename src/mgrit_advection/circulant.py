@@ -425,17 +425,30 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
 
     A real symmetric circulant has real eigenvalues, and GMRES on a symmetric
     matrix is MINRES in exact arithmetic (Paige & Saunders 1975): the same
-    iterates, residuals and stopping steps from a three-term recurrence, with
-    no Krylov basis stored.  Every iterate is p(A) b for a polynomial p that
-    depends on b only through the weights |X_k|^2 of its frequencies, so the
-    recurrence runs on the n//2 + 1 magnitudes c_k = |X_k| of each basis row
-    (the head slots, and the interior complex pairs) against the operator's
-    real eigenvalues, and maps back per frequency: x = (x_c / c) b.
+    iterates, residuals and stopping steps, with a three-term Lanczos
+    recurrence in place of Arnoldi.  Every iterate is p(A) b for a polynomial
+    p that depends on b only through the weights |X_k|^2 of its frequencies,
+    so the recurrence runs on the n//2 + 1 magnitudes c_k = |X_k| of each
+    basis row (the head slots, and the interior complex pairs) against the
+    operator's real eigenvalues, and maps back per frequency: x = (x_c / c) b.
+
+    Each iteration runs only the Lanczos step and the Givens update of the
+    residual estimate.  As in GMRES (Saad & Schultz 1986) the iterate is
+    formed once, after the loop: x_c = V y, with V the row's normalized
+    Lanczos vectors and y back-substituted from the banded triangular factor
+    (gamma, delta, eps) of the Lanczos matrix against the rotated right-hand
+    side tau.  The vectors are kept one array per iteration, holding only the
+    rows still live, so the storage grows as the iterations run: j
+    iterations keep j x (live rows) x (n//2 + 1) x 8 bytes.  At the package's
+    caps (at most 20 iterations) storing them takes less time than updating
+    three search directions and a running iterate on every iteration, as the
+    short-recurrence form of MINRES does.
 
     Rows stop at relative residual ``rel_tol``, at Lanczos breakdown (the
     counterpart of GMRES's happy breakdown, with the same scale-free test)
-    or at the cap, and leave the batch when they stop.  Returns what
-    ``_gmres_batched`` returns.
+    or at the cap, and leave the batch when they stop.  Each row's arithmetic
+    is its own, so a row's result does not depend on the rest of the batch.
+    Returns what ``_gmres_batched`` returns.
 
     In floating point the two methods part ways once the Lanczos vectors
     lose orthogonality, which takes iteration counts near the n//2 + 1
@@ -452,20 +465,22 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
     beta1 = np.linalg.norm(c, axis=-1)
     rows = np.flatnonzero(beta1 > 0.0)
     res = np.where(beta1 > 0.0, 1.0, 0.0)
-    xc = np.zeros_like(c)
     breakdown = False
 
     # per live row: Lanczos vectors v and v_prev with coupling beta, the last
-    # two search directions d1 and d2, the last two Givens rotations (cs1,
-    # sn1) and (cs2, sn2), the residual estimate phibar and the iterate x
+    # two Givens rotations (cs1, sn1) and (cs2, sn2) and the residual
+    # estimate phibar; per iteration: the live rows, their Lanczos vectors,
+    # their column (eps, delta, gamma) of the triangular factor with tau, and
+    # which of them stay live (a slice when all do)
+    started = rows
     b1 = beta1[rows]
     v = c[rows] / b1[:, None]
     v_prev = np.zeros_like(v)
-    d1, d2, x = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
     beta = np.zeros(len(rows))
     cs1, sn1 = np.ones(len(rows)), np.zeros(len(rows))
     cs2, sn2 = np.ones(len(rows)), np.zeros(len(rows))
     phibar = b1.copy()
+    live, basis, columns, kept = [], [], [], []
 
     j = 0
     while j < max_iters and len(rows):
@@ -484,10 +499,9 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
         cs, sn = gamma_bar / gamma, beta_next / gamma
         tau = cs * phibar
         phibar = -sn * phibar
-        d = v - delta[:, None] * d1
-        d -= eps[:, None] * d2
-        d /= gamma[:, None]
-        x += tau[:, None] * d
+        live.append(rows)
+        basis.append(v)
+        columns.append((eps, delta, gamma, tau))
         j += 1
 
         r = np.abs(phibar) / b1
@@ -497,19 +511,41 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
         happy = beta_next <= 1e-14 * np.hypot(np.hypot(beta, alpha), beta_next)
         breakdown |= bool(np.any(happy))
         stop = (r <= rel_tol) | happy | (j == max_iters)
+        keep = slice(None)
         if np.any(stop):
-            xc[rows[stop]] = x[stop]
             keep = ~stop
-            rows, b1, x = rows[keep], b1[keep], x[keep]
-            w, v, d, d1 = w[keep], v[keep], d[keep], d1[keep]
+            rows, b1, w, v = rows[keep], b1[keep], w[keep], v[keep]
             beta_next, cs, sn, cs1, sn1 = (beta_next[keep], cs[keep], sn[keep],
                                            cs1[keep], sn1[keep])
             phibar = phibar[keep]
+        kept.append(keep)
         v_prev, v = v, w / beta_next[:, None]
         beta = beta_next
-        d2, d1 = d1, d
         cs2, sn2, cs1, sn1 = cs1, sn1, cs, sn
 
+    # back-substitute y from R y = tau for all rows at once, column by column
+    # from the last; a row's entries past its last iteration stay zero (with
+    # gamma one), so it uses only the columns it built
+    R = np.zeros((4, K, j + 2))
+    R[2] = 1.0
+    for i, (idx, column) in enumerate(zip(live, columns)):
+        R[:, idx, i] = column
+    eps, delta, gamma, tau = R
+    y = np.zeros((K, j + 2))
+    for i in range(j - 1, -1, -1):
+        y[:, i] = (tau[:, i] - delta[:, i + 1] * y[:, i + 1]
+                   - eps[:, i + 2] * y[:, i + 2]) / gamma[:, i]
+    # x_c = V y, summed from the last Lanczos vector to the first in place in
+    # the stored vectors; the rows live at step i + 1 are those kept at step i
+    xs = np.empty((0, len(lam)))
+    for i in range(j - 1, -1, -1):
+        v = basis.pop()
+        v *= y[live[i], i][:, None]
+        v[kept[i]] += xs
+        xs = v
+
+    xc = np.zeros_like(c)
+    xc[started] = xs
     scale = np.divide(xc, c, out=np.zeros_like(c), where=c > 0.0)
     X = np.empty_like(B)
     np.multiply(B[:, :h], scale[:, :h], out=X[:, :h])

@@ -113,7 +113,13 @@ class TimeGridProblem:
 
 @dataclass
 class SolveReport:
-    """Residual history and effective convergence factor of one solve."""
+    """Residual history and effective convergence factor of one solve.
+
+    ``effective_rho`` is the last iteration's residual ratio
+    r^i / r^(i-1).  On a finite time grid the error propagator is nilpotent
+    and can cut a divergent history short, so an unconverged run can read a
+    small factor after its residual grew far above r^0.
+    """
 
     residual_norms: List[float]
     iterations: int

@@ -339,6 +339,12 @@ class CappedCorrection(NamedTuple):
     semi-Lagrangian step and the correction.  ``krylov`` is
     ``_gmres_batched``, or ``_minres_spectral`` for a symmetric correction,
     which has the same iterates and stopping steps in exact arithmetic.
+    Both form each row's iterate once, from the stored Krylov vectors, after
+    the last iteration; ``_minres_spectral`` stores one array per iteration
+    of the rows still live, so its storage grows with the iterations run.
+
+    A batch that is all zeros steps to zeros with neither the step nor the
+    solve: every coarse cycle's first F-relaxation steps the zero error.
     """
 
     step: FourierBasisOperator
@@ -349,6 +355,11 @@ class CappedCorrection(NamedTuple):
 
     def __call__(self, u: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        if not np.any(u):
+            if out is None:
+                return np.zeros(np.shape(u))
+            out[...] = 0.0
+            return out
         rhs = self.step.apply(u)
         flat = rhs.reshape(-1, rhs.shape[-1])
         x, _, _, _ = self.krylov(self.correction, flat, self.tol,

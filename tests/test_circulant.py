@@ -1,5 +1,7 @@
 """Circulant operator algebra against dense-matrix and symbol-calculus oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -381,6 +383,81 @@ def basis_rows(rng, k, n_x):
     return rows
 
 
+def minres_direction_reference(op, B, rel_tol, max_iters):
+    """MINRES as Paige & Saunders write it: the spectral recurrence of
+    ``_minres_spectral`` that updates the search directions d, d1, d2 and the
+    running iterate on every iteration.  Its Lanczos step, Givens update and
+    stopping decisions are those of ``_minres_spectral`` operation for
+    operation; only the way the iterate is formed differs."""
+    K, n = B.shape
+    max_iters = min(max_iters, n)
+    h = len(op._head)
+    lam = np.concatenate([op._head, op._interior.real])
+    c = np.empty((K, len(lam)))
+    np.abs(B[:, :h], out=c[:, :h])
+    np.abs(B[:, h:].view(complex), out=c[:, h:])
+    beta1 = np.linalg.norm(c, axis=-1)
+    rows = np.flatnonzero(beta1 > 0.0)
+    res = np.where(beta1 > 0.0, 1.0, 0.0)
+    xc = np.zeros_like(c)
+    breakdown = False
+
+    b1 = beta1[rows]
+    v = c[rows] / b1[:, None]
+    v_prev = np.zeros_like(v)
+    d1, d2, x = np.zeros_like(v), np.zeros_like(v), np.zeros_like(v)
+    beta = np.zeros(len(rows))
+    cs1, sn1 = np.ones(len(rows)), np.zeros(len(rows))
+    cs2, sn2 = np.ones(len(rows)), np.zeros(len(rows))
+    phibar = b1.copy()
+
+    j = 0
+    while j < max_iters and len(rows):
+        w = lam * v
+        w -= beta[:, None] * v_prev
+        alpha = np.einsum("kn,kn->k", w, v)
+        w -= alpha[:, None] * v
+        beta_next = np.linalg.norm(w, axis=-1)
+        eps = sn2 * beta
+        delta_hat = cs2 * beta
+        delta = cs1 * delta_hat + sn1 * alpha
+        gamma_bar = cs1 * alpha - sn1 * delta_hat
+        gamma = np.hypot(gamma_bar, beta_next)
+        gamma = np.where(gamma > 0.0, gamma, 1.0)
+        cs, sn = gamma_bar / gamma, beta_next / gamma
+        tau = cs * phibar
+        phibar = -sn * phibar
+        d = v - delta[:, None] * d1
+        d -= eps[:, None] * d2
+        d /= gamma[:, None]
+        x += tau[:, None] * d
+        j += 1
+
+        r = np.abs(phibar) / b1
+        res[rows] = r
+        happy = beta_next <= 1e-14 * np.hypot(np.hypot(beta, alpha), beta_next)
+        breakdown |= bool(np.any(happy))
+        stop = (r <= rel_tol) | happy | (j == max_iters)
+        if np.any(stop):
+            xc[rows[stop]] = x[stop]
+            keep = ~stop
+            rows, b1, x = rows[keep], b1[keep], x[keep]
+            w, v, d, d1 = w[keep], v[keep], d[keep], d1[keep]
+            beta_next, cs, sn, cs1, sn1 = (beta_next[keep], cs[keep], sn[keep],
+                                           cs1[keep], sn1[keep])
+            phibar = phibar[keep]
+        v_prev, v = v, w / beta_next[:, None]
+        beta = beta_next
+        d2, d1 = d1, d
+        cs2, sn2, cs1, sn1 = cs1, sn1, cs, sn
+
+    scale = np.divide(xc, c, out=np.zeros_like(c), where=c > 0.0)
+    X = np.empty_like(B)
+    np.multiply(B[:, :h], scale[:, :h], out=X[:, :h])
+    np.multiply(B[:, h:].view(complex), scale[:, h:], out=X[:, h:].view(complex))
+    return X, res, j, breakdown
+
+
 def assert_minres_matches_gmres(op, B, tol, cap):
     with np.errstate(all="raise"):
         xg, rg, jg, bg = _gmres_batched(op, B, tol, cap)
@@ -404,6 +481,72 @@ def test_minres_matches_gmres_at_the_package_caps(p, n_x, log_cond, k, cap,
     op = symmetric_correction(p, n_x, 10.0 ** log_cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
     assert_minres_matches_gmres(op, B, 10.0 ** log_tol, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([1, 3, 5]), n_x=st.integers(64, 160),
+       log_cond=st.floats(0.0, 5.0), k=st.integers(1, 6),
+       cap=st.integers(1, 20), log_tol=st.floats(-8.0, -0.3),
+       seed=st.integers(0, 2 ** 16), zero_row=st.booleans())
+def test_minres_matches_the_direction_recurrence(p, n_x, log_cond, k, cap,
+                                                 log_tol, seed, zero_row):
+    # the regimes of the package caps: the Lanczos step, the Givens update
+    # and the stopping decisions are unchanged, so residuals, stopping steps
+    # and breakdowns are bitwise those of the recurrence; the iterate is
+    # summed in another order
+    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    B = basis_rows(np.random.default_rng(seed), k, n_x)
+    if zero_row:
+        B[k // 2] = 0.0
+    tol = 10.0 ** log_tol
+    with np.errstate(all="raise"):
+        X, res, iters, breakdown = _minres_spectral(op, B, tol, cap)
+        X_ref, res_ref, iters_ref, breakdown_ref = minres_direction_reference(
+            op, B, tol, cap)
+    np.testing.assert_array_equal(res, res_ref)
+    assert iters == iters_ref and breakdown == breakdown_ref
+    scale = np.maximum(np.max(np.abs(X_ref), axis=1), 1e-300)
+    assert np.all(np.max(np.abs(X - X_ref), axis=1) <= 1e-13 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([1, 3, 5]), n_x=st.integers(16, 160),
+       log_cond=st.floats(0.0, 5.0), k=st.integers(2, 8),
+       cap=st.integers(1, 20), log_tol=st.floats(-8.0, -0.3),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_minres_split_batches_match_the_whole_batch(p, n_x, log_cond, k, cap,
+                                                    log_tol, seed, data):
+    # threaded solves hand each thread a block of rows: a row's result must
+    # not depend on which rows share its batch
+    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    B = basis_rows(np.random.default_rng(seed), k, n_x)
+    if data.draw(st.booleans()):
+        B[data.draw(st.integers(0, k - 1))] = 0.0
+    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1), min_size=1)))
+    tol = 10.0 ** log_tol
+    X, res, _, _ = _minres_spectral(op, B, tol, cap)
+    for lo, hi in zip([0] + cuts, cuts + [k]):
+        X_part, res_part, _, _ = _minres_spectral(op, B[lo:hi], tol, cap)
+        np.testing.assert_array_equal(X_part, X[lo:hi])
+        np.testing.assert_array_equal(res_part, res[lo:hi])
+
+
+def test_minres_basis_storage_grows_per_iteration():
+    # the stored Lanczos vectors add one array of live rows per iteration;
+    # a (rows, cap, n) buffer allocated up front would exceed the bound
+    K, n_x = 256, 1024
+    D = correction_operator(3, n_x)
+    op = FourierBasisOperator(CirculantOperator.identity(n_x) - D.scale(-2.0))
+    B = basis_rows(np.random.default_rng(0), K, n_x)
+    unit = K * (n_x // 2 + 1) * 8
+    tracemalloc.start()
+    try:
+        _, res, iters, _ = _minres_spectral(op, B, 1e-2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters == 14 and np.all(res <= 1e-2)
+    assert peak <= (iters + 10) * unit
 
 
 @settings(max_examples=80, deadline=None)
