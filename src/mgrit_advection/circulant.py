@@ -84,13 +84,13 @@ class CirculantOperator:
         return cls(n_x, [(k, 1.0)])
 
     @classmethod
-    def from_eigenvalues(cls, n_x: int, eigenvalues,
-                         prune_tol: float = PRUNE_TOL) -> "CirculantOperator":
+    def from_eigenvalues(cls, n_x: int, eigenvalues) -> "CirculantOperator":
         """Stencil whose symbol takes the given values at 2*pi*k/n_x.
 
         ``eigenvalues[k]`` is the desired symbol at frequency 2*pi*k/n_x in
         FFT ordering.  The inverse transform of the eigenvalue vector is the
-        first row of the dense operator, read as weights at offsets 0..n_x-1.
+        first row of the dense operator, read as weights at offsets 0..n_x-1;
+        weights of magnitude 1e-14 or less are dropped.
         """
         lam = np.asarray(eigenvalues, dtype=complex)
         if lam.shape != (n_x,):
@@ -100,7 +100,7 @@ class CirculantOperator:
         row = np.fft.fft(lam) / n_x
         if np.max(np.abs(row.imag)) < 1e-12 * max(1.0, np.max(np.abs(row))):
             row = row.real
-        keep = np.abs(row) > prune_tol
+        keep = np.abs(row) > 1e-14
         return cls.from_arrays(n_x, np.nonzero(keep)[0], row[keep])
 
     # ------------------------------------------------------------------ algebra

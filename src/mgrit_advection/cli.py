@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import io
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -78,6 +79,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if not 1 <= self.p <= 5:
             raise ConfigError(f"order p must be in 1..5, got {self.p}")
+        for name in ("c", "c_fraction", "c_min", "c_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} = {getattr(self, name)} is not finite")
         if self.coarse not in experiments.COARSE_KINDS:
             raise ConfigError(f"unknown coarse operator kind {self.coarse!r}")
         if self.family == "erk" and self.coarse == "rediscretized":
@@ -87,14 +91,7 @@ class ExperimentConfig:
                 "limit and the coarse operator is unstable")
         if not self.m or any(m < 2 for m in self.m):
             raise ConfigError(f"coarsening factors must be >= 2, got {self.m}")
-        if self.cycle not in ("two_level", "v_cycle"):
-            raise ConfigError(f"unknown cycle {self.cycle!r}")
-        if self.nu < 0:
-            raise ConfigError(f"nu must be >= 0, got {self.nu}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        self.mgrit_config()
         if self.threads < 0:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
         excluded = (lfa.default_exclusion_count(self.p)
@@ -122,6 +119,25 @@ class ExperimentConfig:
                 raise ConfigError(f"n_t = {self.n_t} is not divisible by the "
                                   f"coarsening factor(s) {bad}")
         return self
+
+    def mgrit_config(self) -> mgrit.MgritConfig:
+        """The run's iteration controls, as checked by ``MgritConfig``."""
+        try:
+            return mgrit.MgritConfig(self.nu, self.cycle, self.tol,
+                                     self.max_iters, self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    @contextlib.contextmanager
+    def cfl_overflow(self, name: str = ""):
+        """Report an overflow while operators are built from a CFL number as
+        a bad value of ``name``, by default the setting ``resolve_c`` reads."""
+        name = name or ("c_fraction" if self.c_fraction > 0.0 else "c")
+        try:
+            yield
+        except OverflowError as exc:
+            raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
+                              f"{exc}") from exc
 
     def resolve_c(self) -> float:
         """Absolute fine-grid CFL number (fractions refer to c_max)."""
@@ -175,18 +191,15 @@ class ExperimentConfig:
 
 
 def _convert(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("family", "coarse", "cycle", "out"):
-        return raw
-    if key == "measure":
-        return raw.lower() in ("1", "true", "yes", "on")
+    """Parse the text of a file value or flag by its field's annotation."""
+    kind = get_type_hints(ExperimentConfig)[key]
     try:
-        if key == "m":
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if kind == List[int]:
             return [int(tok) for tok in raw.split(",") if tok]
-        if key in ("tol", "c", "c_fraction", "c_min", "c_max"):
-            return float(raw)
-        return int(raw)
-    except ValueError as exc:
+        return kind(raw)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
 
@@ -212,14 +225,12 @@ def write_csv(path: Optional[str], header: Sequence[str], rows: Sequence[Sequenc
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value != value:  # nan
-            return "nan"
-        if value in (float("inf"), float("-inf")):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.8e}"
+        return f"{value:.8e}"  # nan, inf and -inf as such
     return str(value)
 
 
@@ -240,38 +251,33 @@ def cmd_constants(config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
-    if config.c_max <= 0.0 or config.c_min < 0.0 or config.c_max < config.c_min:
-        raise ConfigError("sweep needs 0 <= c_min <= c_max with c_max > 0")
     limit = cfl_limit(config.p) if config.family == "erk" else 1.0
     n = max(1, config.c_points)
     if n == 1 or config.c_min == config.c_max:
         fractions = [config.c_max]
     else:
         fractions = list(np.linspace(config.c_min, config.c_max, n))
-    c_values = [f * limit if config.family == "erk" else f for f in fractions]
+    if config.c_min < 0.0 or config.c_max < config.c_min or fractions[0] <= 0.0:
+        raise ConfigError("sweep needs 0 <= c_min <= c_max with c_max > 0, "
+                          "and c_min > 0 for several points")
 
-    with_bound = config.coarse == "rediscretized" and config.p % 2 == 1
-    measure_grid = (config.n_x, config.n_t) if config.measure else None
-    cfg = mgrit.MgritConfig(nu=config.nu, cycle="two_level", tol=config.tol,
-                            max_iters=config.max_iters, rng_seed=config.seed)
-    points = experiments.lfa_sweep(
-        config.family, config.p, config.coarse, c_values, config.m,
-        nu=config.nu, n_samples=config.lfa_samples,
-        n_excluded=None if config.lfa_excluded < 0 else config.lfa_excluded,
-        with_bound=with_bound, measure_grid=measure_grid, measure_config=cfg,
-        threads=config.threads)
+    with config.cfl_overflow("c_max"):
+        points = experiments.lfa_sweep(
+            config.family, config.p, config.coarse,
+            [f * limit for f in fractions], config.m, nu=config.nu,
+            n_samples=config.lfa_samples,
+            n_excluded=None if config.lfa_excluded < 0 else config.lfa_excluded,
+            with_bound=config.coarse == "rediscretized",
+            measure_grid=(config.n_x, config.n_t) if config.measure else None,
+            measure_config=config.mgrit_config(), threads=config.threads)
 
     header = ["c", "c_over_cmax", "m", "rho_lfa", "divergent",
               "coarse_unstable", "rho_bound", "rho_measured",
               "measured_converged", "measured_iters"]
-    rows = []
-    for pt in sorted(points, key=lambda s: (s.c, s.m)):
-        rows.append((pt.c, pt.c / limit if config.family == "erk" else "",
-                     pt.m, pt.rho_lfa, pt.divergent, pt.coarse_unstable,
-                     "" if pt.rho_bound is None else pt.rho_bound,
-                     "" if pt.rho_measured is None else pt.rho_measured,
-                     "" if pt.measured_converged is None else pt.measured_converged,
-                     "" if pt.measured_iters is None else pt.measured_iters))
+    rows = [(pt.c, pt.c / limit if config.family == "erk" else None, pt.m,
+             pt.rho_lfa, pt.divergent, pt.coarse_unstable, pt.rho_bound,
+             pt.rho_measured, pt.measured_converged, pt.measured_iters)
+            for pt in sorted(points, key=lambda s: (s.c, s.m))]
     write_csv(config.out or None, header, rows, _metadata(config, "sweep"))
     return 0
 
@@ -279,10 +285,11 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 def cmd_iters(config: ExperimentConfig) -> int:
     c = config.resolve_c()
     grids = [(config.n_x, config.n_t)]
-    cells = experiments.iteration_table(
-        config.family, config.p, c, grids, config.m, config.coarse,
-        nu=config.nu, max_iters=config.max_iters, rng_seed=config.seed,
-        threads=config.threads)
+    with config.cfl_overflow():
+        cells = experiments.iteration_table(
+            config.family, config.p, c, grids, config.m, config.coarse,
+            nu=config.nu, max_iters=config.max_iters, rng_seed=config.seed,
+            threads=config.threads)
     header = ("n_x", "n_t", "m", "iters_two_level", "iters_v_cycle")
     rows = [(cell.n_x, cell.n_t, cell.m, cell.iters_two_level,
              cell.iters_v_cycle) for cell in cells]
@@ -307,12 +314,10 @@ def cmd_validate(config: ExperimentConfig) -> int:
 def cmd_solve(config: ExperimentConfig) -> int:
     c = config.resolve_c()
     spec = DiscretizationSpec(config.family, config.p, c, config.n_x, config.n_t)
-    # multiple factors are treated as per-level factors for v-cycles
-    m = config.m[0] if config.cycle == "two_level" else config.m
-    problem = experiments.build_problem(spec, m, config.cycle, config.coarse)
-    cfg = mgrit.MgritConfig(nu=config.nu, cycle=config.cycle, tol=config.tol,
-                            max_iters=config.max_iters, rng_seed=config.seed)
-    report = mgrit.solve(problem, cfg, threads=config.threads)
+    with config.cfl_overflow():
+        problem = experiments.build_problem(spec, config.m, config.cycle,
+                                            config.coarse)
+    report = mgrit.solve(problem, config.mgrit_config(), threads=config.threads)
     header = ("iteration", "residual_norm")
     rows = list(enumerate(report.residual_norms))
     meta = _metadata(config, "solve")
@@ -373,36 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if args.out is not None:
-        config.out = args.out
-    if args.threads is not None:
-        config.threads = args.threads
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.measure:
-        config.measure = True
+    # a flag whose destination is a field sets it; text goes through _convert
+    for f in fields(config):
+        value = getattr(args, f.name, None)
+        if value is not None and f.name != "cycle":
+            setattr(config, f.name,
+                    _convert(f.name, value) if isinstance(value, str) else value)
     if args.cycle is not None:
         config.cycle = "two_level" if args.cycle == "two-level" else "v_cycle"
-    if args.nu is not None:
-        config.nu = args.nu
-    if args.m is not None:
-        config.m = _convert("m", args.m)
     if args.grid is not None:
         try:
             n_x, n_t = (int(tok) for tok in args.grid.split(","))
         except ValueError as exc:
             raise ConfigError(f"--grid expects NX,NT, got {args.grid!r}") from exc
         config.n_x, config.n_t = n_x, n_t
-    if args.family is not None:
-        config.family = args.family
-    if args.p is not None:
-        config.p = args.p
-    if args.c is not None:
-        config.c = args.c
-    if args.c_fraction is not None:
-        config.c_fraction = args.c_fraction
-    if args.coarse is not None:
-        config.coarse = args.coarse
     if args.c_range is not None:
         try:
             c_min, c_max, n = args.c_range.split(",")
@@ -411,8 +400,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"--c-range expects CMIN,CMAX,NPOINTS, got {args.c_range!r}") from exc
-    if args.max_iters is not None:
-        config.max_iters = args.max_iters
     return config
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -19,21 +19,12 @@ from . import lfa, mgrit, stepping
 from .errors import StabilityWarning
 from .stencils import StencilWindow
 from .stepping import (ButcherTableau, DiscretizationSpec, Stepper,
-                       cfl_limit, erk_tableau, error_constant_fd,
-                       ideal_coarse_stepper, modified_coarse_stepper,
-                       mol_stepper, plain_sl_coarse_stepper,
-                       rediscretized_coarse_stepper, rk_error_constant,
-                       sdirk_tableau, tableau)
-
-#: GMRES caps for the implicit correction on multilevel explicit runs
-GMRES_TOL = 1e-2
-GMRES_MAX_ITERS = {1: 10}  # by spatial order; anything else gets 20
+                       cfl_limit, error_constant_fd, ideal_coarse_stepper,
+                       modified_coarse_stepper, mol_stepper,
+                       plain_sl_coarse_stepper, rediscretized_coarse_stepper,
+                       rk_error_constant, tableau)
 
 COARSE_KINDS = ("modified", "rediscretized", "plain_sl", "ideal")
-
-
-def gmres_cap(p: int) -> int:
-    return GMRES_MAX_ITERS.get(p, 20)
 
 
 def min_n_x(p: int, coarse_kind: str) -> int:
@@ -63,9 +54,7 @@ def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int, level: int,
     """Coarse stepper of ``kind`` on ``level``, whose one step covers F fine
     steps (the product of the coarsening factors down to that level)."""
     if kind == "modified":
-        return modified_coarse_stepper(
-            spec, F, level, solver=solver, gmres_tol=GMRES_TOL,
-            gmres_max_iters=gmres_cap(spec.p), tab=tab)
+        return modified_coarse_stepper(spec, F, level, solver=solver, tab=tab)
     if kind == "rediscretized":
         if level != 1:
             raise ValueError("rediscretized coarse operators are two-level only")
@@ -80,31 +69,34 @@ def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int, level: int,
 
 
 def build_problem(spec: DiscretizationSpec, m, cycle: str,
-                  coarse_kind: str = "modified",
-                  tab: Optional[ButcherTableau] = None) -> mgrit.TimeGridProblem:
+                  coarse_kind: str = "modified") -> mgrit.TimeGridProblem:
     """Assemble the level hierarchy for one MGRIT run.
 
-    ``m`` is a single coarsening factor or a per-level sequence (the last
-    entry repeats for deeper levels).  Coarse level l is built from its
-    cumulative factor F = m_1 ... m_l, the fine steps one of its steps
+    ``m`` is a single coarsening factor or a per-level sequence: a two-level
+    hierarchy uses its first entry, and a v-cycle adds levels while the
+    steps divide, repeating the last entry.  Coarse level l is built from
+    its cumulative factor F = m_1 ... m_l, the fine steps one of its steps
     covers (``coarse_stepper``).  Implicit-correction solves are direct
     except on multilevel explicit hierarchies, where every coarse level uses
-    capped GMRES (relative residual ``GMRES_TOL``, at most ``gmres_cap(p)``
-    iterations); in the Fourier basis of ``mgrit.solve`` that GMRES runs as
-    spectral MINRES for odd p, whose correction is symmetric.
+    capped GMRES (``stepping.CAPPED_TOL``, ``stepping.capped_max_iters(p)``);
+    in the Fourier basis of ``mgrit.solve`` that GMRES runs as spectral
+    MINRES for odd p, whose correction is symmetric.
     """
-    fine = fine_stepper(spec, tab)
+    fine = fine_stepper(spec)
     m_list = [m] if np.isscalar(m) else list(m)
+    if not m_list or any(mf < 2 for mf in m_list):
+        raise ValueError(f"coarsening factors must be >= 2, got {m_list}")
     if cycle == "two_level" or coarse_kind in ("ideal", "rediscretized"):
         # ideal and rediscretized operators are two-level constructions; a
         # v-cycle request degenerates to the two-level hierarchy
         factors = m_list[:1]
     else:
+        # n_t >= 1 and factors >= 2: n shrinks on each pass until one fails
         factors = []
         n = spec.n_t
         while True:
             mf = m_list[min(len(factors), len(m_list) - 1)]
-            if n % mf != 0 or n // mf < 1:
+            if n % mf != 0:
                 break
             factors.append(mf)
             n //= mf
@@ -115,7 +107,7 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     for level, mf in enumerate(factors, start=1):
         F *= mf
         steppers.append(coarse_stepper(coarse_kind, spec, F, level, fine,
-                                       solver=solver, tab=tab))
+                                       solver=solver))
     u0 = mgrit.initial_condition(spec.n_x)
     return mgrit.TimeGridProblem(steppers, factors, spec.n_t, u0)
 
@@ -128,12 +120,11 @@ def constants_rows() -> List[dict]:
     for p in range(1, 6):
         rows.append({"quantity": "e_fd", "scheme": f"U{p}", "order": p,
                      "value": error_constant_fd(p)})
-    for q in range(1, 6):
-        rows.append({"quantity": "e_rk", "scheme": f"ERK{q}", "order": q,
-                     "value": rk_error_constant(erk_tableau(q))})
-    for q in range(1, 6):
-        rows.append({"quantity": "e_rk", "scheme": f"SDIRK{q}", "order": q,
-                     "value": rk_error_constant(sdirk_tableau(q))})
+    for family in ("erk", "sdirk"):
+        for q in range(1, 6):
+            tab = tableau(family, q)
+            rows.append({"quantity": "e_rk", "scheme": tab.name, "order": q,
+                         "value": rk_error_constant(tab)})
     for p in range(1, 6):
         rows.append({"quantity": "c_max", "scheme": f"ERK{p}+U{p}", "order": p,
                      "value": cfl_limit(p)})
@@ -170,9 +161,10 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
 
     With ``with_bound`` the odd-order characteristic lower bound is attached
     (rediscretized coarse grids).  With ``measure_grid = (n_x, n_t)`` each
-    point also runs MGRIT on that grid and records the effective factor of
-    the final iteration.  With ``threads`` > 1 the points run on a thread
-    pool, each solve serially, and come back in sweep order.
+    point also runs two-level MGRIT on that grid, whatever cycle
+    ``measure_config`` names, and records the effective factor of the final
+    iteration.  With ``threads`` > 1 the points run on a thread pool, each
+    solve serially, and come back in sweep order.
 
     A sweep may cross the stability limit, so ``StabilityWarning`` is
     silenced for the whole sweep, measured solves included.  The filter is
@@ -181,6 +173,8 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
     tab = None if family == "semi_lagrangian" else tableau(family, p)
+    cfg = replace(measure_config or mgrit.MgritConfig(nu=nu, max_iters=30),
+                  cycle="two_level")
 
     def sweep_point(c, m):
         spec = DiscretizationSpec(family, p, float(c), 64, 64)
@@ -196,7 +190,6 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
                                             error_constant_fd(p))
         if measure_grid is not None:
             n_x, n_t = measure_grid
-            cfg = measure_config or mgrit.MgritConfig(nu=nu, max_iters=30)
             report = measured_point(family, p, coarse_kind, float(c), m,
                                     n_x, n_t, cfg)
             point.rho_measured = report.effective_rho
@@ -215,15 +208,13 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
 
 def measured_point(family: str, p: int, coarse_kind: str, c: float, m: int,
                    n_x: int, n_t: int,
-                   config: Optional[mgrit.MgritConfig] = None,
-                   cycle: str = "two_level") -> mgrit.SolveReport:
-    """One MGRIT run returning the measured convergence report."""
+                   config: Optional[mgrit.MgritConfig] = None
+                   ) -> mgrit.SolveReport:
+    """One MGRIT run returning the measured convergence report; its cycle
+    is ``config.cycle`` (default ``MgritConfig()``: two-level)."""
     config = config or mgrit.MgritConfig()
-    if config.cycle != cycle:
-        config = mgrit.MgritConfig(config.nu, cycle, config.tol,
-                                   config.max_iters, config.rng_seed)
     spec = DiscretizationSpec(family, p, c, n_x, n_t)
-    problem = build_problem(spec, m, cycle, coarse_kind)
+    problem = build_problem(spec, m, config.cycle, coarse_kind)
     return mgrit.solve(problem, config)
 
 
@@ -291,17 +282,18 @@ def _row(check, subject, observed, expected, tol, compare="abs") -> ValidationRo
                          float(tol), bool(ok))
 
 
-def validation_rows(n_x_list: Sequence[int] = (64, 128, 256, 512),
-                    quick: bool = False) -> List[ValidationRow]:
+def validation_rows(quick: bool = False) -> List[ValidationRow]:
     """Order studies, truncation-constant fits, and symbol-estimate checks.
 
-    Covers every shipped discretization order: global orders for the
-    method-of-lines and semi-Lagrangian steppers, fitted leading-error
-    constants against their closed forms, smooth-mode eigenvalue estimates,
-    and the corrected-coarse-operator consistency order.
+    Covers every shipped discretization order (``quick``: orders 1 to 3):
+    global orders on 64- to 512-point meshes for the method-of-lines and
+    semi-Lagrangian steppers, fitted leading-error constants against their
+    closed forms, smooth-mode eigenvalue estimates, and the
+    corrected-coarse-operator consistency order.
     """
     rows: List[ValidationRow] = []
     orders = (1, 2, 3) if quick else (1, 2, 3, 4, 5)
+    n_x_list = (64, 128, 256, 512)
 
     for p in orders:
         c_erk = 0.7 * cfl_limit(p)
@@ -350,19 +342,14 @@ def validation_rows(n_x_list: Sequence[int] = (64, 128, 256, 512),
             e_rk = rk_error_constant(tab)
             m = 4
 
-            def lam_fn(om, _family=family, _c=c, _tab=tab, _p=p):
-                spec = DiscretizationSpec(_family, _p, _c, 64, 64)
-                return mol_stepper(spec, _tab).symbol(om)
-
-            def mu_fn(om, _family=family, _c=c, _tab=tab, _p=p, _m=m):
-                spec = DiscretizationSpec(_family, _p, _m * _c, 64, 64)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", StabilityWarning)
-                    return mol_stepper(spec, _tab).symbol(om)
-
+            fine = mol_stepper(DiscretizationSpec(family, p, c, 64, 64), tab)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StabilityWarning)
+                coarse = mol_stepper(
+                    DiscretizationSpec(family, p, m * c, 64, 64), tab)
             report = lfa.validate_eigenvalue_estimates(
-                p, c, m, error_constant_fd(p), e_rk, e_rk, lam_fn, mu_fn,
-                n_x_list=estimate_meshes, n_modes=4)
+                p, c, m, error_constant_fd(p), e_rk, e_rk, fine.symbol,
+                coarse.symbol, n_x_list=estimate_meshes, n_modes=4)
             label = f"{tab.name}+U{p}"
             rows.append(_row("eigenvalue_estimate_order", f"{label} fine",
                              report.fine_order, 1.0, 0.1, "min"))

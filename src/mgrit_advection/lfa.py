@@ -16,7 +16,7 @@ discretizations rediscretized on the coarse grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -71,13 +71,12 @@ class LfaSweep:
     nu: int
     n_excluded: int
     divergent: bool
-    params: dict = field(default_factory=dict)
 
 
 def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
                   coarse_symbol: Callable[[np.ndarray], np.ndarray],
                   m: int, nu: int, n_samples: int = 2 ** 11,
-                  n_excluded: int = 2, params: Optional[dict] = None) -> LfaSweep:
+                  n_excluded: int = 2) -> LfaSweep:
     """Worst-case two-level convergence factor over all space-time modes.
 
     Evaluates |lambda|^(m nu) |lambda^m - mu| / (1 - |mu|) on the retained
@@ -98,8 +97,7 @@ def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
     order = np.argsort(np.abs(om), kind="stable")
     best = order[int(np.argmax(rho[order]))]
     return LfaSweep(om, lam, mu, rho, float(np.max(rho)), float(om[best]),
-                    m, nu, n_excluded, bool(np.any(~np.isfinite(rho))),
-                    dict(params or {}))
+                    m, nu, n_excluded, bool(np.any(~np.isfinite(rho))))
 
 
 def predict_history(fine_symbol: Callable[[np.ndarray], np.ndarray],
@@ -198,16 +196,17 @@ def verify_lower_bound(fine_symbol_at: Callable[[float], Callable],
                        coarse_symbol_at: Callable[[float], Callable],
                        bound_at: Callable[[float], float],
                        c_grid: Sequence[float], m: int, nu: int,
-                       n_samples: int = 2 ** 11, n_excluded: int = 2,
-                       headroom: float = 0.05,
-                       tight_ratio: float = 0.9) -> LowerBoundReport:
-    """Check rho(E) >= (1 - headroom) * bound across a CFL sweep.
+                       n_samples: int = 2 ** 11,
+                       n_excluded: int = 2) -> LowerBoundReport:
+    """Check rho(E) >= 0.95 * bound across a CFL sweep.
 
     ``fine_symbol_at(c)`` and ``coarse_symbol_at(c)`` build the symbol
-    closures for a given fine CFL number.  Also evaluates the characteristic
-    mode theta = -omega*c at the smallest retained frequency for
-    nu in {0, 1, 2} and reports the relative spread, which should be small:
-    relaxation cannot damp these modes.
+    closures for a given fine CFL number.  A row's bound holds when the
+    two-level factor rho(E) is at least 0.95 times the bound, and is tight
+    when the bound is at least 0.9 rho(E).  Also evaluates the
+    characteristic mode theta = -omega*c at the smallest retained frequency
+    for nu in {0, 1, 2} and reports the relative spread, which should be
+    small: relaxation cannot damp these modes.
     """
     rows = []
     for c in c_grid:
@@ -224,8 +223,8 @@ def verify_lower_bound(fine_symbol_at: Callable[[float], Callable],
             spread = (max(finite) - min(finite)) / max(finite)
         else:
             spread = math.inf
-        holds = sweep.rho_e >= (1.0 - headroom) * bound
-        tight = bound >= tight_ratio * sweep.rho_e if math.isfinite(sweep.rho_e) else False
+        holds = sweep.rho_e >= 0.95 * bound
+        tight = bound >= 0.9 * sweep.rho_e if math.isfinite(sweep.rho_e) else False
         rows.append(LowerBoundRow(float(c), sweep.rho_e, float(bound), holds,
                                   tight, float(spread)))
     return LowerBoundReport(m, nu, rows)

@@ -49,7 +49,8 @@ from .stepping import Stepper
 
 @dataclass
 class MgritConfig:
-    """Iteration controls: F(CF)^nu pre-relaxation, cycle type, halting."""
+    """Iteration controls: F(CF)^nu pre-relaxation, cycle type, halting, and
+    the seed of the random initial iterate."""
 
     nu: int = 1
     cycle: str = "two_level"  # "two_level" | "v_cycle"
@@ -65,7 +66,9 @@ class MgritConfig:
         if self.cycle not in ("two_level", "v_cycle"):
             raise ValueError(f"unknown cycle {self.cycle!r}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed (rng_seed) must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

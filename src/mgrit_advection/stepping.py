@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,9 +24,6 @@ from .errors import SingularOperatorError, StabilityWarning, TableauError
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
                        upwind_derivative)
-
-#: pruning threshold for one-step stencils built from mesh eigenvalues
-STEPPER_PRUNE_TOL = 1e-14
 
 #: amplification factors up to 1 + this count as stable when locating CFL
 #: limits; it ignores the tolerance-level excursions of eigenvalues that
@@ -225,8 +222,8 @@ def stability_function(tab: ButcherTableau, z) -> complex | np.ndarray:
 class DiscretizationSpec:
     """Identifies a fine-grid discretization of the advection problem.
 
-    The mesh has n_x points on [-1, 1) and n_t steps of size dt = c*h/alpha,
-    so the final time is T = n_t * dt.  q defaults to p (matched orders).
+    The mesh has n_x >= 1 points on [-1, 1); at unit advection speed each of
+    the n_t >= 1 steps has size c * h, h = 2 / n_x.  Time and space orders are both p.
     """
 
     family: str  # "erk" | "sdirk" | "semi_lagrangian"
@@ -234,8 +231,6 @@ class DiscretizationSpec:
     c: float
     n_x: int
     n_t: int
-    alpha: float = 1.0
-    q: int = field(default=-1)
 
     def __post_init__(self):
         if self.family not in ("erk", "sdirk", "semi_lagrangian"):
@@ -244,25 +239,13 @@ class DiscretizationSpec:
             raise ValueError(f"CFL number must be positive, got {self.c}")
         if self.p < 1:
             raise ValueError(f"order must be >= 1, got {self.p}")
-        if self.q == -1:
-            object.__setattr__(self, "q", self.p)
-
-    @property
-    def h(self) -> float:
-        return DOMAIN_LENGTH / self.n_x
-
-    @property
-    def dt(self) -> float:
-        return self.c * self.h / self.alpha
-
-    @property
-    def final_time(self) -> float:
-        return self.n_t * self.dt
+        if self.n_x < 1 or self.n_t < 1:
+            raise ValueError(f"grid sizes must be >= 1: {self.n_x},{self.n_t}")
 
     def tableau(self) -> ButcherTableau:
         if self.family == "semi_lagrangian":
             raise ValueError("semi-Lagrangian discretizations have no tableau")
-        return tableau(self.family, self.q)
+        return tableau(self.family, self.p)
 
 
 class Stepper:
@@ -295,8 +278,8 @@ class Stepper:
     @property
     def op(self) -> CirculantOperator:
         if self._op is None:
-            self._op = CirculantOperator.from_eigenvalues(
-                self.n_x, self.eigenvalues(), STEPPER_PRUNE_TOL)
+            self._op = CirculantOperator.from_eigenvalues(self.n_x,
+                                                          self.eigenvalues())
         return self._op
 
     def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -320,8 +303,8 @@ class Stepper:
             self._eig.setflags(write=False)
         return self._eig
 
-    def max_amplification(self, n_samples: int = 4096) -> float:
-        om = -np.pi + 2.0 * np.pi * np.arange(n_samples) / n_samples
+    def max_amplification(self) -> float:
+        om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
         return float(np.max(np.abs(self.symbol(om))))
 
     def __repr__(self):
@@ -369,6 +352,15 @@ class CappedCorrection(NamedTuple):
             return x
         out[...] = x
         return out
+
+
+#: relative residual at which the capped correction solve stops a row
+CAPPED_TOL = 1e-2
+
+
+def capped_max_iters(p: int) -> int:
+    """Iteration cap of the capped correction solve at spatial order p."""
+    return 10 if p == 1 else 20
 
 
 def mol_stepper(spec: DiscretizationSpec,
@@ -447,24 +439,23 @@ def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> SemiLagrangianSte
 _CFL_CACHE: dict = {}
 
 
-def cfl_limit(p: int, tab: Optional[ButcherTableau] = None,
-              n_samples: int = 4096, bisection_tol: float = 1e-6) -> float:
+def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
     """Largest CFL number keeping max_omega |R(-c L_p)| <= 1 + STABILITY_TOL.
 
-    Located by bisection over c with the symbol scanned on uniform samples
-    of [-pi, pi).  Results are memoized (steppers consult the limit on
-    construction).
+    Located by bisection over c, to an interval of width 1e-6, with the
+    symbol scanned on 4096 uniform samples of [-pi, pi).  Results are
+    memoized (steppers consult the limit on construction).
     """
     if tab is None:
         tab = erk_tableau(p)
     if tab.kind != "explicit":
         raise ValueError("CFL limits apply to explicit tableaux")
-    key = (p, tab.A.tobytes(), tab.b.tobytes(), n_samples, bisection_tol)
+    key = (p, tab.A.tobytes(), tab.b.tobytes())
     if key in _CFL_CACHE:
         return _CFL_CACHE[key]
     win = StencilWindow.upwind(p)
     w = fd_weights(1, win.offsets, 0.0)
-    om = -np.pi + 2.0 * np.pi * np.arange(n_samples) / n_samples
+    om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
     Lsym = np.exp(1j * np.outer(om, win.offsets.astype(float))) @ w.astype(complex)
 
     def stable(c):
@@ -475,7 +466,7 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None,
         lo, hi = hi, 2.0 * hi
         if hi > 64.0:
             raise RuntimeError("no instability found below c = 64")
-    while hi - lo > bisection_tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if stable(mid):
             lo = mid
@@ -521,8 +512,8 @@ def correction_window(p: int) -> StencilWindow:
 
 def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
                             solver: str = "direct",
-                            gmres_tol: float = 1e-2,
-                            gmres_max_iters: int = 20,
+                            gmres_tol: float = CAPPED_TOL,
+                            gmres_max_iters: Optional[int] = None,
                             tab: Optional[ButcherTableau] = None) -> Stepper:
     """Corrected semi-Lagrangian coarse stepper for a method-of-lines fine grid.
 
@@ -534,11 +525,12 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     Fourier basis); with ``solver='gmres'`` it is approximated by
     unrestarted GMRES from a zero guess, stopped per row at relative
     residual ``gmres_tol`` in (0, 1) or after ``gmres_max_iters`` >= 1
-    iterations (``CappedCorrection``).  The Krylov solver is chosen here,
-    once: the symmetric correction of odd p runs that GMRES as MINRES on
-    each row's frequency spectrum (``_minres_spectral``), in exact
-    arithmetic the same iterates and stopping steps from a short recurrence,
-    and any other correction runs ``_gmres_batched``.
+    iterations (``CappedCorrection``), by default ``CAPPED_TOL`` and
+    ``capped_max_iters(p)``.  The Krylov solver is chosen here, once: the
+    symmetric correction of odd p runs that GMRES as MINRES on each row's
+    frequency spectrum (``_minres_spectral``), in exact arithmetic the same
+    iterates and stopping steps from a short recurrence, and any other
+    correction runs ``_gmres_batched``.
     """
     if level < 1:
         raise ValueError(f"coarse level must be >= 1, got {level}")
@@ -564,6 +556,8 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     if solver == "direct":
         apply_fn = None  # ``op``, built from the symbol, is the exact product
     elif solver == "gmres":
+        if gmres_max_iters is None:
+            gmres_max_iters = capped_max_iters(spec.p)
         if not 0.0 < gmres_tol < 1.0:
             raise ValueError(f"gmres_tol must be in (0, 1), got {gmres_tol}")
         if gmres_max_iters < 1:
@@ -593,7 +587,7 @@ def rediscretized_coarse_stepper(spec: DiscretizationSpec, m: int,
         raise ValueError("rediscretized coarse steppers require an sdirk family "
                          "(an explicit method is unstable at m times its step)")
     coarse = DiscretizationSpec(spec.family, spec.p, m * spec.c, spec.n_x,
-                                max(spec.n_t // m, 1), spec.alpha, spec.q)
+                                max(spec.n_t // m, 1))
     stepper = mol_stepper(coarse, tab)
     stepper.level = 1
     return stepper
@@ -648,24 +642,22 @@ def _profile(n_x: int, time_shift: float = 0.0) -> np.ndarray:
     return np.sin(np.pi * (x - time_shift))
 
 
-def truncation_residual(family: str, p: int, c: float, n_x_list: Sequence[int],
-                        q: Optional[int] = None,
-                        tab: Optional[ButcherTableau] = None) -> TruncationReport:
-    """Fit the one-step residual u(t+dt) - Phi u(t) to its leading error term.
+def truncation_residual(family: str, p: int, c: float,
+                        n_x_list: Sequence[int]) -> TruncationReport:
+    """Fit the one-step residual u(t+dt) - Phi u(t) of the order-p ``family``
+    stepper at CFL number c to its leading error term.
 
     The leading term is K * D u(t+dt) with D the correction operator of
     order p+1; K is fitted by least squares on each mesh and compared against
     the closed-form constant:
 
-    - method of lines (q = p):  K = -( c e_fd + (-c)^{p+1} e_rk )
-    - semi-Lagrangian:          K = (-1)^{p+1} f_{p+1}(eps)
+    - method of lines:  K = -( c e_fd + (-c)^{p+1} e_rk )
+    - semi-Lagrangian:  K = (-1)^{p+1} f_{p+1}(eps)
     """
-    q = p if q is None else q
     if family in ("erk", "sdirk"):
-        if tab is None:
-            tab = tableau(family, q)
+        tab = tableau(family, p)
         e_rk = rk_error_constant(tab)
-        predicted = -(c * error_constant_fd(p) + (-c) ** (q + 1) * e_rk)
+        predicted = -(c * error_constant_fd(p) + (-c) ** (p + 1) * e_rk)
     elif family == "semi_lagrangian":
         eps = split_cfl(c)[1]
         predicted = (-1.0) ** (p + 1) * f_poly(
@@ -678,10 +670,10 @@ def truncation_residual(family: str, p: int, c: float, n_x_list: Sequence[int],
         if family == "semi_lagrangian":
             stepper = sl_stepper(p, c, n_x).stepper
         else:
-            spec = DiscretizationSpec(family, p, c, n_x, 1, q=q)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", StabilityWarning)
-                stepper = mol_stepper(spec, tab)
+                stepper = mol_stepper(DiscretizationSpec(family, p, c, n_x, 1),
+                                      tab)
         h = DOMAIN_LENGTH / n_x
         dt_shift = c * h
         u_old = _profile(n_x)
@@ -698,25 +690,22 @@ def truncation_residual(family: str, p: int, c: float, n_x_list: Sequence[int],
 
 
 def global_error_order(family: str, p: int, c: float,
-                       n_x_list: Sequence[int], final_time: float = 1.0,
-                       q: Optional[int] = None) -> Tuple[float, list]:
+                       n_x_list: Sequence[int]) -> Tuple[float, list]:
     """Observed global convergence order at a fixed CFL number.
 
-    Integrates the smooth profile to (approximately) ``final_time`` on each
-    mesh and regresses the endpoint error against h in log-log coordinates.
-    Returns (slope, errors).
+    Integrates the smooth profile with the order-p ``family`` stepper to
+    (approximately) t = 1 on each mesh and regresses the endpoint error
+    against h in log-log coordinates.  Returns (slope, errors).
     """
-    q = p if q is None else q
     errors = []
     for n_x in n_x_list:
         h = DOMAIN_LENGTH / n_x
         dt = c * h
-        n_t = max(1, round(final_time / dt))
+        n_t = max(1, round(1.0 / dt))
         if family == "semi_lagrangian":
             stepper = sl_stepper(p, c, n_x).stepper
         else:
-            spec = DiscretizationSpec(family, p, c, n_x, n_t, q=q)
-            stepper = mol_stepper(spec)
+            stepper = mol_stepper(DiscretizationSpec(family, p, c, n_x, n_t))
         u = _profile(n_x)
         lam = stepper.eigenvalues()
         u = np.fft.ifft(np.fft.fft(u) * lam ** n_t).real
@@ -728,8 +717,7 @@ def global_error_order(family: str, p: int, c: float,
 
 
 def modified_ideal_consistency(spec: DiscretizationSpec, m: int,
-                               n_x_list: Sequence[int],
-                               n_excluded: Optional[int] = None) -> Tuple[float, list]:
+                               n_x_list: Sequence[int]) -> Tuple[float, list]:
     """Order at which the corrected coarse symbol approaches the ideal one.
 
     Evaluates |mu(omega) - lambda(omega)^m| at the smallest retained mesh
@@ -737,12 +725,10 @@ def modified_ideal_consistency(spec: DiscretizationSpec, m: int,
     at least p + 2) together with the sampled differences.
     """
     from .lfa import default_exclusion_count
-    k_excl = default_exclusion_count(spec.p) if n_excluded is None else n_excluded
-    j_min = k_excl // 2 + 1
+    j_min = default_exclusion_count(spec.p) // 2 + 1
     diffs = []
     for n_x in n_x_list:
-        spec_n = DiscretizationSpec(spec.family, spec.p, spec.c, n_x, spec.n_t,
-                                    spec.alpha, spec.q)
+        spec_n = DiscretizationSpec(spec.family, spec.p, spec.c, n_x, spec.n_t)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             fine = mol_stepper(spec_n)

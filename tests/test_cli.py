@@ -1,9 +1,11 @@
 """Command-line interface: config round-trips, CSV output, exit codes."""
 
+import argparse
+
 import pytest
 
-from mgrit_advection.cli import (ConfigError, ExperimentConfig, main,
-                                 write_csv)
+from mgrit_advection.cli import (ConfigError, ExperimentConfig, build_parser,
+                                 main, write_csv)
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -146,6 +148,79 @@ def test_bad_input_is_a_configuration_error(tmp_path, capsys, ini, flags):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+SDIRK_SOLVE = ["solve", "--family", "sdirk", "--grid", "64,64"]
+ERK_SOLVE = ["solve", "--family", "erk", "--grid", "64,64"]
+SDIRK_SWEEP = ["sweep", "--family", "sdirk", "--p", "1", "--m", "2"]
+
+
+@pytest.mark.parametrize("ini,flags,message", [
+    (None, SDIRK_SOLVE + ["--c", "1.0", "--seed", "-1"],
+     "seed (rng_seed) must be >= 0"),
+    (None, SDIRK_SOLVE + ["--c", "inf"], "c = inf is not finite"),
+    (None, ERK_SOLVE + ["--c-fraction", "inf"],
+     "c_fraction = inf is not finite"),
+    (None, SDIRK_SOLVE + ["--c", "1e300"], "c = 1e+300 overflows"),
+    (None, ERK_SOLVE + ["--c-fraction", "1e300"],
+     "c_fraction = 1e+300 overflows"),
+    (None, SDIRK_SWEEP + ["--c-range", "0,inf,4"], "c_max = inf is not finite"),
+    (None, SDIRK_SWEEP + ["--c-range", "nan,1,4"], "c_min = nan is not finite"),
+    (None, SDIRK_SWEEP + ["--c-range", "1,1e300,2"], "c_max = 1e+300 overflows"),
+    (None, SDIRK_SWEEP + ["--c-range", "0,1,4"], "c_min > 0 for several points"),
+    ("[sweep]\nmeasure = maybe\n", ["constants"], "bad value for measure"),
+], ids=["seed_negative", "c_inf", "c_fraction_inf", "c_overflow",
+        "c_fraction_overflow", "c_max_inf", "c_min_nan", "c_max_overflow",
+        "c_min_zero", "measure_maybe"])
+def test_bad_run_input_is_a_configuration_error(tmp_path, capsys, ini, flags,
+                                                message):
+    if ini is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        flags = flags + ["--config", str(path)]
+    code, _ = run_cli(flags, tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,value", [
+    ("true", True), ("On", True), ("1", True), ("no", False), ("False", False)])
+def test_config_file_booleans(text, value):
+    config = ExperimentConfig.from_text(f"[sweep]\nmeasure = {text}\n")
+    assert config.measure is value
+
+
+SUBCOMMAND_OPTIONS = [
+    "-h", "--help", "--config", "--out", "--threads", "--seed", "--measure",
+    "--cycle", "--nu", "--m", "--grid", "--family", "--p", "--c",
+    "--c-fraction", "--coarse", "--c-range", "--max-iters"]
+
+DEFAULT_CONFIG_TEXT = (
+    "[discretization]\nfamily = erk\np = 3\nc = 0.0\nc_fraction = 0.0\n"
+    "coarse = modified\n\n"
+    "[mgrit]\nm = 2\nnu = 1\ncycle = two_level\nmax_iters = 30\n"
+    "tol = 1e-10\nseed = 0\n\n"
+    "[lfa]\nlfa_samples = 2048\nlfa_excluded = -1\n\n"
+    "[grid]\nn_x = 256\nn_t = 1024\n\n"
+    "[sweep]\nc_min = 0.0\nc_max = 0.0\nc_points = 512\nmeasure = False\n\n"
+    "[run]\nthreads = 1\nout = \n\n")
+
+
+def test_cli_surface_is_pinned():
+    # every subcommand takes the same flags, and the file layout and
+    # defaults are those a written config carries
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == ["constants", "sweep", "iters",
+                                        "validate", "solve"]
+    for name, sub in subparsers.choices.items():
+        options = [opt for action in sub._actions
+                   for opt in action.option_strings]
+        assert options == SUBCOMMAND_OPTIONS, name
+    assert ExperimentConfig().to_text() == DEFAULT_CONFIG_TEXT
 
 
 def test_flags_override_config_values_before_validation(tmp_path):

@@ -366,6 +366,13 @@ def test_mixed_per_level_coarsening_factors():
     assert report.converged
 
 
+@pytest.mark.parametrize("n_t,m", [(0, 2), (64, 1), (64, [4, 1])])
+def test_v_cycle_hierarchy_rejects_inputs_that_never_stop_coarsening(n_t, m):
+    # zero steps, or a factor of 1, divides on every pass
+    with pytest.raises(ValueError):
+        build_problem(DiscretizationSpec("erk", 3, 0.5, 64, n_t), m, "v_cycle")
+
+
 def test_two_level_and_v_cycle_agree_when_two_levels_suffice():
     # with n_t = m^2 the v-cycle hierarchy has 3 levels; with n_t = m it
     # degenerates to two and must match the two-level solver exactly
@@ -442,6 +449,8 @@ def test_config_validation():
     for tol in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError, match="tol"):
             MgritConfig(tol=tol)
+    with pytest.raises(ValueError, match="rng_seed"):
+        MgritConfig(rng_seed=-1)
 
 
 def test_initial_condition_profile():
