@@ -23,7 +23,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be >= 0, got {self.threads}")
         excluded = (lfa.default_exclusion_count(self.p)
                     if self.lfa_excluded < 0 else self.lfa_excluded)
+        if command == "sweep" and self.c_points < 1:
+            raise ConfigError(f"c_points must be >= 1, got {self.c_points}")
         if command == "sweep" and self.lfa_samples <= excluded + 1:
             # the scan drops omega = 0 and the excluded frequencies nearest it
             raise ConfigError(f"lfa_samples = {self.lfa_samples} leaves no "
@@ -251,12 +253,15 @@ def cmd_constants(config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
+    # every point is a two-level factor, predicted or measured, whatever
+    # cycle the configuration names; the header says so
+    config = replace(config, cycle="two_level")
     limit = cfl_limit(config.p) if config.family == "erk" else 1.0
-    n = max(1, config.c_points)
-    if n == 1 or config.c_min == config.c_max:
+    if config.c_points == 1 or config.c_min == config.c_max:
         fractions = [config.c_max]
     else:
-        fractions = list(np.linspace(config.c_min, config.c_max, n))
+        fractions = list(np.linspace(config.c_min, config.c_max,
+                                     config.c_points))
     if config.c_min < 0.0 or config.c_max < config.c_min or fractions[0] <= 0.0:
         raise ConfigError("sweep needs 0 <= c_min <= c_max with c_max > 0, "
                           "and c_min > 0 for several points")
@@ -288,8 +293,8 @@ def cmd_iters(config: ExperimentConfig) -> int:
     with config.cfl_overflow():
         cells = experiments.iteration_table(
             config.family, config.p, c, grids, config.m, config.coarse,
-            nu=config.nu, max_iters=config.max_iters, rng_seed=config.seed,
-            threads=config.threads)
+            nu=config.nu, tol=config.tol, max_iters=config.max_iters,
+            rng_seed=config.seed, threads=config.threads)
     header = ("n_x", "n_t", "m", "iters_two_level", "iters_v_cycle")
     rows = [(cell.n_x, cell.n_t, cell.m, cell.iters_two_level,
              cell.iters_v_cycle) for cell in cells]

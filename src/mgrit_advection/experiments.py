@@ -238,16 +238,17 @@ def _format_iters(report: mgrit.SolveReport, max_iters: int) -> str:
 def iteration_table(family: str, p: int, c: float,
                     grids: Sequence[tuple], m_values: Sequence[int],
                     coarse_kind: str = "modified", nu: int = 1,
-                    max_iters: int = 40, rng_seed: int = 0,
+                    tol: float = 1e-10, max_iters: int = 40, rng_seed: int = 0,
                     threads: int = 1) -> List[IterationCell]:
-    """Two-level and V-cycle iteration counts to a ten-order residual drop."""
+    """Two-level and V-cycle iteration counts to a residual drop by ``tol``
+    (by default ten orders)."""
     cells = []
     for n_x, n_t in grids:
         for m in m_values:
             spec = DiscretizationSpec(family, p, c, n_x, n_t)
             reports = {}
             for cycle in ("two_level", "v_cycle"):
-                cfg = mgrit.MgritConfig(nu=nu, cycle=cycle, tol=1e-10,
+                cfg = mgrit.MgritConfig(nu=nu, cycle=cycle, tol=tol,
                                         max_iters=max_iters, rng_seed=rng_seed)
                 problem = build_problem(spec, m, cycle, coarse_kind)
                 reports[cycle] = mgrit.solve(problem, cfg, threads=threads)

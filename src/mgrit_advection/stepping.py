@@ -445,6 +445,12 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
     Located by bisection over c, to an interval of width 1e-6, with the
     symbol scanned on 4096 uniform samples of [-pi, pi).  Results are
     memoized (steppers consult the limit on construction).
+
+    R is evaluated by Horner's rule on its Taylor coefficients
+    beta_j = b^T A^(j-1) 1, j = 0 .. s, not through ``stability_function``'s
+    batched solves.  The polynomial is exact, not a truncated series: an
+    explicit A is strictly lower triangular, hence nilpotent (A^s = 0), so
+    (I - zA)^{-1} = sum_{j<s} z^j A^j and R(z) = sum_{j<=s} beta_j z^j.
     """
     if tab is None:
         tab = erk_tableau(p)
@@ -457,9 +463,11 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
     w = fd_weights(1, win.offsets, 0.0)
     om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
     Lsym = np.exp(1j * np.outer(om, win.offsets.astype(float))) @ w.astype(complex)
+    # highest power first, as np.polyval takes them
+    beta = [tab.taylor_coefficient(j) for j in range(tab.stages, -1, -1)]
 
     def stable(c):
-        return np.max(np.abs(stability_function(tab, -c * Lsym))) <= 1.0 + STABILITY_TOL
+        return np.max(np.abs(np.polyval(beta, -c * Lsym))) <= 1.0 + STABILITY_TOL
 
     lo, hi = 1e-8, 1.0
     while stable(hi):

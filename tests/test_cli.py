@@ -168,10 +168,12 @@ SDIRK_SWEEP = ["sweep", "--family", "sdirk", "--p", "1", "--m", "2"]
     (None, SDIRK_SWEEP + ["--c-range", "nan,1,4"], "c_min = nan is not finite"),
     (None, SDIRK_SWEEP + ["--c-range", "1,1e300,2"], "c_max = 1e+300 overflows"),
     (None, SDIRK_SWEEP + ["--c-range", "0,1,4"], "c_min > 0 for several points"),
+    (None, SDIRK_SWEEP + ["--c-range", "1,2,-5"], "c_points must be >= 1, got -5"),
+    ("[sweep]\nc_points = 0\n", SDIRK_SWEEP, "c_points must be >= 1, got 0"),
     ("[sweep]\nmeasure = maybe\n", ["constants"], "bad value for measure"),
 ], ids=["seed_negative", "c_inf", "c_fraction_inf", "c_overflow",
         "c_fraction_overflow", "c_max_inf", "c_min_nan", "c_max_overflow",
-        "c_min_zero", "measure_maybe"])
+        "c_min_zero", "c_points_negative", "c_points_zero", "measure_maybe"])
 def test_bad_run_input_is_a_configuration_error(tmp_path, capsys, ini, flags,
                                                 message):
     if ini is not None:
@@ -331,6 +333,34 @@ def test_sweep_with_measurement(tmp_path):
     measured = float(rows[0]["rho_measured"])
     predicted = float(rows[0]["rho_lfa"])
     assert abs(measured - predicted) <= max(0.1, 0.15 * predicted)
+
+
+def test_measured_sweep_header_names_the_cycle_it_ran(tmp_path):
+    # measured sweep points are two-level solves whatever --cycle says
+    code, text = run_cli(
+        ["sweep", "--family", "sdirk", "--p", "1", "--m", "4", "--c-range",
+         "1.0,1.0,1", "--measure", "--grid", "64,256", "--cycle", "v"],
+        tmp_path)
+    assert code == 0
+    assert "# cycle = two_level\n" in text
+    assert "v_cycle" not in text
+
+
+def test_iters_runs_to_the_configured_tolerance(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[mgrit]\ntol = 1e-3\n")
+    flags = ["--family", "sdirk", "--p", "3", "--c", "5", "--m", "4",
+             "--grid", "64,256", "--config", str(path)]
+    code, iters_text = run_cli(["iters"] + flags, tmp_path, "iters.csv")
+    assert code == 0
+    assert "# tol = 0.001\n" in iters_text
+    code, solve_text = run_cli(["solve"] + flags, tmp_path, "solve.csv")
+    assert code == 0
+    solved = [line for line in solve_text.splitlines()
+              if line.startswith("# iterations: ")]
+    _, (row,) = parse_csv(iters_text)
+    assert solved == [f"# iterations: {row['iters_two_level']}"]
+    assert int(row["iters_two_level"]) < 20
 
 
 def test_iters_ideal_coarse_one_iteration(tmp_path):

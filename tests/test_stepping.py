@@ -18,6 +18,7 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
                              truncation_residual, upwind_derivative)
 from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
                                        _minres_spectral)
+from mgrit_advection.stencils import fd_weights
 from mgrit_advection.stepping import (correction_operator, f_poly,
                                       global_error_order)
 
@@ -253,6 +254,52 @@ TABLE_CMAX = {1: 1.0, 2: 0.5, 3: 1.62589, 4: 1.04449, 5: 1.96583}
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_cfl_limits(p):
     assert matches_4_digits(cfl_limit(p), TABLE_CMAX[p])
+
+
+#: c_max of ERK q + U p, keyed (p, q): the bisection gives exactly these
+#: values whether it evaluates R as a polynomial or through the resolvent
+#: 1 + z b^T (I - zA)^{-1} 1 (``stability_function``)
+CMAX_PINNED = {
+    (1, 1): 1.0000004768371582, (1, 2): 1.0000004768371582,
+    (1, 3): 1.2563729286193848, (1, 4): 1.3926472663879395,
+    (1, 5): 2.3350090980529785,
+    (2, 1): 0.0157485106664896, (2, 2): 0.5000004818371534,
+    (2, 3): 0.6280694045066596, (2, 4): 0.69632387464931,
+    (2, 5): 1.1426548957824707,
+    (3, 1): 0.010986814852290153, (3, 2): 0.8783421528584242,
+    (3, 3): 1.6258912086486816, (3, 4): 1.7452692985534668,
+    (3, 5): 2.2823386192321777,
+    (4, 1): 0.004644880711607933, (4, 2): 0.2997574876237631,
+    (4, 3): 0.9046006212237693, (4, 4): 1.0444855690002441,
+    (4, 5): 1.5712103843688965,
+    (5, 1): 0.00385905308274746, (5, 2): 0.24930239474452498,
+    (5, 3): 1.434983730316162, (5, 4): 1.7319750785827637,
+    (5, 5): 1.965832233428955,
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(CMAX_PINNED))
+def test_cfl_limit_is_pinned_bitwise(p, q):
+    assert cfl_limit(p, erk_tableau(q)) == CMAX_PINNED[(p, q)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_explicit_stability_function_is_its_taylor_polynomial(p, q):
+    # A is nilpotent, so the series b^T A^(j-1) 1 z^j stops at j = s; the
+    # polynomial must match the resolvent form on cfl_limit's scan samples
+    tab = erk_tableau(q)
+    assert tab.taylor_coefficient(tab.stages + 1) == 0.0
+    beta = [tab.taylor_coefficient(j) for j in range(tab.stages, -1, -1)]
+    win = StencilWindow.upwind(p)
+    om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
+    lsym = (np.exp(1j * np.outer(om, win.offsets.astype(float)))
+            @ fd_weights(1, win.offsets, 0.0).astype(complex))
+    for factor in (0.5, 1.0, 2.0):
+        z = -factor * cfl_limit(p, tab) * lsym
+        reference = stability_function(tab, z)
+        np.testing.assert_array_less(
+            np.abs(np.polyval(beta, z) - reference), 1e-12 * np.abs(reference))
 
 
 def test_cfl_limit_requires_explicit():
