@@ -4,7 +4,7 @@ A circulant operator is stored as a sparse stencil: a list of (offset, weight)
 pairs interpreted periodically, so row ``i`` of the equivalent dense matrix has
 entry ``weight`` in column ``(i + offset) mod n_x``.  All time-stepping and
 difference operators in this package are circulant, which keeps their Fourier
-symbols exact and makes direct solves an FFT diagonalization.
+symbols exact.
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SingularOperatorError
+from .errors import DimensionMismatchError
 
 #: weights with magnitude below this are dropped when stencils are combined
 PRUNE_TOL = 1e-15
-
-#: |symbol| below this counts as a singular mode in direct solves
-SINGULAR_TOL = 1e-14
 
 #: rows per block of the in-place basis changes, which bounds their complex
 #: temporaries to a few MB however many rows are transformed
@@ -195,21 +192,8 @@ class CirculantOperator:
             m >>= 1
         return result
 
-    def __matmul__(self, other):
-        if isinstance(other, CirculantOperator):
-            return self.compose(other)
-        return self.apply(other)
-
-    def __add__(self, other):
-        return self.add(other)
-
     def __sub__(self, other):
         return self.add(other.scale(-1.0))
-
-    def __mul__(self, s):
-        return self.scale(s)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         pairs = ", ".join(f"({int(o)}, {w:+.6g})"
@@ -220,26 +204,6 @@ class CirculantOperator:
         if self.n_x != other.n_x:
             raise DimensionMismatchError(
                 f"mesh sizes differ: {self.n_x} vs {other.n_x}")
-
-    # ------------------------------------------------------------------ solves
-
-    def solve_direct(self, b: np.ndarray) -> np.ndarray:
-        """Solve op @ x = b by FFT diagonalization (exact for circulants)."""
-        b = np.asarray(b)
-        if b.shape[-1] != self.n_x:
-            raise DimensionMismatchError(
-                f"rhs length {b.shape[-1]} != n_x {self.n_x}")
-        lam = self.eigenvalues()
-        bad = np.abs(lam) < SINGULAR_TOL
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularOperatorError(
-                f"operator is singular: |symbol| < {SINGULAR_TOL} "
-                f"at omega = 2*pi*{k}/{self.n_x}")
-        if self.is_real() and not np.iscomplexobj(b):
-            half = lam[: self.n_x // 2 + 1]
-            return np.fft.irfft(np.fft.rfft(b, axis=-1) / half, n=self.n_x, axis=-1)
-        return np.fft.ifft(np.fft.fft(b, axis=-1) / lam, axis=-1)
 
 
 class FourierBasisOperator:

@@ -23,6 +23,7 @@ import io
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional, Sequence, get_type_hints
 
@@ -133,13 +134,29 @@ class ExperimentConfig:
     @contextlib.contextmanager
     def cfl_overflow(self, name: str = ""):
         """Report an overflow while operators are built from a CFL number as
-        a bad value of ``name``, by default the setting ``resolve_c`` reads."""
+        a bad value of ``name``, by default the setting ``resolve_c`` reads.
+        Warnings raised in the block are held: an overflow drops them with
+        the operators, otherwise they are re-emitted when the block ends."""
         name = name or ("c_fraction" if self.c_fraction > 0.0 else "c")
-        try:
-            yield
-        except OverflowError as exc:
-            raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
-                              f"{exc}") from exc
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("always")
+            try:
+                yield
+            except OverflowError as exc:
+                raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
+                                  f"{exc}") from exc
+        # each under its module's name and registry, as if never held, so
+        # module filters and the once-per-location default still apply
+        # (warn_explicit drops a warning whose module is passed as None)
+        by_file = {getattr(mod, "__file__", None): mod
+                   for mod in list(sys.modules.values())} if held else {}
+        for w in held:
+            mod = by_file.get(w.filename)
+            origin = {} if mod is None else {
+                "module": mod.__name__,
+                "registry": vars(mod).setdefault("__warningregistry__", {})}
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source, **origin)
 
     def resolve_c(self) -> float:
         """Absolute fine-grid CFL number (fractions refer to c_max)."""

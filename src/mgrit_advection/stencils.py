@@ -89,15 +89,11 @@ class StencilWindow:
         return cls(p // 2, p // 2)
 
     @classmethod
-    def high_derivative(cls, d: int, bias: str) -> "StencilWindow":
-        """Window of the minimal-width d-th difference stencil: ``symmetric``
-        centres d + 1 points (even d), ``left_biased`` puts the extra point
-        west (odd d)."""
-        if bias == "symmetric" and d % 2 == 0:
-            return cls(d // 2, d // 2)
-        if bias == "left_biased" and d % 2 == 1:
-            return cls(d // 2 + 1, d // 2)
-        raise ValueError(f"no {bias!r} window for derivative order {d}")
+    def high_derivative(cls, d: int) -> "StencilWindow":
+        """Window of the minimal-width d-th difference stencil on d + 1
+        points, fixed by the parity of d: centred for even d, with the extra
+        point west for odd d."""
+        return cls(d // 2 + d % 2, d // 2)
 
 
 def upwind_derivative(p: int, n_x: int) -> CirculantOperator:
@@ -120,25 +116,20 @@ def error_constant_fd(p: int) -> float:
             / math.factorial(p + 1))
 
 
-def high_derivative_operator(d: int, s: int, bias: str, n_x: int) -> CirculantOperator:
-    """The operator D such that D/h^d approximates the d-th derivative at order s.
+def high_derivative_operator(d: int, n_x: int) -> CirculantOperator:
+    """The operator D such that D/h^d approximates the d-th derivative, on
+    the d + 1 points of ``StencilWindow.high_derivative(d)``.
 
-    Two minimal-width variants are supported:
-
-    - ``symmetric``  (even d, s = 2): centered window of d + 1 points, which
-      gains one order from symmetry; the weights are exactly symmetric;
-    - ``left_biased`` (odd d, s = 1): d + 1 points with one extra point west.
+    Even d is centred and second order (it gains one order from symmetry);
+    its weights are exactly symmetric.  Odd d is first order.
     """
     if d < 1:
         raise ValueError(f"derivative order must be >= 1, got {d}")
-    win = StencilWindow.high_derivative(d, bias)
-    order = 2 if bias == "symmetric" else 1
-    if s != order:
-        raise ValueError(f"the {bias} variant has order {order}, got s={s}")
+    win = StencilWindow.high_derivative(d)
     if n_x <= 2 * max(win.ell, win.r):
         raise ValueError(f"n_x = {n_x} too small for the stencil window {win}")
     w = fd_weights(d, win.offsets, 0.0)
-    if bias == "symmetric":
+    if d % 2 == 0:
         # the centred weights are symmetric; averaging each pair removes the
         # rounding of the moment solve, so the operator is exactly symmetric
         w = 0.5 * (w + w[::-1])

@@ -72,10 +72,6 @@ class ButcherTableau:
     def stages(self) -> int:
         return len(self.b)
 
-    @property
-    def c(self) -> np.ndarray:
-        return self.A.sum(axis=1)
-
     def taylor_coefficient(self, j: int) -> float:
         """j-th Taylor coefficient b^T A^(j-1) 1 of the stability function."""
         if j < 0:
@@ -506,22 +502,16 @@ def phi_coefficient(p: int, c: float, F: int,
 def correction_operator(p: int, n_x: int) -> CirculantOperator:
     """High-derivative operator used in the coarse-grid correction: symmetric
     second-order for odd p, left-biased first-order for even p."""
-    d = p + 1
-    if p % 2 == 1:
-        return high_derivative_operator(d, 2, "symmetric", n_x)
-    return high_derivative_operator(d, 1, "left_biased", n_x)
+    return high_derivative_operator(p + 1, n_x)
 
 
 def correction_window(p: int) -> StencilWindow:
     """Offset window of ``correction_operator(p, n_x)``."""
-    return StencilWindow.high_derivative(
-        p + 1, "symmetric" if p % 2 == 1 else "left_biased")
+    return StencilWindow.high_derivative(p + 1)
 
 
 def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
                             solver: str = "direct",
-                            gmres_tol: float = CAPPED_TOL,
-                            gmres_max_iters: Optional[int] = None,
                             tab: Optional[ButcherTableau] = None) -> Stepper:
     """Corrected semi-Lagrangian coarse stepper for a method-of-lines fine grid.
 
@@ -532,9 +522,8 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     ``solver='direct'`` the solve is exact (a diagonal multiply in the
     Fourier basis); with ``solver='gmres'`` it is approximated by
     unrestarted GMRES from a zero guess, stopped per row at relative
-    residual ``gmres_tol`` in (0, 1) or after ``gmres_max_iters`` >= 1
-    iterations (``CappedCorrection``), by default ``CAPPED_TOL`` and
-    ``capped_max_iters(p)``.  The Krylov solver is chosen here, once: the
+    residual ``CAPPED_TOL`` or after ``capped_max_iters(p)`` iterations
+    (``CappedCorrection``).  The Krylov solver is chosen here, once: the
     symmetric correction of odd p runs that GMRES as MINRES on each row's
     frequency spectrum (``_minres_spectral``), in exact arithmetic the same
     iterates and stopping steps from a short recurrence, and any other
@@ -564,18 +553,12 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     if solver == "direct":
         apply_fn = None  # ``op``, built from the symbol, is the exact product
     elif solver == "gmres":
-        if gmres_max_iters is None:
-            gmres_max_iters = capped_max_iters(spec.p)
-        if not 0.0 < gmres_tol < 1.0:
-            raise ValueError(f"gmres_tol must be in (0, 1), got {gmres_tol}")
-        if gmres_max_iters < 1:
-            raise ValueError(
-                f"gmres_max_iters must be >= 1, got {gmres_max_iters}")
         krylov = (_minres_spectral if correction.is_symmetric()
                   else _gmres_batched)
         apply_fn = CappedCorrection(FourierBasisOperator(sl.stepper.op),
                                     FourierBasisOperator(correction),
-                                    gmres_tol, gmres_max_iters, krylov)
+                                    CAPPED_TOL, capped_max_iters(spec.p),
+                                    krylov)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 

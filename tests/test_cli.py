@@ -1,9 +1,11 @@
 """Command-line interface: config round-trips, CSV output, exit codes."""
 
 import argparse
+import warnings
 
 import pytest
 
+from mgrit_advection import StabilityWarning
 from mgrit_advection.cli import (ConfigError, ExperimentConfig, build_parser,
                                  main, write_csv)
 
@@ -186,6 +188,43 @@ def test_bad_run_input_is_a_configuration_error(tmp_path, capsys, ini, flags,
     assert err.startswith("configuration error:")
     assert message in err
     assert "Traceback" not in err
+
+
+ERK3_OVER_LIMIT = ["solve", "--family", "erk", "--p", "3", "--m", "2",
+                   "--grid", "64,256"]
+
+
+def test_overflow_drops_the_warnings_of_its_build(tmp_path, capsys):
+    # the fine stepper warns that it is over the limit before the coarse
+    # build overflows; the configuration error is then the whole report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1e300"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: c_fraction = 1e+300 overflows")
+    assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+
+
+def test_over_limit_run_still_warns(tmp_path):
+    with pytest.warns(StabilityWarning, match="exceeds the stability limit"):
+        code, text = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1.2"],
+                             tmp_path)
+    assert code == 0
+    assert "converged" in text
+
+
+def test_held_warnings_keep_their_module(tmp_path):
+    # re-emitted after the build, a warning still meets filters that name
+    # the module that raised it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", category=StabilityWarning,
+                                module="mgrit_advection.stepping")
+        code, _ = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1.2"], tmp_path)
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
 
 
 @pytest.mark.parametrize("text,value", [

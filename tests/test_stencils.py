@@ -136,9 +136,8 @@ def test_derivative_stencils_annihilate_constants():
     for p in range(1, 6):
         op = upwind_derivative(p, 32)
         assert abs(op.weights.sum()) < 1e-13
-    for d, s, bias in [(2, 2, "symmetric"), (4, 2, "symmetric"),
-                       (3, 1, "left_biased"), (5, 1, "left_biased")]:
-        op = high_derivative_operator(d, s, bias, 32)
+    for d in (2, 3, 4, 5):
+        op = high_derivative_operator(d, 32)
         assert abs(op.weights.sum()) < 1e-13
 
 
@@ -168,8 +167,6 @@ def test_error_constant_matches_measurement(p):
 def test_leading_error_subtraction_gains_an_order(p):
     # subtracting the modeled leading term leaves a residual of order >= p+1
     d = p + 1
-    bias = "symmetric" if d % 2 == 0 else "left_biased"
-    s = 2 if d % 2 == 0 else 1
     meshes = [64, 128, 256, 512]
     residuals = []
     for n_x in meshes:
@@ -177,7 +174,7 @@ def test_leading_error_subtraction_gains_an_order(p):
         x = -1.0 + h * np.arange(n_x)
         v = np.sin(2 * np.pi * x)
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
-        D = high_derivative_operator(d, s, bias, n_x)
+        D = high_derivative_operator(d, n_x)
         model = error_constant_fd(p) * D.apply(v) / h
         resid = exact - upwind_derivative(p, n_x).apply(v) / h - model
         residuals.append(np.linalg.norm(resid) / np.sqrt(n_x))
@@ -188,27 +185,27 @@ def test_leading_error_subtraction_gains_an_order(p):
 # ---------------------------------------------------- high-derivative operator
 
 def test_standard_second_difference():
-    op = high_derivative_operator(2, 2, "symmetric", 16)
+    op = high_derivative_operator(2, 16)
     assert list(op.offsets) == [-1, 0, 1]
     np.testing.assert_allclose(op.weights, [1.0, -2.0, 1.0], atol=1e-13)
 
 
 def test_fourth_difference_stencil():
-    op = high_derivative_operator(4, 2, "symmetric", 16)
+    op = high_derivative_operator(4, 16)
     assert list(op.offsets) == [-2, -1, 0, 1, 2]
     np.testing.assert_allclose(op.weights, [1.0, -4.0, 6.0, -4.0, 1.0],
                                atol=1e-12)
 
 
 def test_left_biased_third_difference():
-    op = high_derivative_operator(3, 1, "left_biased", 16)
+    op = high_derivative_operator(3, 16)
     assert list(op.offsets) == [-2, -1, 0, 1]
     np.testing.assert_allclose(op.weights, [-1.0, 3.0, -3.0, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_symmetric_weights_are_exactly_symmetric(d):
-    op = high_derivative_operator(d, 2, "symmetric", 32)
+    op = high_derivative_operator(d, 32)
     np.testing.assert_array_equal(op.offsets, -op.offsets[::-1])
     np.testing.assert_array_equal(op.weights, op.weights[::-1])
     assert op.is_symmetric()
@@ -224,19 +221,50 @@ def test_correction_window_is_the_correction_stencil(p):
         correction_operator(p, 2 * max(win.ell, win.r))
 
 
-def test_invalid_bias_parity_combinations():
-    with pytest.raises(ValueError):
-        high_derivative_operator(3, 2, "symmetric", 16)
-    with pytest.raises(ValueError):
-        high_derivative_operator(2, 1, "left_biased", 16)
-    with pytest.raises(ValueError):
-        high_derivative_operator(2, 2, "diagonal", 16)
+# correction_operator(p, 64), weights written as the repr of their floats:
+# the centred stencils of odd p and the left-biased ones of even p
+PINNED_CORRECTION_STENCILS = {
+    1: ([-1, 0, 1], [1.0, -2.0, 1.0]),
+    2: ([-2, -1, 0, 1], [-1.0, 3.0, -3.0, 1.0]),
+    3: ([-2, -1, 0, 1, 2],
+        [1.0, -3.9999999999999996, 5.999999999999999, -3.9999999999999996,
+         1.0]),
+    4: ([-3, -2, -1, 0, 1, 2],
+        [-0.9999999999999999, 5.0, -10.000000000000004, 10.000000000000005,
+         -5.0000000000000036, 1.0000000000000007]),
+    5: ([-3, -2, -1, 0, 1, 2, 3],
+        [1.0, -6.000000000000002, 14.999999999999996, -19.999999999999993,
+         14.999999999999996, -6.000000000000002, 1.0]),
+}
 
 
-@pytest.mark.parametrize("d,s,bias", [(2, 2, "symmetric"), (4, 2, "symmetric"),
-                                      (3, 1, "left_biased"),
-                                      (5, 1, "left_biased")])
-def test_high_derivative_observed_order(d, s, bias):
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_correction_stencil_is_fixed_by_its_order(p):
+    # the parity of d = p + 1 alone picks the window, and the weights are
+    # bit for bit those of the named symmetric/left-biased variants
+    from mgrit_advection.stepping import correction_operator
+    op = correction_operator(p, 64)
+    offsets, weights = PINNED_CORRECTION_STENCILS[p]
+    assert op.offsets.tolist() == offsets
+    assert op.weights.dtype == np.float64
+    assert op.weights.tolist() == weights
+
+
+def test_high_derivative_rejects_order_below_one():
+    with pytest.raises(ValueError, match="derivative order must be >= 1"):
+        high_derivative_operator(0, 16)
+
+
+def _order_and_window(d):
+    """Order and window that the parity of d picks: even d is centred and
+    second order, odd d is left-biased and first order."""
+    return (2, "symmetric") if d % 2 == 0 else (1, "left_biased")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5],
+                         ids=lambda d: "{}-{}-{}".format(d, *_order_and_window(d)))
+def test_high_derivative_observed_order(d):
+    s, _ = _order_and_window(d)
     meshes = [64, 128, 256, 512]
     errors = []
     for n_x in meshes:
@@ -244,7 +272,7 @@ def test_high_derivative_observed_order(d, s, bias):
         x = -1.0 + h * np.arange(n_x)
         v = np.sin(2 * np.pi * x)
         exact = (2 * np.pi) ** d * np.sin(2 * np.pi * x + d * np.pi / 2)
-        approx = high_derivative_operator(d, s, bias, n_x).apply(v) / h ** d
+        approx = high_derivative_operator(d, n_x).apply(v) / h ** d
         errors.append(np.linalg.norm(approx - exact) / np.sqrt(n_x))
     slope = np.polyfit(np.log([2.0 / n for n in meshes]), np.log(errors), 1)[0]
     assert slope == pytest.approx(s, abs=0.15)
