@@ -9,7 +9,6 @@ and the discretization-order validation suite.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
@@ -202,6 +201,7 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
         warnings.simplefilter("ignore", StabilityWarning)
         if threads <= 1 or len(grid) == 1:
             return [sweep_point(c, m) for c, m in grid]
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(threads) as pool:
             return list(pool.map(sweep_point, *zip(*grid)))
 

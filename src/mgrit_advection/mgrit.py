@@ -27,6 +27,14 @@ of the iterate holds, and zero elsewhere); after the first cycle it skips the
 opening F-relaxation, which the closing one already did, and its first
 C-relaxation copies the values the residual norm propagated.
 
+Level 0 cycles in the iterate plus one coarse buffer.  The residual norm
+forms its residuals in level 0's coarse buffer, which is dead between cycles.
+With nu >= 1 it writes its propagated values Phi u_{km-1} over each
+interval's last F-point u_{km-1}, which the next F-relaxation overwrites
+anyway; with nu = 0 no C-relaxation reads them, so they go to the buffer and
+the iterate is left alone.  When the loop ends the last F-points are stepped
+once more from u_{km-2}, so the returned iterate is the cycle's bit for bit.
+
 ``threads`` splits each F- and C-relaxation sweep and each residual
 restriction into one task per block of whole coarse intervals, on levels with
 at least two intervals per thread; every row keeps its serial arithmetic, so
@@ -37,7 +45,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -171,11 +178,17 @@ def restrict_residual(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
     return r
 
 
-def cpoint_residual_norm(u, g, stepper, m, out=None) -> float:
-    """Global l2 norm of the coarse-point residuals; ``out``, when given,
-    receives g_km + Phi u_{km-1}, what a C-relaxation of ``u`` would write."""
+def cpoint_residual_norm(u, g, stepper, m, out=None, work=None) -> float:
+    """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km.
+
+    ``out``, when given, receives g_km + Phi u_{km-1}, what a C-relaxation of
+    ``u`` would write; it may be ``u[m-1:-1:m]``, the rows it is stepped
+    from.  ``work``, when given, receives the residuals (it may be ``out``;
+    keep it contiguous, or the norm copies it); otherwise they are formed in
+    a new array."""
     relaxed = _step_rows(u, g, stepper, m, m, out)
-    return float(np.linalg.norm((relaxed - u[m::m]).ravel()))
+    r = np.subtract(relaxed, u[m::m], out=work)
+    return float(np.linalg.norm(r.ravel()))
 
 
 def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
@@ -249,9 +262,10 @@ class MgritSolver:
                coarse: Optional[np.ndarray] = None, warm: bool = False) -> None:
         """One cycle in place on ``u``, with its coarse problem in ``coarse``
         (n_c + 1 rows, allocated if None).  ``warm``: the F-points of ``u``
-        are relaxed and ``coarse[1:]`` holds its relaxed C-point values
-        (``cpoint_residual_norm``'s ``out``), so the first F- and
-        C-relaxation are skipped and copied."""
+        are relaxed, so the opening F-relaxation is skipped; with ``nu`` >= 1
+        each interval's last F-point u[km-1] holds the C-point value
+        Phi u_{km-1} in its place (``cpoint_residual_norm``'s ``out``), and
+        the first C-relaxation copies it rather than stepping."""
         cfg = self.config
         steppers = self.problem.steppers
         stepper = steppers[level]
@@ -264,7 +278,9 @@ class MgritSolver:
             phase(f_relax, u, g, stepper, m)
         for sweep in range(cfg.nu):
             if warm and sweep == 0:
-                u[m::m] = coarse[1:]
+                # a ufunc copies between the overlapping views through a
+                # small buffer; u[m::m] = u[m-1:-1:m] would copy all rows first
+                np.positive(u[m - 1:-1:m], out=u[m::m])
             else:
                 phase(c_relax, u, g, stepper, m)
             phase(f_relax, u, g, stepper, m)
@@ -303,31 +319,41 @@ class MgritSolver:
                 f"the iterate must be a float64 array of shape {shape} with a "
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
-        # level 0's coarse problem; between cycles, the norm's relaxed C-values
+        # level 0's coarse problem; between cycles, the norm's residuals
         coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
+        # the norm's C-point values: over the last F-points for the warm
+        # cycle's first C-relaxation, or in the residuals' buffer if unused
+        relaxed = u[m - 1:-1:m] if cfg.nu else coarse[1:]
 
         start = time.perf_counter()
         stepper = problem.steppers[0]
         u[0] = problem.u0
         FourierBasisOperator.to_basis(u)
         if self.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
         try:
-            norms = [cpoint_residual_norm(u, None, stepper, m, coarse[1:])]
+            norms = [cpoint_residual_norm(u, None, stepper, m, relaxed,
+                                          coarse[1:])]
             converged = False
             it = 0
             while it < cfg.max_iters:
                 self._cycle(0, u, None, coarse, warm=it > 0)
                 it += 1
                 norms.append(cpoint_residual_norm(u, None, stepper, m,
-                                                  coarse[1:]))
+                                                  relaxed, coarse[1:]))
                 if norms[0] > 0 and norms[-1] / norms[0] <= cfg.tol:
                     converged = True
                     break
+            if cfg.nu:
+                # the closing F-relaxation's values at the last F-points
+                _step_rows(u, None, stepper, m, m - 1, u[m - 1::m])
         finally:
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
+            # free the coarse buffer before the basis change's temporaries
+            del coarse, relaxed
             FourierBasisOperator.from_basis(u)
         wall = time.perf_counter() - start
 

@@ -1,7 +1,12 @@
 """MGRIT solver: relaxation contracts, single-iteration exactness with the
 exact coarse operator, determinism, and measured convergence behavior."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,9 +308,11 @@ class RowCountingStepper(Stepper):
 
 
 def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
-    # m = 2, nu = 1: the first cycle steps every interval for F, C, F,
+    # m = 2: the first cycle steps every interval for F, nu times C and F,
     # restriction and the closing F, and the residual norm once more; later
-    # cycles reuse the closing F-relaxation and the norm's propagation
+    # cycles reuse the closing F-relaxation and the norm's propagation (four
+    # times at nu = 1), and after the last norm only the last F-points are
+    # stepped once more
     n_t, m = 64, 2
     problem = fine_problem(n_x=32, n_t=n_t, m=m, coarse="rediscretized",
                            c=0.5)
@@ -330,13 +337,50 @@ def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
         return value
 
     monkeypatch.setattr(mgrit, "cpoint_residual_norm", marked_norm)
-    report = solve(problem, MgritConfig(nu=1, tol=1e-300, max_iters=5,
-                                        rng_seed=0))
     n_c = n_t // m
-    assert report.iterations == 5
-    assert list(np.diff(marks)) == [6 * n_c] + [4 * n_c] * 4
-    # no level-0 kernel reads a full-size right-hand side
-    assert len(rhs) > 0 and all(g is None for g in rhs)
+    for nu, first, later in ((0, 4, 3), (1, 6, 4), (2, 8, 6)):
+        for seen in (counter.rows, rhs, marks):
+            seen.clear()
+        report = solve(problem, MgritConfig(nu=nu, tol=1e-300, max_iters=5,
+                                            rng_seed=0))
+        assert report.iterations == 5
+        assert list(np.diff(marks)) == [first * n_c] + [later * n_c] * 4
+        assert sum(counter.rows) - marks[-1] <= n_c
+        # no level-0 kernel reads a full-size right-hand side
+        assert len(rhs) > 0 and all(g is None for g in rhs)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_solve_holds_the_iterate_and_one_coarse_buffer(nu):
+    # level 0 cycles in the iterate plus its coarse problem; the rest of the
+    # traced peak is numpy's ufunc buffers and the basis change's row blocks
+    n_x, n_t, m = 64, 4096, 2
+    problem = build_problem(DiscretizationSpec("sdirk", 3, 5.0, n_x, n_t), m,
+                            "two_level", "modified")
+    solver = MgritSolver(problem, MgritConfig(nu=nu, max_iters=3))
+    u = solver.initial_state()
+    coarse_bytes = (n_t // m + 1) * n_x * u.itemsize
+    tracemalloc.start()
+    try:
+        solver.solve(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * coarse_bytes
+
+
+def test_package_import_leaves_the_thread_pool_unloaded():
+    # importing concurrent.futures costs milliseconds in every process;
+    # only a threaded solve or sweep loads it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(pathlib.Path(mgrit.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    code = ("import sys, mgrit_advection, mgrit_advection.experiments; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # ------------------------------------------------------------------- v-cycles
