@@ -7,10 +7,19 @@ limits of the explicit pairs.  Prints the same numbers the
 ``mgrit-advection constants`` subcommand emits as CSV.
 """
 
-from mgrit_advection import (DiscretizationSpec, cfl_limit, erk_tableau,
+from mgrit_advection import (CirculantOperator, DiscretizationSpec,
+                             StencilWindow, cfl_limit, erk_tableau,
                              error_constant_fd, mol_stepper,
                              rk_error_constant, sdirk_tableau, sl_stepper,
                              upwind_derivative)
+from mgrit_advection.stepping import split_cfl
+
+
+def stencil(stepper):
+    """Weights of the physical stencil a stepper's eigenvalues give."""
+    return CirculantOperator.from_eigenvalues(stepper.n_x,
+                                              stepper.eigenvalues()).weights
+
 
 print("=== Upwind first-derivative stencils ===")
 for p in range(1, 6):
@@ -32,17 +41,19 @@ for p in range(1, 6):
 print("\n=== One-step operators ===")
 c = 0.7
 spec = DiscretizationSpec("erk", 1, c, 32, 8)
-st = mol_stepper(spec)
+w = stencil(mol_stepper(spec))
 print(f"  explicit Euler + first-order upwind at c={c}: "
-      f"stencil {{-1: {st.op.weights[0]:.2f}, 0: {st.op.weights[1]:.2f}}}")
+      f"stencil {{-1: {w[0]:.2f}, 0: {w[1]:.2f}}}")
 
-sl, eps, shift, window = sl_stepper(1, c, 32)
+w = stencil(sl_stepper(1, c, 32))
 print(f"  first-order semi-Lagrangian at the same step: "
-      f"stencil {{-1: {sl.op.weights[0]:.2f}, 0: {sl.op.weights[1]:.2f}}}"
+      f"stencil {{-1: {w[0]:.2f}, 0: {w[1]:.2f}}}"
       f"  (identical by construction below the stability limit)")
 
-sl3, eps, shift, window = sl_stepper(3, 7.4, 32)
-print(f"  cubic semi-Lagrangian with step CFL 7.4: departure shift {shift}, "
+sl3 = sl_stepper(3, 7.4, 32)
+k, eps = split_cfl(7.4)
+window = StencilWindow.interpolation(3, eps)
+print(f"  cubic semi-Lagrangian with step CFL 7.4: departure shift {-k}, "
       f"fraction {eps:.2f}, window -{window.ell}..{window.r}")
 print(f"  max amplification over all modes: {sl3.max_amplification():.12f}"
       "  (never exceeds one at any step size)")

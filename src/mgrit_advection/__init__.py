@@ -19,8 +19,8 @@ from .mgrit import (MgritConfig, MgritSolver, SolveReport, TimeGridProblem,
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
                        upwind_derivative)
-from .stepping import (ButcherTableau, DiscretizationSpec, SemiLagrangianStep,
-                       Stepper, cfl_limit, erk_tableau, ideal_coarse_stepper,
+from .stepping import (ButcherTableau, DiscretizationSpec, Stepper,
+                       cfl_limit, erk_tableau, ideal_coarse_stepper,
                        modified_coarse_stepper, mol_stepper,
                        phi_coefficient, plain_sl_coarse_stepper,
                        rediscretized_coarse_stepper, rk_error_constant,

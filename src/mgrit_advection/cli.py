@@ -289,7 +289,6 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             [f * limit for f in fractions], config.m, nu=config.nu,
             n_samples=config.lfa_samples,
             n_excluded=None if config.lfa_excluded < 0 else config.lfa_excluded,
-            with_bound=config.coarse == "rediscretized",
             measure_grid=(config.n_x, config.n_t) if config.measure else None,
             measure_config=config.mgrit_config(), threads=config.threads)
 

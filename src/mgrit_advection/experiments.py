@@ -18,10 +18,11 @@ from . import lfa, mgrit, stepping
 from .errors import StabilityWarning
 from .stencils import StencilWindow
 from .stepping import (ButcherTableau, DiscretizationSpec, Stepper,
-                       cfl_limit, error_constant_fd, ideal_coarse_stepper,
-                       modified_coarse_stepper, mol_stepper,
-                       plain_sl_coarse_stepper, rediscretized_coarse_stepper,
-                       rk_error_constant, tableau)
+                       cfl_limit, error_constant_fd, fine_stepper,
+                       ideal_coarse_stepper, modified_coarse_stepper,
+                       mol_stepper, plain_sl_coarse_stepper,
+                       rediscretized_coarse_stepper, rk_error_constant,
+                       tableau)
 
 COARSE_KINDS = ("modified", "rediscretized", "plain_sl", "ideal")
 
@@ -38,13 +39,6 @@ def min_n_x(p: int, coarse_kind: str) -> int:
     if coarse_kind == "modified":
         windows.append(stepping.correction_window(p))
     return 2 * max(max(w.ell, w.r) for w in windows) + 1
-
-
-def fine_stepper(spec: DiscretizationSpec,
-                 tab: Optional[ButcherTableau] = None) -> Stepper:
-    if spec.family == "semi_lagrangian":
-        return stepping.sl_stepper(spec.p, spec.c, spec.n_x).stepper
-    return mol_stepper(spec, tab)
 
 
 def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int, level: int,
@@ -152,18 +146,17 @@ class SweepPoint:
 def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
               m_values: Sequence[int], nu: int = 1,
               n_samples: int = 2 ** 11, n_excluded: Optional[int] = None,
-              with_bound: bool = False,
               measure_grid: Optional[tuple] = None,
               measure_config: Optional[mgrit.MgritConfig] = None,
               threads: int = 1) -> List[SweepPoint]:
     """Two-level convergence factors over a CFL sweep, one point per (c, m).
 
-    With ``with_bound`` the odd-order characteristic lower bound is attached
-    (rediscretized coarse grids).  With ``measure_grid = (n_x, n_t)`` each
-    point also runs two-level MGRIT on that grid, whatever cycle
-    ``measure_config`` names, and records the effective factor of the final
-    iteration.  With ``threads`` > 1 the points run on a thread pool, each
-    solve serially, and come back in sweep order.
+    Rediscretized coarse grids of odd order also get the characteristic
+    lower bound.  With ``measure_grid = (n_x, n_t)`` each point also runs
+    two-level MGRIT on that grid with ``nu`` relaxation sweeps, whatever
+    cycle and ``nu`` ``measure_config`` names, and records the effective
+    factor of the final iteration.  With ``threads`` > 1 the points run on
+    a thread pool, each solve serially, and come back in sweep order.
 
     A sweep may cross the stability limit, so ``StabilityWarning`` is
     silenced for the whole sweep, measured solves included.  The filter is
@@ -172,8 +165,8 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
     tab = None if family == "semi_lagrangian" else tableau(family, p)
-    cfg = replace(measure_config or mgrit.MgritConfig(nu=nu, max_iters=30),
-                  cycle="two_level")
+    cfg = replace(measure_config or mgrit.MgritConfig(max_iters=30),
+                  cycle="two_level", nu=nu)
 
     def sweep_point(c, m):
         spec = DiscretizationSpec(family, p, float(c), 64, 64)
@@ -183,7 +176,7 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
                                   n_samples, k_excl)
         point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.rho_e >= 1.0,
                            sweep.divergent)
-        if with_bound and p % 2 == 1 and tab is not None:
+        if coarse_kind == "rediscretized" and p % 2 == 1:
             e_rk = rk_error_constant(tab)
             point.rho_bound = lfa.rho_check(p, float(c), m, e_rk, e_rk,
                                             error_constant_fd(p))

@@ -19,7 +19,8 @@ correction's MINRES or GMRES solve), and changes back when it returns or
 raises.  The change of basis is orthogonal, so the residual norms it computes
 there equal the physical l2 norms.  Its two-level residual histories with a
 direct coarse solve are predicted mode by mode by ``lfa.predict_history``,
-and ``sequential_solve`` steps the physical stencils for the exact solution.
+and ``sequential_solve`` steps the fine stepper's physical stencil for the
+exact solution.
 
 ``solve`` does each fine-level sweep once, bit for bit the cycle as written:
 level 0 passes ``g = None`` (its right-hand side is u0 at t = 0, which row 0
@@ -50,7 +51,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circulant import FourierBasisOperator
+from .circulant import CirculantOperator, FourierBasisOperator
 from .stepping import Stepper
 
 
@@ -193,9 +194,10 @@ def cpoint_residual_norm(u, g, stepper, m, out=None, work=None) -> float:
 
 def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
     """Exact physical forward substitution u_n = Phi u_{n-1} from u_0 = u0 on
-    the fine grid, stepped with the physical stencil ``Stepper.op``; the
-    ground truth."""
-    op = problem.steppers[0].op
+    the fine grid, stepped with the physical stencil built from the fine
+    stepper's eigenvalues; the ground truth."""
+    st = problem.steppers[0]
+    op = CirculantOperator.from_eigenvalues(st.n_x, st.eigenvalues())
     u = np.empty((problem.n_t + 1, problem.n_x))
     u[0] = problem.u0
     for n in range(1, problem.n_t + 1):

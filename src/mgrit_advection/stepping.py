@@ -6,7 +6,8 @@ unconditionally stable semi-Lagrangian steppers, and the corrected
 semi-Lagrangian coarse steppers whose truncation error matches that of a
 repeated fine step.  A stepper is its exact Fourier symbol: it steps rows held
 in the real orthonormal Fourier basis by multiplying with the symbol's mesh
-values, and builds its physical circulant stencil from them only when read.
+values, and a physical stencil, where one is needed, is built from those
+values where it is used.
 """
 
 from __future__ import annotations
@@ -247,17 +248,16 @@ class DiscretizationSpec:
 class Stepper:
     """One-step propagation operator u_{n+1} = Phi u_n on the periodic mesh.
 
-    The exact Fourier symbol ``symbol_fn`` is the one representation: the
+    The exact Fourier symbol ``symbol_fn`` is its only representation: the
     mode analysis evaluates it anywhere, and ``apply`` steps rows held in the
     real orthonormal Fourier basis (``FourierBasisOperator``) by multiplying
     with its mesh values, ``eigenvalues()``, or with ``apply_fn(u, out)``: a
     capped stepper's ``CappedCorrection``, which approximates that product.
-    ``op`` is the physical reference stencil, built from the same values when
-    first read unless an exact one was passed; ``sequential_solve`` and
-    ``truncation_residual`` step physical rows with it.
+    A caller that steps physical rows builds the stencil from the same
+    values, ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
     """
 
-    def __init__(self, n_x: int, op: Optional[CirculantOperator],
+    def __init__(self, n_x: int,
                  symbol_fn: Callable[[np.ndarray], np.ndarray],
                  level: int = 0,
                  apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -265,18 +265,10 @@ class Stepper:
         self.n_x = n_x
         self.level = level
         self.description = description
-        self._op = op
         self._symbol_fn = symbol_fn
         self._apply_fn = apply_fn
         self._eig = None
         self._basis = None
-
-    @property
-    def op(self) -> CirculantOperator:
-        if self._op is None:
-            self._op = CirculantOperator.from_eigenvalues(self.n_x,
-                                                          self.eigenvalues())
-        return self._op
 
     def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance rows held in the real orthonormal Fourier basis one step;
@@ -315,7 +307,8 @@ class CappedCorrection(NamedTuple):
     ``tol`` or after ``max_iters`` iterations per row.
 
     ``step`` and ``correction`` are the ``FourierBasisOperator`` forms of the
-    semi-Lagrangian step and the correction.  ``krylov`` is
+    semi-Lagrangian step, built from that stepper's symbol, and of the
+    correction stencil.  ``krylov`` is
     ``_gmres_batched``, or ``_minres_spectral`` for a symmetric correction,
     which has the same iterates and stopping steps in exact arithmetic.
     Both form each row's iterate once, from the stored Krylov vectors, after
@@ -385,15 +378,8 @@ def mol_stepper(spec: DiscretizationSpec,
                 f"CFL number {c:.6g} exceeds the stability limit "
                 f"{limit:.6g} for {tab.name}+U{spec.p}", StabilityWarning)
 
-    return Stepper(spec.n_x, None, symbol_fn,
+    return Stepper(spec.n_x, symbol_fn,
                    description=f"{tab.name}+U{spec.p}, c={c:.6g}")
-
-
-class SemiLagrangianStep(NamedTuple):
-    stepper: Stepper
-    eps: float
-    shift: int
-    window: StencilWindow
 
 
 def split_cfl(mc: float) -> Tuple[int, float]:
@@ -404,32 +390,38 @@ def split_cfl(mc: float) -> Tuple[int, float]:
     return k, (0.0 if eps < 1e-13 else eps)
 
 
-def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> SemiLagrangianStep:
+def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> Stepper:
     """Semi-Lagrangian stepper of order p for a step with CFL number ``mc``.
 
     The departure point of the characteristic through mesh point i lies
-    ``mc`` cells to the west; it is split as an integer shift to the east
-    neighbor plus a fraction eps in [0, 1).  Order-p interpolation on the
-    p+1 nearest points gives the step weights.  The operator satisfies
-    max |symbol| <= 1 for every mc > 0.
+    ``mc`` cells to the west; ``split_cfl`` splits it as a whole-cell shift
+    to the west plus a fraction eps in [0, 1).  Order-p Lagrange
+    interpolation on ``StencilWindow.interpolation(p, eps)``, moved by the
+    shift, gives the symbol.  It satisfies max |symbol| <= 1 for every
+    mc > 0.
     """
     if mc <= 0:
         raise ValueError(f"step CFL must be positive, got {mc}")
     k, eps = split_cfl(mc)
-    shift = -k
     window = StencilWindow.interpolation(p, eps)
-    w = lagrange_weights(window, eps)
-    offsets = window.offsets + shift
-    op = CirculantOperator.from_arrays(n_x, offsets, w)
-
-    off_f = offsets.astype(float)
+    w = lagrange_weights(window, eps).astype(complex)
+    off_f = (window.offsets - k).astype(float)
 
     def symbol_fn(om):
-        return np.exp(1j * np.multiply.outer(om, off_f)) @ w.astype(complex)
+        return np.exp(1j * np.multiply.outer(om, off_f)) @ w
 
-    stepper = Stepper(n_x, op, symbol_fn, level=level,
-                      description=f"SL{p}, step CFL={mc:.6g}")
-    return SemiLagrangianStep(stepper, eps, shift, window)
+    return Stepper(n_x, symbol_fn, level=level,
+                   description=f"SL{p}, step CFL={mc:.6g}")
+
+
+def fine_stepper(spec: DiscretizationSpec,
+                 tab: Optional[ButcherTableau] = None) -> Stepper:
+    """The fine-grid stepper of ``spec``: semi-Lagrangian at CFL number
+    ``spec.c``, or method of lines (``mol_stepper``, with ``tab`` when
+    given)."""
+    if spec.family == "semi_lagrangian":
+        return sl_stepper(spec.p, spec.c, spec.n_x)
+    return mol_stepper(spec, tab)
 
 
 _CFL_CACHE: dict = {}
@@ -548,21 +540,21 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
             f"omega = 2*pi*{k}/{spec.n_x}")
 
     def symbol_fn(om):
-        return sl.stepper.symbol(om) / (1.0 - phi * D.symbol(om))
+        return sl.symbol(om) / (1.0 - phi * D.symbol(om))
 
     if solver == "direct":
-        apply_fn = None  # ``op``, built from the symbol, is the exact product
+        apply_fn = None  # the symbol's mesh values are the exact product
     elif solver == "gmres":
         krylov = (_minres_spectral if correction.is_symmetric()
                   else _gmres_batched)
-        apply_fn = CappedCorrection(FourierBasisOperator(sl.stepper.op),
+        apply_fn = CappedCorrection(FourierBasisOperator(sl),
                                     FourierBasisOperator(correction),
                                     CAPPED_TOL, capped_max_iters(spec.p),
                                     krylov)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    return Stepper(spec.n_x, None, symbol_fn, level=level, apply_fn=apply_fn,
+    return Stepper(spec.n_x, symbol_fn, level=level, apply_fn=apply_fn,
                    description=(f"corrected SL{spec.p} (phi={phi:.4g}, "
                                 f"level {level}, {solver})"))
 
@@ -590,7 +582,7 @@ def ideal_coarse_stepper(fine: Stepper, m: int) -> Stepper:
     def symbol_fn(om):
         return fine.symbol(om) ** m
 
-    return Stepper(fine.n_x, None, symbol_fn, level=1,
+    return Stepper(fine.n_x, symbol_fn, level=1,
                    description=f"ideal (fine^{m})")
 
 
@@ -598,7 +590,7 @@ def plain_sl_coarse_stepper(spec: DiscretizationSpec, F: int,
                             level: int = 1) -> Stepper:
     """Uncorrected semi-Lagrangian coarse stepper over F fine steps (for
     comparison runs)."""
-    return sl_stepper(spec.p, F * spec.c, spec.n_x, level=level).stepper
+    return sl_stepper(spec.p, F * spec.c, spec.n_x, level=level)
 
 
 # ------------------------------------------------------ truncation-error fits
@@ -636,7 +628,8 @@ def _profile(n_x: int, time_shift: float = 0.0) -> np.ndarray:
 def truncation_residual(family: str, p: int, c: float,
                         n_x_list: Sequence[int]) -> TruncationReport:
     """Fit the one-step residual u(t+dt) - Phi u(t) of the order-p ``family``
-    stepper at CFL number c to its leading error term.
+    stepper at CFL number c to its leading error term.  Phi steps the
+    physical profile with the stencil built from the stepper's eigenvalues.
 
     The leading term is K * D u(t+dt) with D the correction operator of
     order p+1; K is fitted by least squares on each mesh and compared against
@@ -646,8 +639,7 @@ def truncation_residual(family: str, p: int, c: float,
     - semi-Lagrangian:  K = (-1)^{p+1} f_{p+1}(eps)
     """
     if family in ("erk", "sdirk"):
-        tab = tableau(family, p)
-        e_rk = rk_error_constant(tab)
+        e_rk = rk_error_constant(tableau(family, p))
         predicted = -(c * error_constant_fd(p) + (-c) ** (p + 1) * e_rk)
     elif family == "semi_lagrangian":
         eps = split_cfl(c)[1]
@@ -658,18 +650,15 @@ def truncation_residual(family: str, p: int, c: float,
 
     fitted, res_norms, rem_norms = [], [], []
     for n_x in n_x_list:
-        if family == "semi_lagrangian":
-            stepper = sl_stepper(p, c, n_x).stepper
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", StabilityWarning)
-                stepper = mol_stepper(DiscretizationSpec(family, p, c, n_x, 1),
-                                      tab)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StabilityWarning)
+            stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, 1))
+        op = CirculantOperator.from_eigenvalues(n_x, stepper.eigenvalues())
         h = DOMAIN_LENGTH / n_x
         dt_shift = c * h
         u_old = _profile(n_x)
         u_new = _profile(n_x, dt_shift)
-        tau = u_new - stepper.op.apply(u_old)
+        tau = u_new - op.apply(u_old)
         basis = correction_operator(p, n_x).apply(u_new)
         denom = float(basis @ basis)
         K = float(tau @ basis) / denom if denom > 0 else 0.0
@@ -693,10 +682,7 @@ def global_error_order(family: str, p: int, c: float,
         h = DOMAIN_LENGTH / n_x
         dt = c * h
         n_t = max(1, round(1.0 / dt))
-        if family == "semi_lagrangian":
-            stepper = sl_stepper(p, c, n_x).stepper
-        else:
-            stepper = mol_stepper(DiscretizationSpec(family, p, c, n_x, n_t))
+        stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, n_t))
         u = _profile(n_x)
         lam = stepper.eigenvalues()
         u = np.fft.ifft(np.fft.fft(u) * lam ** n_t).real

@@ -162,7 +162,7 @@ def stepper_of_kind(kind, n_x):
     build = {
         "erk": lambda: mol_stepper(erk),
         "sdirk": lambda: mol_stepper(sdirk),
-        "semi_lagrangian": lambda: sl_stepper(3, 20.3, n_x).stepper,
+        "semi_lagrangian": lambda: sl_stepper(3, 20.3, n_x),
         "modified_direct": lambda: modified_coarse_stepper(erk, 16, level=2),
         "ideal": lambda: ideal_coarse_stepper(mol_stepper(sdirk), 4),
         "rediscretized": lambda: rediscretized_coarse_stepper(sdirk, 4),
@@ -200,10 +200,23 @@ def test_capped_basis_step_and_correction_are_the_symbol(n_x):
 
 
 @pytest.mark.parametrize("n_x", [63, 64])
+def test_capped_sl_step_is_the_plain_sl_stepper(n_x):
+    # F = 1024 moves the departure point ~1400 cells, wrapping the shift
+    # past n_x/2 many times: the capped step's semi-Lagrangian part is the
+    # plain semi-Lagrangian stepper, bit for bit, not a stencil's spectrum
+    spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 4096)
+    capped = modified_coarse_stepper(spec, 1024, level=5, solver="gmres")
+    plain = plain_sl_coarse_stepper(spec, 1024, level=5)
+    eye = np.eye(n_x)
+    np.testing.assert_array_equal(capped._apply_fn.step.apply(eye),
+                                  plain.apply(eye))
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
 def test_basis_operator_takes_steppers_with_long_shifts(n_x):
     # phases of ~2e6 radians leave the mirror eigenvalues conjugate only to
     # ~1e-10; the stepper is real and its basis step is still its symbol
-    stepper = sl_stepper(3, 327680.3, n_x).stepper
+    stepper = sl_stepper(3, 327680.3, n_x)
     M, _ = basis_matrix(stepper.symbol, n_x)
     got = FourierBasisOperator(stepper).apply(np.eye(n_x))
     np.testing.assert_allclose(got, M, rtol=0, atol=1e-15)
@@ -225,8 +238,7 @@ def test_basis_operator_rejects_complex_and_wrong_length():
     with pytest.raises(ValueError):
         FourierBasisOperator(CirculantOperator(8, [(1, 1j)]))
     with pytest.raises(ValueError, match="conjugate-symmetric"):
-        FourierBasisOperator(Stepper(8, None,
-                                     lambda om: 1j * np.exp(1j * om)))
+        FourierBasisOperator(Stepper(8, lambda om: 1j * np.exp(1j * om)))
     with pytest.raises(DimensionMismatchError):
         FourierBasisOperator(CirculantOperator.identity(8)).apply(np.ones(7))
 
@@ -305,6 +317,28 @@ def test_capped_gmres_v_cycle_matches_physical_counts(monkeypatch, p, n_x):
     gmres = build()
     assert all(s._apply_fn.krylov is _gmres_batched for s in gmres.steppers[1:])
     assert MgritSolver(gmres, config).solve().iterations == report.iterations
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_capped_and_direct_erk3_v_cycles_take_equal_counts(m):
+    # capping the correction solve costs no iteration: the same hierarchy
+    # with exact (direct) correction solves on every coarse level converges
+    # in as many V-cycles
+    capped = hierarchy("erk", 3, 0.85 * cfl_limit(3), "modified", "v_cycle",
+                       n_t=256, m=m)
+    assert all(s._apply_fn is not None for s in capped.steppers[1:])
+    spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), 64, 256)
+    steppers, F = [capped.steppers[0]], 1
+    for level, mf in enumerate(capped.m, start=1):
+        F *= mf
+        steppers.append(modified_coarse_stepper(spec, F, level))
+    direct = dataclasses.replace(capped, steppers=steppers)
+    config = MgritConfig(nu=1, cycle="v_cycle", tol=1e-10, max_iters=40,
+                         rng_seed=0)
+    got_capped = MgritSolver(capped, config).solve()
+    got_direct = MgritSolver(direct, config).solve()
+    assert got_capped.converged and got_direct.converged
+    assert got_capped.iterations == got_direct.iterations
 
 
 THREAD_CASES = {

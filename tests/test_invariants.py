@@ -22,7 +22,7 @@ SHIPPED_MODIFIED = (
 def test_every_sl_stepper_is_contractive():
     for p in range(1, 6):
         for mc in (0.05, 0.5, 0.99, 1.0, 3.7, 22.5):
-            st = sl_stepper(p, mc, 128).stepper
+            st = sl_stepper(p, mc, 128)
             assert st.max_amplification() <= 1.0 + 1e-10
 
 

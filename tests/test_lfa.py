@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mgrit_advection import (DiscretizationSpec, StabilityWarning, classify,
+from mgrit_advection import (DiscretizationSpec, MgritConfig,
+                             StabilityWarning, classify,
                              default_exclusion_count, erk_tableau,
                              error_constant_fd, ideal_coarse_stepper,
                              modified_coarse_stepper, mol_stepper,
@@ -17,7 +18,7 @@ from mgrit_advection import (DiscretizationSpec, StabilityWarning, classify,
                              rho_check, rho_mode, rho_two_level,
                              rk_error_constant, sdirk_tableau,
                              validate_eigenvalue_estimates)
-from mgrit_advection.experiments import lfa_sweep
+from mgrit_advection.experiments import lfa_sweep, measured_point
 from mgrit_advection.lfa import sample_frequencies
 
 
@@ -326,3 +327,28 @@ def test_threaded_sweep_emits_no_stability_warnings():
     finally:
         sys.setswitchinterval(interval)
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+
+
+def test_measured_sweep_point_relaxes_with_the_sweeps_nu():
+    # nu sets the measured solve too: a configuration's own nu must not
+    # measure another relaxation than the prediction uses
+    point, = lfa_sweep("sdirk", 3, "modified", [5.0], [4], nu=2,
+                       measure_grid=(64, 256), measure_config=MgritConfig())
+    direct = measured_point("sdirk", 3, "modified", 5.0, 4, 64, 256,
+                            MgritConfig(nu=2))
+    assert point.measured_iters == direct.iterations
+    assert point.rho_measured == direct.effective_rho
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_sweep_bounds_exactly_the_odd_rediscretized_points(p):
+    c = 1.5
+    redisc, = lfa_sweep("sdirk", p, "rediscretized", [c], [4], n_samples=64)
+    modified, = lfa_sweep("sdirk", p, "modified", [c], [4], n_samples=64)
+    assert modified.rho_bound is None
+    if p % 2 == 0:
+        assert redisc.rho_bound is None
+    else:
+        e_rk = rk_error_constant(sdirk_tableau(p))
+        assert redisc.rho_bound == rho_check(p, c, 4, e_rk, e_rk,
+                                             error_constant_fd(p))

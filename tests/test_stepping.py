@@ -18,9 +18,15 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
                              truncation_residual, upwind_derivative)
 from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
                                        _minres_spectral)
-from mgrit_advection.stencils import fd_weights
+from mgrit_advection.stencils import fd_weights, lagrange_weights
 from mgrit_advection.stepping import (correction_operator, f_poly,
-                                      global_error_order)
+                                      global_error_order, split_cfl)
+
+
+def stencil(stepper):
+    """The physical stencil a stepper's eigenvalues give."""
+    return CirculantOperator.from_eigenvalues(stepper.n_x,
+                                              stepper.eigenvalues())
 
 
 # ------------------------------------------------------------------- tableaux
@@ -139,9 +145,9 @@ def test_stability_function_taylor_remainder(family, q):
 def test_explicit_euler_upwind_stencil():
     c = 0.7
     spec = DiscretizationSpec("erk", 1, c, 32, 8)
-    st = mol_stepper(spec)
-    assert list(st.op.offsets) == [-1, 0]
-    np.testing.assert_allclose(st.op.weights, [c, 1 - c], atol=1e-12)
+    op = stencil(mol_stepper(spec))
+    assert list(op.offsets) == [-1, 0]
+    np.testing.assert_allclose(op.weights, [c, 1 - c], atol=1e-12)
 
 
 def test_explicit_euler_symbol():
@@ -190,7 +196,7 @@ def test_staged_matches_assembled(family, p):
     for _ in range(3):
         v = rng.standard_normal(64)
         np.testing.assert_allclose(rk_stage_sweep(spec, v),
-                                   assembled.op.apply(v), atol=1e-11)
+                                   stencil(assembled).apply(v), atol=1e-11)
 
 
 def test_cfl_violation_warns_but_constructs():
@@ -210,26 +216,40 @@ def test_global_order(family, p):
 
 # ----------------------------------------------------------------- sl_stepper
 
+def departure(p, mc, n_x):
+    """Whole-cell shift, fraction and window of a semi-Lagrangian step, and
+    the Lagrange stencil they give."""
+    k, eps = split_cfl(mc)
+    window = StencilWindow.interpolation(p, eps)
+    lagrange = CirculantOperator.from_arrays(
+        n_x, window.offsets - k, lagrange_weights(window, eps))
+    return -k, eps, window, lagrange
+
+
 def test_integer_cfl_is_pure_shift():
-    st, eps, shift, window = sl_stepper(3, 4.0, 32)
+    st = sl_stepper(3, 4.0, 32)
+    shift, eps, _, lagrange = departure(3, 4.0, 32)
     assert eps == 0.0
     assert shift == -4
-    assert list(st.op.offsets) == [-4]
-    np.testing.assert_allclose(st.op.weights, [1.0], atol=1e-13)
+    np.testing.assert_allclose(st.eigenvalues(), lagrange.eigenvalues(),
+                               rtol=0, atol=1e-13)
+    op = stencil(st)
+    assert list(op.offsets) == [-4]
+    np.testing.assert_allclose(op.weights, [1.0], atol=1e-13)
 
 
 def test_first_order_sl_equals_explicit_euler_upwind():
     for c in (0.15, 0.5, 0.85):
-        sl = sl_stepper(1, c, 32).stepper
-        mol = mol_stepper(DiscretizationSpec("erk", 1, c, 32, 8))
-        assert list(sl.op.offsets) == list(mol.op.offsets)
-        np.testing.assert_allclose(sl.op.weights, mol.op.weights, atol=1e-13)
+        sl = stencil(sl_stepper(1, c, 32))
+        mol = stencil(mol_stepper(DiscretizationSpec("erk", 1, c, 32, 8)))
+        assert list(sl.offsets) == list(mol.offsets)
+        np.testing.assert_allclose(sl.weights, mol.weights, atol=1e-13)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mc", [0.3, 0.5, 1.6, 7.25, 12.0])
 def test_sl_unconditional_stability(p, mc):
-    st = sl_stepper(p, mc, 64).stepper
+    st = sl_stepper(p, mc, 64)
     assert st.max_amplification() <= 1.0 + 1e-12
 
 
@@ -240,10 +260,12 @@ def test_sl_global_order(p):
 
 
 def test_sl_departure_decomposition():
-    _, eps, shift, window = sl_stepper(2, 3.68, 64)
+    shift, eps, window, lagrange = departure(2, 3.68, 64)
     assert shift == -3
     assert eps == pytest.approx(0.68)
     assert window == StencilWindow(2, 0)  # eps > 1/2 recenters west
+    np.testing.assert_allclose(sl_stepper(2, 3.68, 64).eigenvalues(),
+                               lagrange.eigenvalues(), rtol=0, atol=1e-13)
 
 
 # ------------------------------------------------------------------ cfl_limit
@@ -366,7 +388,7 @@ def test_zero_phi_reduces_to_plain_sl():
     # m = 1 makes the correction vanish for the first-order pair
     spec = DiscretizationSpec("erk", 1, 0.5, 64, 16)
     corrected = modified_coarse_stepper(spec, F=1, level=1)
-    plain = sl_stepper(1, 0.5, 64).stepper
+    plain = sl_stepper(1, 0.5, 64)
     om = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     np.testing.assert_allclose(corrected.symbol(om), plain.symbol(om),
                                atol=1e-13)
@@ -379,7 +401,7 @@ def test_modified_symbol_two_ways(family, p, c, m):
     spec = DiscretizationSpec(family, p, c, 64, 16)
     st = modified_coarse_stepper(spec, m)
     om = 2 * np.pi * np.arange(64) / 64
-    np.testing.assert_allclose(np.abs(st.op.symbol(om)),
+    np.testing.assert_allclose(np.abs(stencil(st).symbol(om)),
                                np.abs(st.symbol(om)), atol=1e-11)
 
 
@@ -435,7 +457,7 @@ def test_modified_gmres_basis_step_matches_physical_step(p, n_x):
                       np.zeros(n_x)])
         step = plain_sl_coarse_stepper(spec, F, level)
         expected, _, _, _ = _gmres_batched(physical_correction(spec, F),
-                                           step.op.apply(V), capped.tol,
+                                           stencil(step).apply(V), capped.tol,
                                            capped.max_iters)
         U = V.copy()
         FourierBasisOperator.to_basis(U)
@@ -513,7 +535,7 @@ def test_ideal_stepper_symbol_is_fine_power():
 def test_plain_sl_coarse_matches_sl():
     spec = DiscretizationSpec("erk", 2, 0.3, 64, 16)
     coarse = plain_sl_coarse_stepper(spec, 8)
-    direct = sl_stepper(2, 8 * 0.3, 64).stepper
+    direct = sl_stepper(2, 8 * 0.3, 64)
     om = np.linspace(-np.pi, np.pi, 33)
     np.testing.assert_allclose(coarse.symbol(om), direct.symbol(om), atol=1e-13)
 
