@@ -26,8 +26,8 @@ for p in (1, 3):
     m = 16
     for c in (0.125, 0.5, 1.0, 2.0, 4.0, 8.0):
         spec = DiscretizationSpec("sdirk", p, c, 64, 64)
-        fine = mol_stepper(spec, tab)
-        coarse = rediscretized_coarse_stepper(spec, m, tab)
+        fine = mol_stepper(spec)
+        coarse = rediscretized_coarse_stepper(spec, m)
         sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                               n_excluded=default_exclusion_count(p))
         bound = rho_check(p, c, m, e_rk, e_rk, e_fd)

@@ -12,7 +12,7 @@ from .errors import (DimensionMismatchError, SingularOperatorError,
                      StabilityWarning, TableauError)
 from .lfa import (LfaSweep, classify, default_exclusion_count,
                   predict_history, rho_check, rho_mode, rho_two_level,
-                  validate_eigenvalue_estimates, verify_lower_bound)
+                  validate_eigenvalue_estimates)
 from .mgrit import (MgritConfig, MgritSolver, SolveReport, TimeGridProblem,
                     c_relax, cpoint_residual_norm, f_relax, initial_condition,
                     restrict_residual, sequential_solve, solve)

@@ -43,6 +43,14 @@ def _canonical(n_x: int, offsets, weights):
     return off, wgt
 
 
+def stencil_symbol(offsets, weights, omega) -> np.ndarray:
+    """Fourier symbol sum_j w_j exp(i o_j omega) of the stencil with offsets
+    o_j and weights w_j, vectorized over omega."""
+    om = np.asarray(omega, dtype=float)
+    phases = np.exp(1j * np.multiply.outer(om, np.asarray(offsets, dtype=float)))
+    return phases @ np.asarray(weights, dtype=complex)
+
+
 class CirculantOperator:
     """Periodic constant-coefficient linear operator given by a stencil.
 
@@ -138,9 +146,7 @@ class CirculantOperator:
         the dense operator.  Offsets are stored wrapped into a balanced range,
         so between mesh frequencies the phase refers to that representative.
         """
-        om = np.asarray(omega, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(om, self.offsets.astype(float)))
-        out = phases @ self.weights.astype(complex)
+        out = stencil_symbol(self.offsets, self.weights, omega)
         return complex(out) if np.isscalar(omega) else out
 
     def eigenvalues(self) -> np.ndarray:

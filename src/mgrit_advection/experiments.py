@@ -17,7 +17,7 @@ import numpy as np
 from . import lfa, mgrit, stepping
 from .errors import StabilityWarning
 from .stencils import StencilWindow
-from .stepping import (ButcherTableau, DiscretizationSpec, Stepper,
+from .stepping import (DiscretizationSpec, Stepper,
                        cfl_limit, error_constant_fd, fine_stepper,
                        ideal_coarse_stepper, modified_coarse_stepper,
                        mol_stepper, plain_sl_coarse_stepper,
@@ -41,22 +41,19 @@ def min_n_x(p: int, coarse_kind: str) -> int:
     return 2 * max(max(w.ell, w.r) for w in windows) + 1
 
 
-def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int, level: int,
-                   fine: Stepper, solver: str = "direct",
-                   tab: Optional[ButcherTableau] = None) -> Stepper:
-    """Coarse stepper of ``kind`` on ``level``, whose one step covers F fine
-    steps (the product of the coarsening factors down to that level)."""
+def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int,
+                   fine: Stepper, solver: str = "direct") -> Stepper:
+    """Coarse stepper of ``kind`` whose one step covers F fine steps (the
+    product of the coarsening factors down to its level).  The ideal and
+    rediscretized kinds are two-level constructions: ``build_problem`` only
+    builds them on level 1."""
     if kind == "modified":
-        return modified_coarse_stepper(spec, F, level, solver=solver, tab=tab)
+        return modified_coarse_stepper(spec, F, solver=solver)
     if kind == "rediscretized":
-        if level != 1:
-            raise ValueError("rediscretized coarse operators are two-level only")
-        return rediscretized_coarse_stepper(spec, F, tab)
+        return rediscretized_coarse_stepper(spec, F)
     if kind == "plain_sl":
-        return plain_sl_coarse_stepper(spec, F, level)
+        return plain_sl_coarse_stepper(spec, F)
     if kind == "ideal":
-        if level != 1:
-            raise ValueError("the ideal coarse operator is two-level only")
         return ideal_coarse_stepper(fine, F)
     raise ValueError(f"unknown coarse kind {kind!r}")
 
@@ -69,7 +66,9 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     hierarchy uses its first entry, and a v-cycle adds levels while the
     steps divide, repeating the last entry.  Coarse level l is built from
     its cumulative factor F = m_1 ... m_l, the fine steps one of its steps
-    covers (``coarse_stepper``).  Implicit-correction solves are direct
+    covers (``coarse_stepper``); ``mgrit.TimeGridProblem`` labels each
+    stepper with its level.  A first factor that does not divide ``n_t``
+    raises ValueError for either cycle.  Implicit-correction solves are direct
     except on multilevel explicit hierarchies, where every coarse level uses
     capped GMRES (``stepping.CAPPED_TOL``, ``stepping.capped_max_iters(p)``);
     in the Fourier basis of ``mgrit.solve`` that GMRES runs as spectral
@@ -93,13 +92,16 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
                 break
             factors.append(mf)
             n //= mf
+        # a first factor that does not divide n_t: kept for TimeGridProblem
+        # to reject
+        factors = factors or m_list[:1]
     solver = "gmres" if (spec.family == "erk" and cycle == "v_cycle"
                          and coarse_kind == "modified") else "direct"
     steppers = [fine]
     F = 1
-    for level, mf in enumerate(factors, start=1):
+    for mf in factors:
         F *= mf
-        steppers.append(coarse_stepper(coarse_kind, spec, F, level, fine,
+        steppers.append(coarse_stepper(coarse_kind, spec, F, fine,
                                        solver=solver))
     u0 = mgrit.initial_condition(spec.n_x)
     return mgrit.TimeGridProblem(steppers, factors, spec.n_t, u0)
@@ -164,20 +166,19 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     so worker threads never touch the filters.
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
-    tab = None if family == "semi_lagrangian" else tableau(family, p)
     cfg = replace(measure_config or mgrit.MgritConfig(max_iters=30),
                   cycle="two_level", nu=nu)
 
     def sweep_point(c, m):
         spec = DiscretizationSpec(family, p, float(c), 64, 64)
-        fine = fine_stepper(spec, tab)
-        coarse = coarse_stepper(coarse_kind, spec, m, 1, fine, tab=tab)
+        fine = fine_stepper(spec)
+        coarse = coarse_stepper(coarse_kind, spec, m, fine)
         sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, nu,
                                   n_samples, k_excl)
         point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.rho_e >= 1.0,
                            sweep.divergent)
         if coarse_kind == "rediscretized" and p % 2 == 1:
-            e_rk = rk_error_constant(tab)
+            e_rk = rk_error_constant(spec.tableau())
             point.rho_bound = lfa.rho_check(p, float(c), m, e_rk, e_rk,
                                             error_constant_fd(p))
         if measure_grid is not None:
@@ -336,11 +337,11 @@ def validation_rows(quick: bool = False) -> List[ValidationRow]:
             e_rk = rk_error_constant(tab)
             m = 4
 
-            fine = mol_stepper(DiscretizationSpec(family, p, c, 64, 64), tab)
+            fine = mol_stepper(DiscretizationSpec(family, p, c, 64, 64))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", StabilityWarning)
                 coarse = mol_stepper(
-                    DiscretizationSpec(family, p, m * c, 64, 64), tab)
+                    DiscretizationSpec(family, p, m * c, 64, 64))
             report = lfa.validate_eigenvalue_estimates(
                 p, c, m, error_constant_fd(p), e_rk, e_rk, fine.symbol,
                 coarse.symbol, n_x_list=estimate_meshes, n_modes=4)

@@ -171,65 +171,6 @@ def rho_check(p: int, c: float, m: int, e_rk_fine: float, e_rk_coarse: float,
     return float(c ** p * abs((e_rk_fine - m ** p * e_rk_coarse) / denom))
 
 
-@dataclass
-class LowerBoundRow:
-    c: float
-    rho_lfa: float
-    rho_bound: float
-    bound_holds: bool
-    tight: bool
-    nu_spread: float
-
-
-@dataclass
-class LowerBoundReport:
-    m: int
-    nu: int
-    rows: list
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.bound_holds for r in self.rows)
-
-
-def verify_lower_bound(fine_symbol_at: Callable[[float], Callable],
-                       coarse_symbol_at: Callable[[float], Callable],
-                       bound_at: Callable[[float], float],
-                       c_grid: Sequence[float], m: int, nu: int,
-                       n_samples: int = 2 ** 11,
-                       n_excluded: int = 2) -> LowerBoundReport:
-    """Check rho(E) >= 0.95 * bound across a CFL sweep.
-
-    ``fine_symbol_at(c)`` and ``coarse_symbol_at(c)`` build the symbol
-    closures for a given fine CFL number.  A row's bound holds when the
-    two-level factor rho(E) is at least 0.95 times the bound, and is tight
-    when the bound is at least 0.9 rho(E).  Also evaluates the
-    characteristic mode theta = -omega*c at the smallest retained frequency
-    for nu in {0, 1, 2} and reports the relative spread, which should be
-    small: relaxation cannot damp these modes.
-    """
-    rows = []
-    for c in c_grid:
-        lam_fn = fine_symbol_at(c)
-        mu_fn = coarse_symbol_at(c)
-        sweep = rho_two_level(lam_fn, mu_fn, m, nu, n_samples, n_excluded)
-        bound = bound_at(c)
-        om0 = 2.0 * np.pi * (n_excluded // 2 + 1) / n_samples
-        lam0 = complex(np.asarray(lam_fn(np.array([om0])))[0])
-        mu0 = complex(np.asarray(mu_fn(np.array([om0])))[0])
-        vals = [rho_mode(lam0, mu0, m, nv, -om0 * c) for nv in (0, 1, 2)]
-        finite = [v for v in vals if math.isfinite(v)]
-        if finite and max(finite) > 0:
-            spread = (max(finite) - min(finite)) / max(finite)
-        else:
-            spread = math.inf
-        holds = sweep.rho_e >= 0.95 * bound
-        tight = bound >= 0.9 * sweep.rho_e if math.isfinite(sweep.rho_e) else False
-        rows.append(LowerBoundRow(float(c), sweep.rho_e, float(bound), holds,
-                                  tight, float(spread)))
-    return LowerBoundReport(m, nu, rows)
-
-
 # ------------------------------------------------- smooth-mode symbol estimates
 
 @dataclass

@@ -84,10 +84,11 @@ class TimeGridProblem:
     """Per-level steppers and coarsening factors plus the initial condition.
 
     ``steppers[0]`` advances the fine grid; ``steppers[l]`` for l >= 1 is the
-    coarse operator on level l.  ``m[l]`` is the coarsening factor from level
-    l to l+1, so the number of levels is len(m) + 1.  n_t must be divisible by
-    the cumulative coarsening, and the coarsest level keeps at least two time
-    points (one step).
+    coarse operator on level l, and the problem labels each stepper with its
+    level (``Stepper.level = l``).  ``m[l]`` is the coarsening factor from
+    level l to l+1, so the number of levels is len(m) + 1, at least two.
+    n_t must be divisible by the cumulative coarsening, and the coarsest level
+    keeps at least two time points (one step).
     """
 
     steppers: List[Stepper]
@@ -97,6 +98,8 @@ class TimeGridProblem:
 
     def __post_init__(self):
         self.u0 = np.asarray(self.u0, dtype=float)
+        if not self.m:
+            raise ValueError("need at least one coarsening factor")
         if len(self.steppers) != len(self.m) + 1:
             raise ValueError("need one stepper per level: "
                              f"{len(self.steppers)} steppers, {len(self.m)} factors")
@@ -112,6 +115,8 @@ class TimeGridProblem:
             raise ValueError("coarsest level must keep at least one step")
         if any(s.n_x != len(self.u0) for s in self.steppers):
             raise ValueError("stepper mesh sizes must match the initial condition")
+        for lvl, stepper in enumerate(self.steppers):
+            stepper.level = lvl
 
     @property
     def n_levels(self) -> int:
@@ -344,7 +349,11 @@ class MgritSolver:
                 it += 1
                 norms.append(cpoint_residual_norm(u, None, stepper, m,
                                                   relaxed, coarse[1:]))
-                if norms[0] > 0 and norms[-1] / norms[0] <= cfg.tol:
+                # a cycle that leaves a zero residual has converged; the
+                # opening norm alone is never enough, as it reads only the
+                # C-points and leaves the F-points unchecked
+                if norms[-1] == 0.0 or (norms[0] > 0
+                                        and norms[-1] / norms[0] <= cfg.tol):
                     converged = True
                     break
             if cfg.nu:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .circulant import (CirculantOperator, FourierBasisOperator,
-                        _gmres_batched, _minres_spectral)
+                        _gmres_batched, _minres_spectral, stencil_symbol)
 from .errors import SingularOperatorError, StabilityWarning, TableauError
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
@@ -255,15 +255,16 @@ class Stepper:
     capped stepper's ``CappedCorrection``, which approximates that product.
     A caller that steps physical rows builds the stencil from the same
     values, ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
+    ``level`` only labels the stepper: it starts at 0, and
+    ``mgrit.TimeGridProblem`` sets it to the stepper's index in a hierarchy.
     """
 
     def __init__(self, n_x: int,
                  symbol_fn: Callable[[np.ndarray], np.ndarray],
-                 level: int = 0,
                  apply_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  description: str = ""):
         self.n_x = n_x
-        self.level = level
+        self.level = 0
         self.description = description
         self._symbol_fn = symbol_fn
         self._apply_fn = apply_fn
@@ -352,19 +353,15 @@ def capped_max_iters(p: int) -> int:
     return 10 if p == 1 else 20
 
 
-def mol_stepper(spec: DiscretizationSpec,
-                tab: Optional[ButcherTableau] = None) -> Stepper:
-    """Method-of-lines stepper R_q(-c L_p) for the given discretization.
+def mol_stepper(spec: DiscretizationSpec) -> Stepper:
+    """Method-of-lines stepper R_q(-c L_p) for the given discretization, with
+    the shipped tableau ``spec.tableau()``.
 
     Its symbol is the stability function at -c times the upwind symbol.  An
     explicit spec beyond its stability limit is constructed but flagged with
     a StabilityWarning.
     """
-    if tab is None:
-        tab = spec.tableau()
-    if (spec.family == "erk") != (tab.kind == "explicit"):
-        raise ValueError(f"family {spec.family!r} does not match tableau kind "
-                         f"{tab.kind!r}")
+    tab = spec.tableau()
     L = upwind_derivative(spec.p, spec.n_x)
     c = spec.c
 
@@ -390,7 +387,7 @@ def split_cfl(mc: float) -> Tuple[int, float]:
     return k, (0.0 if eps < 1e-13 else eps)
 
 
-def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> Stepper:
+def sl_stepper(p: int, mc: float, n_x: int) -> Stepper:
     """Semi-Lagrangian stepper of order p for a step with CFL number ``mc``.
 
     The departure point of the characteristic through mesh point i lies
@@ -404,24 +401,21 @@ def sl_stepper(p: int, mc: float, n_x: int, level: int = 0) -> Stepper:
         raise ValueError(f"step CFL must be positive, got {mc}")
     k, eps = split_cfl(mc)
     window = StencilWindow.interpolation(p, eps)
-    w = lagrange_weights(window, eps).astype(complex)
-    off_f = (window.offsets - k).astype(float)
+    offsets = window.offsets - k
+    w = lagrange_weights(window, eps)
 
     def symbol_fn(om):
-        return np.exp(1j * np.multiply.outer(om, off_f)) @ w
+        return stencil_symbol(offsets, w, om)
 
-    return Stepper(n_x, symbol_fn, level=level,
-                   description=f"SL{p}, step CFL={mc:.6g}")
+    return Stepper(n_x, symbol_fn, description=f"SL{p}, step CFL={mc:.6g}")
 
 
-def fine_stepper(spec: DiscretizationSpec,
-                 tab: Optional[ButcherTableau] = None) -> Stepper:
+def fine_stepper(spec: DiscretizationSpec) -> Stepper:
     """The fine-grid stepper of ``spec``: semi-Lagrangian at CFL number
-    ``spec.c``, or method of lines (``mol_stepper``, with ``tab`` when
-    given)."""
+    ``spec.c``, or method of lines (``mol_stepper``)."""
     if spec.family == "semi_lagrangian":
         return sl_stepper(spec.p, spec.c, spec.n_x)
-    return mol_stepper(spec, tab)
+    return mol_stepper(spec)
 
 
 _CFL_CACHE: dict = {}
@@ -450,7 +444,7 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
     win = StencilWindow.upwind(p)
     w = fd_weights(1, win.offsets, 0.0)
     om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
-    Lsym = np.exp(1j * np.outer(om, win.offsets.astype(float))) @ w.astype(complex)
+    Lsym = stencil_symbol(win.offsets, w, om)
     # highest power first, as np.polyval takes them
     beta = [tab.taylor_coefficient(j) for j in range(tab.stages, -1, -1)]
 
@@ -502,15 +496,14 @@ def correction_window(p: int) -> StencilWindow:
     return StencilWindow.high_derivative(p + 1)
 
 
-def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
-                            solver: str = "direct",
-                            tab: Optional[ButcherTableau] = None) -> Stepper:
+def modified_coarse_stepper(spec: DiscretizationSpec, F: int,
+                            solver: str = "direct") -> Stepper:
     """Corrected semi-Lagrangian coarse stepper for a method-of-lines fine grid.
 
     One application advances F fine steps: a semi-Lagrangian step at CFL
     number F*c followed by the implicit correction solve
-    (I - phi D) x = intermediate, with phi set by F alone
-    (``phi_coefficient``).  ``level`` only labels the stepper.  With
+    (I - phi D) x = intermediate, with phi set by F and the shipped tableau
+    ``spec.tableau()`` alone (``phi_coefficient``).  With
     ``solver='direct'`` the solve is exact (a diagonal multiply in the
     Fourier basis); with ``solver='gmres'`` it is approximated by
     unrestarted GMRES from a zero guess, stopped per row at relative
@@ -521,13 +514,9 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     iterates and stopping steps from a short recurrence, and any other
     correction runs ``_gmres_batched``.
     """
-    if level < 1:
-        raise ValueError(f"coarse level must be >= 1, got {level}")
-    if tab is None:
-        tab = spec.tableau()
     phi = phi_coefficient(spec.p, spec.c, F, error_constant_fd(spec.p),
-                          rk_error_constant(tab))
-    sl = sl_stepper(spec.p, F * spec.c, spec.n_x, level=level)
+                          rk_error_constant(spec.tableau()))
+    sl = sl_stepper(spec.p, F * spec.c, spec.n_x)
     D = correction_operator(spec.p, spec.n_x)
     correction = CirculantOperator.identity(spec.n_x) - D.scale(phi)
 
@@ -554,14 +543,14 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int, level: int = 1,
     else:
         raise ValueError(f"unknown solver {solver!r}")
 
-    return Stepper(spec.n_x, symbol_fn, level=level, apply_fn=apply_fn,
+    return Stepper(spec.n_x, symbol_fn, apply_fn=apply_fn,
                    description=(f"corrected SL{spec.p} (phi={phi:.4g}, "
-                                f"level {level}, {solver})"))
+                                f"F={F}, {solver})"))
 
 
-def rediscretized_coarse_stepper(spec: DiscretizationSpec, m: int,
-                                 tab: Optional[ButcherTableau] = None) -> Stepper:
-    """The same implicit discretization rebuilt with step size m * dt.
+def rediscretized_coarse_stepper(spec: DiscretizationSpec, m: int) -> Stepper:
+    """The same implicit discretization, shipped tableau included, rebuilt
+    with step size m * dt.
 
     Restricted to sdirk families: enlarging the step of a CFL-limited
     explicit method produces an unstable operator.
@@ -571,9 +560,7 @@ def rediscretized_coarse_stepper(spec: DiscretizationSpec, m: int,
                          "(an explicit method is unstable at m times its step)")
     coarse = DiscretizationSpec(spec.family, spec.p, m * spec.c, spec.n_x,
                                 max(spec.n_t // m, 1))
-    stepper = mol_stepper(coarse, tab)
-    stepper.level = 1
-    return stepper
+    return mol_stepper(coarse)
 
 
 def ideal_coarse_stepper(fine: Stepper, m: int) -> Stepper:
@@ -582,15 +569,13 @@ def ideal_coarse_stepper(fine: Stepper, m: int) -> Stepper:
     def symbol_fn(om):
         return fine.symbol(om) ** m
 
-    return Stepper(fine.n_x, symbol_fn, level=1,
-                   description=f"ideal (fine^{m})")
+    return Stepper(fine.n_x, symbol_fn, description=f"ideal (fine^{m})")
 
 
-def plain_sl_coarse_stepper(spec: DiscretizationSpec, F: int,
-                            level: int = 1) -> Stepper:
+def plain_sl_coarse_stepper(spec: DiscretizationSpec, F: int) -> Stepper:
     """Uncorrected semi-Lagrangian coarse stepper over F fine steps (for
     comparison runs)."""
-    return sl_stepper(spec.p, F * spec.c, spec.n_x, level=level)
+    return sl_stepper(spec.p, F * spec.c, spec.n_x)
 
 
 # ------------------------------------------------------ truncation-error fits

@@ -164,7 +164,7 @@ def test_criterion_05_lfa_matches_measured_factors():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             fine = experiments.fine_stepper(spec)
-            coarse = experiments.coarse_stepper(kind, spec, m, 1, fine)
+            coarse = experiments.coarse_stepper(kind, spec, m, fine)
         sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                               n_excluded=lfa.default_exclusion_count(p))
         rep = experiments.measured_point(
@@ -198,8 +198,8 @@ def test_criterion_06_characteristic_lower_bound():
             c_grid = np.linspace(0.125, 8.0, 64)
             for c in c_grid:
                 spec = DiscretizationSpec("sdirk", p, float(c), 64, 64)
-                fine = mol_stepper(spec, tab)
-                coarse = rediscretized_coarse_stepper(spec, m, tab)
+                fine = mol_stepper(spec)
+                coarse = rediscretized_coarse_stepper(spec, m)
                 sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                                       n_excluded=k_excl)
                 bound = rho_check(p, float(c), m, e_rk, e_rk, e_fd)

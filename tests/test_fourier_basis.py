@@ -163,7 +163,7 @@ def stepper_of_kind(kind, n_x):
         "erk": lambda: mol_stepper(erk),
         "sdirk": lambda: mol_stepper(sdirk),
         "semi_lagrangian": lambda: sl_stepper(3, 20.3, n_x),
-        "modified_direct": lambda: modified_coarse_stepper(erk, 16, level=2),
+        "modified_direct": lambda: modified_coarse_stepper(erk, 16),
         "ideal": lambda: ideal_coarse_stepper(mol_stepper(sdirk), 4),
         "rediscretized": lambda: rediscretized_coarse_stepper(sdirk, 4),
     }
@@ -184,8 +184,8 @@ def test_capped_basis_step_and_correction_are_the_symbol(n_x):
     # is pinned through its parts: the semi-Lagrangian step and the
     # correction, whose symbols divide to the stepper's symbol
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 64)
-    capped = modified_coarse_stepper(spec, 16, level=2, solver="gmres")
-    sl = plain_sl_coarse_stepper(spec, 16, level=2)
+    capped = modified_coarse_stepper(spec, 16, solver="gmres")
+    sl = plain_sl_coarse_stepper(spec, 16)
     phi = phi_coefficient(3, spec.c, 16, error_constant_fd(3),
                           rk_error_constant(spec.tableau()))
     correction = (CirculantOperator.identity(n_x)
@@ -205,8 +205,8 @@ def test_capped_sl_step_is_the_plain_sl_stepper(n_x):
     # past n_x/2 many times: the capped step's semi-Lagrangian part is the
     # plain semi-Lagrangian stepper, bit for bit, not a stencil's spectrum
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 4096)
-    capped = modified_coarse_stepper(spec, 1024, level=5, solver="gmres")
-    plain = plain_sl_coarse_stepper(spec, 1024, level=5)
+    capped = modified_coarse_stepper(spec, 1024, solver="gmres")
+    plain = plain_sl_coarse_stepper(spec, 1024)
     eye = np.eye(n_x)
     np.testing.assert_array_equal(capped._apply_fn.step.apply(eye),
                                   plain.apply(eye))
@@ -329,9 +329,9 @@ def test_capped_and_direct_erk3_v_cycles_take_equal_counts(m):
     assert all(s._apply_fn is not None for s in capped.steppers[1:])
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), 64, 256)
     steppers, F = [capped.steppers[0]], 1
-    for level, mf in enumerate(capped.m, start=1):
+    for mf in capped.m:
         F *= mf
-        steppers.append(modified_coarse_stepper(spec, F, level))
+        steppers.append(modified_coarse_stepper(spec, F))
     direct = dataclasses.replace(capped, steppers=steppers)
     config = MgritConfig(nu=1, cycle="v_cycle", tol=1e-10, max_iters=40,
                          rng_seed=0)

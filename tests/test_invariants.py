@@ -1,13 +1,7 @@
-"""Cross-module invariants: stability of every shipped stepper family and the
-packaged lower-bound verification report."""
-
-import numpy as np
+"""Cross-module invariants: stability of every shipped stepper family."""
 
 from mgrit_advection import (DiscretizationSpec, cfl_limit,
-                             error_constant_fd, modified_coarse_stepper,
-                             mol_stepper, rediscretized_coarse_stepper,
-                             rho_check, rk_error_constant, sdirk_tableau,
-                             sl_stepper, verify_lower_bound)
+                             modified_coarse_stepper, mol_stepper, sl_stepper)
 
 #: modified-operator configurations the experiment suites run (fine CFL kept
 #: below the near-limit degradation region for the fifth-order explicit pair)
@@ -69,26 +63,3 @@ def test_shipped_modified_odd_order_factors_below_one():
                               n_excluded=default_exclusion_count(p))
         assert sweep.rho_e < 1.0, (family, p, c, m, sweep.rho_e)
 
-
-def test_verify_lower_bound_report():
-    p, m, nu = 1, 2, 1
-    tab = sdirk_tableau(p)
-    e_rk = rk_error_constant(tab)
-    e_fd = error_constant_fd(p)
-
-    def fine_at(c):
-        return mol_stepper(DiscretizationSpec("sdirk", p, c, 64, 64), tab).symbol
-
-    def coarse_at(c):
-        spec = DiscretizationSpec("sdirk", p, c, 64, 64)
-        return rediscretized_coarse_stepper(spec, m, tab).symbol
-
-    def bound_at(c):
-        return rho_check(p, c, m, e_rk, e_rk, e_fd)
-
-    report = verify_lower_bound(fine_at, coarse_at, bound_at,
-                                c_grid=np.linspace(0.1, 4.0, 8), m=m, nu=nu,
-                                n_excluded=2)
-    assert report.all_hold
-    assert all(row.nu_spread <= 0.01 for row in report.rows)
-    assert all(row.tight for row in report.rows if row.c * m < 1.0)

@@ -18,7 +18,8 @@ from mgrit_advection import (CirculantOperator, DiscretizationSpec,
                              ideal_coarse_stepper, initial_condition,
                              modified_coarse_stepper, mol_stepper,
                              rediscretized_coarse_stepper,
-                             restrict_residual, sequential_solve, solve)
+                             restrict_residual, sequential_solve, sl_stepper,
+                             solve)
 from mgrit_advection import mgrit
 from mgrit_advection.circulant import FourierBasisOperator
 from mgrit_advection.experiments import build_problem
@@ -297,8 +298,9 @@ class RowCountingStepper(Stepper):
     """Forwards every apply to ``inner`` and records its row count."""
 
     def __init__(self, inner, rows=None):
-        super().__init__(inner.n_x, inner.symbol, level=inner.level,
+        super().__init__(inner.n_x, inner.symbol,
                          description=inner.description)
+        self.level = inner.level
         self.inner = inner
         self.rows = [] if rows is None else rows
 
@@ -405,7 +407,7 @@ def test_mixed_per_level_coarsening_factors():
         assert stepper.level == level
         np.testing.assert_array_equal(
             stepper.eigenvalues(),
-            modified_coarse_stepper(spec, F, level).eigenvalues())
+            modified_coarse_stepper(spec, F).eigenvalues())
     report = solve(problem, MgritConfig(nu=1, cycle="v_cycle", max_iters=30,
                                         rng_seed=0))
     assert report.converged
@@ -482,6 +484,42 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         TimeGridProblem([identity_stepper(n_x), identity_stepper(n_x)], [1],
                         8, np.zeros(n_x))
+
+
+def test_problem_needs_a_coarsening_factor():
+    with pytest.raises(ValueError, match="at least one coarsening factor"):
+        TimeGridProblem([identity_stepper(8)], [], 8, np.zeros(8))
+
+
+def test_problem_labels_each_stepper_with_its_level():
+    spec = DiscretizationSpec("sdirk", 3, 0.8, 32, 16)
+    steppers = [mol_stepper(spec), sl_stepper(3, 4 * 0.8, 32)]
+    assert [s.level for s in steppers] == [0, 0]
+    TimeGridProblem(steppers, [4], 16, initial_condition(32))
+    assert [s.level for s in steppers] == [0, 1]
+
+
+@pytest.mark.parametrize("cycle", ["two_level", "v_cycle"])
+def test_first_factor_that_does_not_divide_n_t_is_rejected(cycle):
+    # either cycle raises here: a one-level problem, with no factor for
+    # solve to index, is never built
+    spec = DiscretizationSpec("sdirk", 3, 5.0, 64, 255)
+    with pytest.raises(ValueError, match="level 0 has 255 steps"):
+        build_problem(spec, 2, cycle)
+
+
+def test_zero_residual_converges_after_one_cycle():
+    # a zero initial condition and a zero iterate: every residual is 0.0,
+    # which no ratio to the opening norm can show
+    spec = DiscretizationSpec("sdirk", 3, 5.0, 64, 256)
+    problem = build_problem(spec, 2, "two_level")
+    problem.u0 = np.zeros(64)
+    u = np.zeros((257, 64))
+    report = MgritSolver(problem, MgritConfig(max_iters=30)).solve(u)
+    assert report.converged
+    assert report.iterations == 1
+    assert report.residual_norms == [0.0, 0.0]
+    assert not np.any(u)
 
 
 def test_config_validation():

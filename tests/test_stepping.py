@@ -387,7 +387,7 @@ def test_phi_level_recursion_consistency(p, m, level):
 def test_zero_phi_reduces_to_plain_sl():
     # m = 1 makes the correction vanish for the first-order pair
     spec = DiscretizationSpec("erk", 1, 0.5, 64, 16)
-    corrected = modified_coarse_stepper(spec, F=1, level=1)
+    corrected = modified_coarse_stepper(spec, F=1)
     plain = sl_stepper(1, 0.5, 64)
     om = np.linspace(-np.pi, np.pi, 64, endpoint=False)
     np.testing.assert_allclose(corrected.symbol(om), plain.symbol(om),
@@ -435,7 +435,7 @@ def physical_correction(spec, F):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_capped_correction_selects_minres_on_symmetric_corrections(p):
     spec = DiscretizationSpec("erk", p, 0.5 * cfl_limit(p), 64, 16)
-    capped = modified_coarse_stepper(spec, 16, level=2, solver="gmres")._apply_fn
+    capped = modified_coarse_stepper(spec, 16, solver="gmres")._apply_fn
     symmetric = physical_correction(spec, 16).is_symmetric()
     assert symmetric == (p % 2 == 1)
     assert capped.krylov is (_minres_spectral if symmetric else _gmres_batched)
@@ -449,13 +449,13 @@ def test_modified_gmres_basis_step_matches_physical_step(p, n_x):
     spec = DiscretizationSpec("erk", p, 0.85 * cfl_limit(p), n_x, 16)
     for level in (1, 3):
         F = 4 ** level
-        stepper = modified_coarse_stepper(spec, F, level=level, solver="gmres")
+        stepper = modified_coarse_stepper(spec, F, solver="gmres")
         capped = stepper._apply_fn
         rng = np.random.default_rng(level)
         x = 2 * np.pi * np.arange(n_x) / n_x
         V = np.stack([rng.standard_normal(n_x), np.exp(np.sin(x)),
                       np.zeros(n_x)])
-        step = plain_sl_coarse_stepper(spec, F, level)
+        step = plain_sl_coarse_stepper(spec, F)
         expected, _, _, _ = _gmres_batched(physical_correction(spec, F),
                                            stencil(step).apply(V), capped.tol,
                                            capped.max_iters)
