@@ -10,8 +10,8 @@ convergence analysis (``lfa``), and experiment drivers (``experiments``,
 from .circulant import CirculantOperator
 from .errors import (DimensionMismatchError, SingularOperatorError,
                      StabilityWarning, TableauError)
-from .lfa import (LfaSweep, classify, default_exclusion_count,
-                  predict_history, rho_check, rho_mode, rho_two_level,
+from .lfa import (LfaSweep, default_exclusion_count, predict_history,
+                  rho_check, rho_mode, rho_two_level,
                   validate_eigenvalue_estimates)
 from .mgrit import (MgritConfig, MgritSolver, SolveReport, TimeGridProblem,
                     c_relax, cpoint_residual_norm, f_relax, initial_condition,

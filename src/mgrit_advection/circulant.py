@@ -198,9 +198,6 @@ class CirculantOperator:
             m >>= 1
         return result
 
-    def __sub__(self, other):
-        return self.add(other.scale(-1.0))
-
     def __repr__(self):
         pairs = ", ".join(f"({int(o)}, {w:+.6g})"
                           for o, w in zip(self.offsets, self.weights))

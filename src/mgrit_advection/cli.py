@@ -83,6 +83,9 @@ class ExperimentConfig:
         for name in ("c", "c_fraction", "c_min", "c_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} = {getattr(self, name)} is not finite")
+        for name in ("c", "c_fraction"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} = {getattr(self, name)} is negative")
         if self.coarse not in experiments.COARSE_KINDS:
             raise ConfigError(f"unknown coarse operator kind {self.coarse!r}")
         if self.family == "erk" and self.coarse == "rediscretized":

@@ -9,7 +9,7 @@ and the discretization-order validation suite.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -221,8 +221,6 @@ class IterationCell:
     m: int
     iters_two_level: str
     iters_v_cycle: str
-    report_two_level: mgrit.SolveReport = field(repr=False, default=None)
-    report_v_cycle: mgrit.SolveReport = field(repr=False, default=None)
 
 
 def _format_iters(report: mgrit.SolveReport, max_iters: int) -> str:
@@ -249,8 +247,7 @@ def iteration_table(family: str, p: int, c: float,
             cells.append(IterationCell(
                 n_x, n_t, m,
                 _format_iters(reports["two_level"], max_iters),
-                _format_iters(reports["v_cycle"], max_iters),
-                reports["two_level"], reports["v_cycle"]))
+                _format_iters(reports["v_cycle"], max_iters)))
     return cells
 
 
@@ -277,17 +274,17 @@ def _row(check, subject, observed, expected, tol, compare="abs") -> ValidationRo
                          float(tol), bool(ok))
 
 
-def validation_rows(quick: bool = False) -> List[ValidationRow]:
+def validation_rows() -> List[ValidationRow]:
     """Order studies, truncation-constant fits, and symbol-estimate checks.
 
-    Covers every shipped discretization order (``quick``: orders 1 to 3):
+    Covers every shipped discretization order:
     global orders on 64- to 512-point meshes for the method-of-lines and
     semi-Lagrangian steppers, fitted leading-error constants against their
     closed forms, smooth-mode eigenvalue estimates, and the
     corrected-coarse-operator consistency order.
     """
     rows: List[ValidationRow] = []
-    orders = (1, 2, 3) if quick else (1, 2, 3, 4, 5)
+    orders = (1, 2, 3, 4, 5)
     n_x_list = (64, 128, 256, 512)
 
     for p in orders:
@@ -344,7 +341,7 @@ def validation_rows(quick: bool = False) -> List[ValidationRow]:
                     DiscretizationSpec(family, p, m * c, 64, 64))
             report = lfa.validate_eigenvalue_estimates(
                 p, c, m, error_constant_fd(p), e_rk, e_rk, fine.symbol,
-                coarse.symbol, n_x_list=estimate_meshes, n_modes=4)
+                coarse.symbol, n_x_list=estimate_meshes)
             label = f"{tab.name}+U{p}"
             rows.append(_row("eigenvalue_estimate_order", f"{label} fine",
                              report.fine_order, 1.0, 0.1, "min"))
@@ -353,8 +350,6 @@ def validation_rows(quick: bool = False) -> List[ValidationRow]:
 
     # corrected coarse operator matches the repeated fine step at order p+2
     for p, family in [(1, "erk"), (3, "erk"), (1, "sdirk"), (3, "sdirk")]:
-        if p not in orders:
-            continue
         for m, cfac in ((2, 0.4), (8, 0.7)):
             c = cfac * cfl_limit(p) if family == "erk" else cfac * 4.0
             spec = DiscretizationSpec(family, p, c, 64, 64)

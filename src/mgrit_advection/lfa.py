@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class LfaSweep:
     mu: np.ndarray
     rho: np.ndarray
     rho_e: float
-    argmax_omega: float
-    m: int
-    nu: int
-    n_excluded: int
     divergent: bool
 
 
@@ -81,8 +77,7 @@ def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
 
     Evaluates |lambda|^(m nu) |lambda^m - mu| / (1 - |mu|) on the retained
     frequency samples.  Samples with |mu| >= 1 are recorded as +inf and mark
-    the sweep divergent rather than being clipped.  Ties in the maximum are
-    resolved toward the smallest frequency.
+    the sweep divergent rather than being clipped.
     """
     om = sample_frequencies(n_samples, n_excluded)
     if om.size == 0:
@@ -94,10 +89,8 @@ def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
     denom = 1.0 - np.abs(mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(denom > DENOM_TOL, amp * numer / denom, np.inf)
-    order = np.argsort(np.abs(om), kind="stable")
-    best = order[int(np.argmax(rho[order]))]
-    return LfaSweep(om, lam, mu, rho, float(np.max(rho)), float(om[best]),
-                    m, nu, n_excluded, bool(np.any(~np.isfinite(rho))))
+    return LfaSweep(om, lam, mu, rho, float(np.max(rho)),
+                    bool(np.any(~np.isfinite(rho))))
 
 
 def predict_history(fine_symbol: Callable[[np.ndarray], np.ndarray],
@@ -173,6 +166,10 @@ def rho_check(p: int, c: float, m: int, e_rk_fine: float, e_rk_coarse: float,
 
 # ------------------------------------------------- smooth-mode symbol estimates
 
+#: smoothest retained mesh frequencies each symbol estimate is checked on
+ESTIMATE_MODES = 4
+
+
 @dataclass
 class EigenvalueEstimateReport:
     """Deviation of exact symbols from their leading-order smooth-mode form."""
@@ -204,16 +201,17 @@ def validate_eigenvalue_estimates(p: int, c: float, m: int,
                                   e_rk_coarse: float,
                                   fine_symbol: Callable,
                                   coarse_symbol: Callable,
-                                  n_x_list: Sequence[int],
-                                  n_modes: int = 8) -> EigenvalueEstimateReport:
+                                  n_x_list: Sequence[int]
+                                  ) -> EigenvalueEstimateReport:
     """Compare exact symbols with their smooth-mode expansions (odd p).
 
     The fine symbol should satisfy
         lambda(omega) = exp(-i c omega) [1 + (-1)^((p+1)/2) c (e_fd + c^p e_rk) omega^(p+1) + ...]
     with the m-step and coarse variants obtained by m-fold amplification and
     by the substitution c -> m c.  The report records, per mesh, the maximum
-    relative deviation of the bracketed correction term over the smoothest
-    retained modes; the deviations should shrink at observed order >= 1.
+    relative deviation of the bracketed correction term over the
+    ``ESTIMATE_MODES`` smoothest retained modes; the deviations should
+    shrink at observed order >= 1.
     """
     if p % 2 != 1:
         raise ValueError(f"estimates require odd p, got {p}")
@@ -222,7 +220,7 @@ def validate_eigenvalue_estimates(p: int, c: float, m: int,
     fine_dev, ideal_dev, coarse_dev = [], [], []
     for n_x in n_x_list:
         j0 = k_excl // 2 + 1
-        om = 2.0 * np.pi * np.arange(j0, j0 + n_modes) / n_x
+        om = 2.0 * np.pi * np.arange(j0, j0 + ESTIMATE_MODES) / n_x
         lam = np.asarray(fine_symbol(om), dtype=complex)
         mu = np.asarray(coarse_symbol(om), dtype=complex)
         # fine: single step at CFL c
@@ -239,11 +237,3 @@ def validate_eigenvalue_estimates(p: int, c: float, m: int,
         coarse_dev.append(float(np.max(dev_c)))
     return EigenvalueEstimateReport(list(n_x_list), fine_dev, ideal_dev,
                                     coarse_dev)
-
-
-def classify(p: int, q: Optional[int] = None) -> str:
-    """Dissipative or dispersive, by the parity of the dominant-error
-    derivative order (the smaller of the spatial and temporal orders)."""
-    q = p if q is None else q
-    xi = min(p, q)
-    return "dissipative" if xi % 2 == 1 else "dispersive"

@@ -134,7 +134,9 @@ class SolveReport:
     ``effective_rho`` is the last iteration's residual ratio
     r^i / r^(i-1).  On a finite time grid the error propagator is nilpotent
     and can cut a divergent history short, so an unconverged run can read a
-    small factor after its residual grew far above r^0.
+    small factor after its residual grew far above r^0.  A solve stops
+    unconverged after the first cycle whose residual norm is not finite,
+    which reads inf once it overflows.
     """
 
     residual_norms: List[float]
@@ -191,10 +193,11 @@ def cpoint_residual_norm(u, g, stepper, m, out=None, work=None) -> float:
     ``u`` would write; it may be ``u[m-1:-1:m]``, the rows it is stepped
     from.  ``work``, when given, receives the residuals (it may be ``out``;
     keep it contiguous, or the norm copies it); otherwise they are formed in
-    a new array."""
+    a new array.  A norm too large for a float is inf, without a warning."""
     relaxed = _step_rows(u, g, stepper, m, m, out)
     r = np.subtract(relaxed, u[m::m], out=work)
-    return float(np.linalg.norm(r.ravel()))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(r.ravel()))
 
 
 def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
@@ -355,6 +358,10 @@ class MgritSolver:
                 if norms[-1] == 0.0 or (norms[0] > 0
                                         and norms[-1] / norms[0] <= cfg.tol):
                     converged = True
+                    break
+                # past a norm that is not finite, the cycles would only run
+                # on in inf and nan
+                if not math.isfinite(norms[-1]):
                     break
             if cfg.nu:
                 # the closing F-relaxation's values at the last F-points

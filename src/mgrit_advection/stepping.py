@@ -308,10 +308,10 @@ class CappedCorrection(NamedTuple):
     ``tol`` or after ``max_iters`` iterations per row.
 
     ``step`` and ``correction`` are the ``FourierBasisOperator`` forms of the
-    semi-Lagrangian step, built from that stepper's symbol, and of the
-    correction stencil.  ``krylov`` is
-    ``_gmres_batched``, or ``_minres_spectral`` for a symmetric correction,
-    which has the same iterates and stopping steps in exact arithmetic.
+    semi-Lagrangian step and of the correction I - phi D, each built from
+    its symbol.  ``krylov`` is ``_gmres_batched``, or ``_minres_spectral``
+    for a symmetric correction, which has the same iterates and stopping
+    steps in exact arithmetic.
     Both form each row's iterate once, from the stored Krylov vectors, after
     the last iteration; ``_minres_spectral`` stores one array per iteration
     of the rows still live, so its storage grows with the iterations run.
@@ -518,10 +518,9 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int,
                           rk_error_constant(spec.tableau()))
     sl = sl_stepper(spec.p, F * spec.c, spec.n_x)
     D = correction_operator(spec.p, spec.n_x)
-    correction = CirculantOperator.identity(spec.n_x) - D.scale(phi)
+    correction = Stepper(spec.n_x, lambda om: 1.0 - phi * D.symbol(om))
 
-    corr_eigs = correction.eigenvalues()
-    bad = np.abs(corr_eigs) < 1e-14
+    bad = np.abs(correction.eigenvalues()) < 1e-14
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SingularOperatorError(
@@ -529,13 +528,13 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int,
             f"omega = 2*pi*{k}/{spec.n_x}")
 
     def symbol_fn(om):
-        return sl.symbol(om) / (1.0 - phi * D.symbol(om))
+        return sl.symbol(om) / correction.symbol(om)
 
     if solver == "direct":
         apply_fn = None  # the symbol's mesh values are the exact product
     elif solver == "gmres":
-        krylov = (_minres_spectral if correction.is_symmetric()
-                  else _gmres_batched)
+        # I - phi D is symmetric exactly when D is
+        krylov = _minres_spectral if D.is_symmetric() else _gmres_batched
         apply_fn = CappedCorrection(FourierBasisOperator(sl),
                                     FourierBasisOperator(correction),
                                     CAPPED_TOL, capped_max_iters(spec.p),

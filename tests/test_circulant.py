@@ -255,7 +255,7 @@ def test_gmres_round_trip_to_tolerance():
     from mgrit_advection import high_derivative_operator
     n_x = 64
     D = high_derivative_operator(2, n_x)
-    op = CirculantOperator.identity(n_x) - D.scale(0.36)
+    op = CirculantOperator.identity(n_x).add(D.scale(-0.36))
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n_x)
     b = op.apply(v)
@@ -269,7 +269,7 @@ def test_gmres_agrees_with_direct():
     from mgrit_advection import high_derivative_operator
     n_x = 48
     D = high_derivative_operator(2, n_x)
-    op = CirculantOperator.identity(n_x) - D.scale(0.2)
+    op = CirculantOperator.identity(n_x).add(D.scale(-0.2))
     rng = np.random.default_rng(2)
     b = rng.standard_normal(n_x)
     direct = np.linalg.solve(op.dense(), b)
@@ -316,7 +316,7 @@ def test_batched_gmres_matches_per_row_reference():
     # at the cap; a zero row never starts
     n_x = 48
     D = correction_operator(2, n_x)  # left-biased: non-symmetric
-    op = CirculantOperator.identity(n_x) - D.scale(-0.4)
+    op = CirculantOperator.identity(n_x).add(D.scale(0.4))
     rng = np.random.default_rng(4)
     x = np.arange(n_x) * 2 * np.pi / n_x
     B = np.stack([np.cos(3 * x), np.exp(np.sin(x)), rng.standard_normal(n_x),
@@ -340,7 +340,8 @@ def symmetric_correction(p, n_x, cond):
     D = correction_operator(p, n_x)
     d_hat = D.eigenvalues().real
     phi = (cond - 1.0) / np.max(np.abs(d_hat)) * -np.sign(d_hat[n_x // 2])
-    return FourierBasisOperator(CirculantOperator.identity(n_x) - D.scale(phi))
+    return FourierBasisOperator(
+        CirculantOperator.identity(n_x).add(D.scale(-phi)))
 
 
 def basis_rows(rng, k, n_x):
@@ -502,7 +503,8 @@ def test_minres_basis_storage_grows_per_iteration():
     # a (rows, cap, n) buffer allocated up front would exceed the bound
     K, n_x = 256, 1024
     D = correction_operator(3, n_x)
-    op = FourierBasisOperator(CirculantOperator.identity(n_x) - D.scale(-2.0))
+    op = FourierBasisOperator(
+        CirculantOperator.identity(n_x).add(D.scale(2.0)))
     B = basis_rows(np.random.default_rng(0), K, n_x)
     unit = K * (n_x // 2 + 1) * 8
     tracemalloc.start()
@@ -606,7 +608,7 @@ def test_breakdown_verdict_does_not_depend_on_rhs_scale(solver, big, small,
     # the two rows must then stop alike at any cap
     n_x = 16
     D = correction_operator(3, n_x)
-    op = CirculantOperator.identity(n_x) - D.scale(-30.0)
+    op = CirculantOperator.identity(n_x).add(D.scale(30.0))
     b = np.random.default_rng(0).standard_normal(n_x)
     runs = []
     for scale in (big, small):

@@ -1,6 +1,12 @@
 """Command-line interface: config round-trips, CSV output, exit codes."""
 
 import argparse
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import pytest
@@ -163,6 +169,9 @@ SDIRK_SWEEP = ["sweep", "--family", "sdirk", "--p", "1", "--m", "2"]
     (None, SDIRK_SOLVE + ["--c", "inf"], "c = inf is not finite"),
     (None, ERK_SOLVE + ["--c-fraction", "inf"],
      "c_fraction = inf is not finite"),
+    (None, SDIRK_SOLVE + ["--c", "-1.0"], "c = -1.0 is negative"),
+    (None, ERK_SOLVE + ["--c-fraction", "-0.5"],
+     "c_fraction = -0.5 is negative"),
     (None, SDIRK_SOLVE + ["--c", "1e300"], "c = 1e+300 overflows"),
     (None, ERK_SOLVE + ["--c-fraction", "1e300"],
      "c_fraction = 1e+300 overflows"),
@@ -173,9 +182,10 @@ SDIRK_SWEEP = ["sweep", "--family", "sdirk", "--p", "1", "--m", "2"]
     (None, SDIRK_SWEEP + ["--c-range", "1,2,-5"], "c_points must be >= 1, got -5"),
     ("[sweep]\nc_points = 0\n", SDIRK_SWEEP, "c_points must be >= 1, got 0"),
     ("[sweep]\nmeasure = maybe\n", ["constants"], "bad value for measure"),
-], ids=["seed_negative", "c_inf", "c_fraction_inf", "c_overflow",
-        "c_fraction_overflow", "c_max_inf", "c_min_nan", "c_max_overflow",
-        "c_min_zero", "c_points_negative", "c_points_zero", "measure_maybe"])
+], ids=["seed_negative", "c_inf", "c_fraction_inf", "c_negative",
+        "c_fraction_negative", "c_overflow", "c_fraction_overflow",
+        "c_max_inf", "c_min_nan", "c_max_overflow", "c_min_zero",
+        "c_points_negative", "c_points_zero", "measure_maybe"])
 def test_bad_run_input_is_a_configuration_error(tmp_path, capsys, ini, flags,
                                                 message):
     if ini is not None:
@@ -484,6 +494,45 @@ def test_validate_quick_smoke(tmp_path):
     # full validation is exercised by the acceptance suite; here just check
     # the plumbing wires rows into CSV with a pass/fail column
     from mgrit_advection.experiments import validation_rows
-    rows = validation_rows(quick=True)
+    rows = validation_rows()
     assert all(hasattr(r, "passed") for r in rows)
     assert any(r.check == "global_order" for r in rows)
+
+
+# --------------------------------------------------------------- CI workflow
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def workflow_run_block(step):
+    """The ``run: |`` block of the workflow step named ``step``, read as
+    text: the lines indented past the ``run`` key, dedented."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines)
+              if line.strip() == f"- name: {step}")
+    run = lines[at + 1]
+    assert run.strip() == "run: |", run
+    indent = len(run) - len(run.lstrip())
+    block = []
+    for line in lines[at + 2:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)) + "\n"
+
+
+def test_console_script_step_of_the_workflow_passes(tmp_path):
+    # as GitHub runs a step (bash -e on the block), with the entry point
+    # run as the module and RUNNER_TEMP in the test's directory
+    script = tmp_path / "console_script.sh"
+    script.write_text(
+        f'mgrit-advection() {{ {shlex.quote(sys.executable)} '
+        f'-m mgrit_advection.cli "$@"; }}\n'
+        + workflow_run_block("Console script"), encoding="utf-8")
+    env = dict(os.environ, RUNNER_TEMP=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(["bash", "-e", str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

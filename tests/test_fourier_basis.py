@@ -188,8 +188,8 @@ def test_capped_basis_step_and_correction_are_the_symbol(n_x):
     sl = plain_sl_coarse_stepper(spec, 16)
     phi = phi_coefficient(3, spec.c, 16, error_constant_fd(3),
                           rk_error_constant(spec.tableau()))
-    correction = (CirculantOperator.identity(n_x)
-                  - correction_operator(3, n_x).scale(phi))
+    correction = CirculantOperator.identity(n_x).add(
+        correction_operator(3, n_x).scale(-phi))
     basis = capped._apply_fn
     assert_basis_apply_is_symbol(basis.step.apply, sl.symbol, n_x)
     assert_basis_apply_is_symbol(basis.correction.apply, correction.symbol,

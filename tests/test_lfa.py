@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from mgrit_advection import (DiscretizationSpec, MgritConfig,
-                             StabilityWarning, classify,
-                             default_exclusion_count, erk_tableau,
-                             error_constant_fd, ideal_coarse_stepper,
-                             modified_coarse_stepper, mol_stepper,
+                             StabilityWarning, default_exclusion_count,
+                             erk_tableau, error_constant_fd,
+                             ideal_coarse_stepper, modified_coarse_stepper,
+                             mol_stepper,
                              predict_history, rediscretized_coarse_stepper,
                              rho_check, rho_mode, rho_two_level,
                              rk_error_constant, sdirk_tableau,
@@ -239,7 +239,7 @@ def test_eigenvalue_estimates_converge(family, p, c, m):
     report = validate_eigenvalue_estimates(
         p, c, m, error_constant_fd(p), e_rk, e_rk,
         _mol_symbol(family, p, c), _mol_symbol(family, p, m * c),
-        n_x_list=[1024, 2048, 4096, 8192], n_modes=4)
+        n_x_list=[1024, 2048, 4096, 8192])
     fit_tol = 0.1
     assert report.fine_order >= 1.0 - fit_tol
     assert report.ideal_order >= 1.0 - fit_tol
@@ -265,17 +265,6 @@ def test_estimates_require_odd_order():
     with pytest.raises(ValueError):
         validate_eigenvalue_estimates(2, 0.5, 2, 0.3, 0.1, 0.1,
                                       lambda om: om, lambda om: om, [64])
-
-
-# ------------------------------------------------------------- classification
-
-def test_classification_parity():
-    assert classify(1) == "dissipative"
-    assert classify(2) == "dispersive"
-    assert classify(3) == "dissipative"
-    assert classify(4) == "dispersive"
-    assert classify(5) == "dissipative"
-    assert classify(3, 3) == "dissipative"
 
 
 # -------------------------------------------- relaxation monotonicity (nu)

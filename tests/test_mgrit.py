@@ -1,19 +1,21 @@
 """MGRIT solver: relaxation contracts, single-iteration exactness with the
 exact coarse operator, determinism, and measured convergence behavior."""
 
+import math
 import os
 import pathlib
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from mgrit_advection import (CirculantOperator, DiscretizationSpec,
-                             MgritConfig, MgritSolver, Stepper,
-                             TimeGridProblem, c_relax, cfl_limit,
+                             MgritConfig, MgritSolver, StabilityWarning,
+                             Stepper, TimeGridProblem, c_relax, cfl_limit,
                              cpoint_residual_norm, f_relax,
                              ideal_coarse_stepper, initial_condition,
                              modified_coarse_stepper, mol_stepper,
@@ -520,6 +522,22 @@ def test_zero_residual_converges_after_one_cycle():
     assert report.iterations == 1
     assert report.residual_norms == [0.0, 0.0]
     assert not np.any(u)
+
+
+def test_overflowing_solve_stops_at_its_first_infinite_norm():
+    # ERK3 at twice its stability limit diverges until the residual norm
+    # overflows after cycle 17; no cycle runs on in inf and nan, and no
+    # numpy warning escapes
+    spec = DiscretizationSpec("erk", 3, 2.0 * cfl_limit(3), 64, 256)
+    with pytest.warns(StabilityWarning):
+        problem = build_problem(spec, 4, "two_level")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = solve(problem, MgritConfig(max_iters=30))
+    assert not report.converged
+    assert report.iterations == 17
+    assert report.effective_rho == math.inf
+    assert all(math.isfinite(r) for r in report.residual_norms[:-1])
 
 
 def test_config_validation():

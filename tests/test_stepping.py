@@ -168,8 +168,8 @@ def rk_stage_sweep(spec, u):
     stage_matrix = None
     if tab.kind == "sdirk":
         # equal diagonal entries: one stage matrix serves every stage
-        stage_matrix = (CirculantOperator.identity(spec.n_x)
-                        - cL.scale(tab.A[0, 0]))
+        stage_matrix = CirculantOperator.identity(spec.n_x).add(
+            cL.scale(-tab.A[0, 0]))
     z = []
     for i in range(tab.stages):
         rhs = u.copy()
@@ -428,8 +428,8 @@ def physical_correction(spec, F):
     steps, as the circulant stencil it is built from."""
     phi = phi_coefficient(spec.p, spec.c, F, error_constant_fd(spec.p),
                           rk_error_constant(spec.tableau()))
-    return (CirculantOperator.identity(spec.n_x)
-            - correction_operator(spec.p, spec.n_x).scale(phi))
+    return CirculantOperator.identity(spec.n_x).add(
+        correction_operator(spec.p, spec.n_x).scale(-phi))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
