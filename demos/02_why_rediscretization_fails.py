@@ -30,7 +30,7 @@ for p in (1, 3):
         coarse = rediscretized_coarse_stepper(spec, m)
         sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                               n_excluded=default_exclusion_count(p))
-        bound = rho_check(p, c, m, e_rk, e_rk, e_fd)
+        bound = rho_check(p, c, m, e_rk, e_fd)
         marker = "  <-- diverges" if sweep.rho_e > 1 else ""
         print(f"  {c:>6.3f} {sweep.rho_e:>16.4f} {bound:>12.4f}{marker}")
     asym = abs(1 - m ** (-p))

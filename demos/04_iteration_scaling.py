@@ -22,7 +22,7 @@ for family, c, label in (("erk", 0.85 * cfl_limit(3), "explicit, c=0.85 c_max"),
     header = f"  {'grid':>12}" + "".join(f"{f'm={m}':>10}" for m in (2, 4, 8, 16))
     print(header)
     for n_x, n_t in GRIDS:
-        cells = iteration_table(family, 3, c, [(n_x, n_t)], [2, 4, 8, 16])
+        cells = iteration_table(family, 3, c, (n_x, n_t), [2, 4, 8, 16])
         row = f"  {n_x:>5}x{n_t:<6}"
         for cell in cells:
             row += f"{cell.iters_two_level + ' (' + cell.iters_v_cycle + ')':>10}"

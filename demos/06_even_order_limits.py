@@ -12,8 +12,7 @@ import numpy as np
 
 from mgrit_advection.experiments import lfa_sweep
 
-points = lfa_sweep("sdirk", 2, "modified", np.linspace(0.0625, 4.0, 64), [16],
-                   nu=1)
+points = lfa_sweep("sdirk", 2, "modified", np.linspace(0.0625, 4.0, 64), [16])
 print("second-order implicit pair, corrected coarse operator, m=16\n")
 print(f"{'c':>8} {'rho':>10}")
 previous = None

@@ -23,7 +23,6 @@ import io
 import math
 import os
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional, Sequence, get_type_hints
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from . import experiments, lfa, mgrit
 from .errors import SingularOperatorError
+from .stencils import upwind_derivative
 from .stepping import DiscretizationSpec, cfl_limit
 
 
@@ -111,11 +111,10 @@ class ExperimentConfig:
             if self.n_x < 1 or self.n_t < 1:
                 raise ConfigError(
                     f"grid sizes must be positive, got {self.n_x},{self.n_t}")
-            need = experiments.min_n_x(self.p, self.coarse)
-            if self.n_x < need:
-                raise ConfigError(
-                    f"n_x = {self.n_x} is too small for the order-{self.p} "
-                    f"stencils of this run; need n_x >= {need}")
+            try:
+                upwind_derivative(self.p, self.n_x)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
             # solve coarsens by the first factor (later ones are deeper
             # v-cycle levels, dropped where they stop dividing); iters and
             # measured sweeps run every factor as a two-level factor
@@ -138,28 +137,15 @@ class ExperimentConfig:
     def cfl_overflow(self, name: str = ""):
         """Report an overflow while operators are built from a CFL number as
         a bad value of ``name``, by default the setting ``resolve_c`` reads.
-        Warnings raised in the block are held: an overflow drops them with
-        the operators, otherwise they are re-emitted when the block ends."""
+        A build that overflows has warned of nothing: ``build_problem``
+        builds the coarse levels, where it overflows, before the fine
+        stepper, the only one that warns."""
         name = name or ("c_fraction" if self.c_fraction > 0.0 else "c")
-        with warnings.catch_warnings(record=True) as held:
-            warnings.simplefilter("always")
-            try:
-                yield
-            except OverflowError as exc:
-                raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
-                                  f"{exc}") from exc
-        # each under its module's name and registry, as if never held, so
-        # module filters and the once-per-location default still apply
-        # (warn_explicit drops a warning whose module is passed as None)
-        by_file = {getattr(mod, "__file__", None): mod
-                   for mod in list(sys.modules.values())} if held else {}
-        for w in held:
-            mod = by_file.get(w.filename)
-            origin = {} if mod is None else {
-                "module": mod.__name__,
-                "registry": vars(mod).setdefault("__warningregistry__", {})}
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno, source=w.source, **origin)
+        try:
+            yield
+        except OverflowError as exc:
+            raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
+                              f"{exc}") from exc
 
     def resolve_c(self) -> float:
         """Absolute fine-grid CFL number (fractions refer to c_max)."""
@@ -280,8 +266,9 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     if config.c_points == 1 or config.c_min == config.c_max:
         fractions = [config.c_max]
     else:
-        fractions = list(np.linspace(config.c_min, config.c_max,
-                                     config.c_points))
+        # Python floats overflow to inf without numpy's warning
+        fractions = np.linspace(config.c_min, config.c_max,
+                                config.c_points).tolist()
     if config.c_min < 0.0 or config.c_max < config.c_min or fractions[0] <= 0.0:
         raise ConfigError("sweep needs 0 <= c_min <= c_max with c_max > 0, "
                           "and c_min > 0 for several points")
@@ -289,11 +276,11 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     with config.cfl_overflow("c_max"):
         points = experiments.lfa_sweep(
             config.family, config.p, config.coarse,
-            [f * limit for f in fractions], config.m, nu=config.nu,
+            [f * limit for f in fractions], config.m, config.mgrit_config(),
             n_samples=config.lfa_samples,
             n_excluded=None if config.lfa_excluded < 0 else config.lfa_excluded,
             measure_grid=(config.n_x, config.n_t) if config.measure else None,
-            measure_config=config.mgrit_config(), threads=config.threads)
+            threads=config.threads)
 
     header = ["c", "c_over_cmax", "m", "rho_lfa", "divergent",
               "coarse_unstable", "rho_bound", "rho_measured",
@@ -308,12 +295,10 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 
 def cmd_iters(config: ExperimentConfig) -> int:
     c = config.resolve_c()
-    grids = [(config.n_x, config.n_t)]
     with config.cfl_overflow():
         cells = experiments.iteration_table(
-            config.family, config.p, c, grids, config.m, config.coarse,
-            nu=config.nu, tol=config.tol, max_iters=config.max_iters,
-            rng_seed=config.seed, threads=config.threads)
+            config.family, config.p, c, (config.n_x, config.n_t), config.m,
+            config.coarse, config.mgrit_config(), threads=config.threads)
     header = ("n_x", "n_t", "m", "iters_two_level", "iters_v_cycle")
     rows = [(cell.n_x, cell.n_t, cell.m, cell.iters_two_level,
              cell.iters_v_cycle) for cell in cells]
@@ -337,8 +322,9 @@ def cmd_validate(config: ExperimentConfig) -> int:
 
 def cmd_solve(config: ExperimentConfig) -> int:
     c = config.resolve_c()
-    spec = DiscretizationSpec(config.family, config.p, c, config.n_x, config.n_t)
     with config.cfl_overflow():
+        spec = DiscretizationSpec(config.family, config.p, c, config.n_x,
+                                  config.n_t)
         problem = experiments.build_problem(spec, config.m, config.cycle,
                                             config.coarse)
     report = mgrit.solve(problem, config.mgrit_config(), threads=config.threads)

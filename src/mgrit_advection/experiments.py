@@ -16,7 +16,6 @@ import numpy as np
 
 from . import lfa, mgrit, stepping
 from .errors import StabilityWarning
-from .stencils import StencilWindow
 from .stepping import (DiscretizationSpec, Stepper,
                        cfl_limit, error_constant_fd, fine_stepper,
                        ideal_coarse_stepper, modified_coarse_stepper,
@@ -27,22 +26,8 @@ from .stepping import (DiscretizationSpec, Stepper,
 COARSE_KINDS = ("modified", "rediscretized", "plain_sl", "ideal")
 
 
-def min_n_x(p: int, coarse_kind: str) -> int:
-    """Fewest mesh points that hold every stencil an order-p hierarchy with
-    this coarse kind builds without wrapping onto itself: the fine upwind
-    window, the semi-Lagrangian interpolation windows of corrected and plain
-    semi-Lagrangian coarse levels, and the correction operator's window of
-    corrected ones."""
-    windows = [StencilWindow.upwind(p)]
-    if coarse_kind in ("modified", "plain_sl"):
-        windows += [StencilWindow.interpolation(p, eps) for eps in (0.0, 0.75)]
-    if coarse_kind == "modified":
-        windows.append(stepping.correction_window(p))
-    return 2 * max(max(w.ell, w.r) for w in windows) + 1
-
-
 def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int,
-                   fine: Stepper, solver: str = "direct") -> Stepper:
+                   solver: str = "direct") -> Stepper:
     """Coarse stepper of ``kind`` whose one step covers F fine steps (the
     product of the coarsening factors down to its level).  The ideal and
     rediscretized kinds are two-level constructions: ``build_problem`` only
@@ -54,7 +39,7 @@ def coarse_stepper(kind: str, spec: DiscretizationSpec, F: int,
     if kind == "plain_sl":
         return plain_sl_coarse_stepper(spec, F)
     if kind == "ideal":
-        return ideal_coarse_stepper(fine, F)
+        return ideal_coarse_stepper(fine_stepper(spec), F)
     raise ValueError(f"unknown coarse kind {kind!r}")
 
 
@@ -73,8 +58,12 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     capped GMRES (``stepping.CAPPED_TOL``, ``stepping.capped_max_iters(p)``);
     in the Fourier basis of ``mgrit.solve`` that GMRES runs as spectral
     MINRES for odd p, whose correction is symmetric.
+
+    The coarse levels are built first.  Only a fine stepper warns, as level
+    0 or inside an ideal coarse stepper (rediscretized ones are SDIRK-only),
+    and only the other coarse kinds can overflow, so a build that overflows
+    has warned of nothing.
     """
-    fine = fine_stepper(spec)
     m_list = [m] if np.isscalar(m) else list(m)
     if not m_list or any(mf < 2 for mf in m_list):
         raise ValueError(f"coarsening factors must be >= 2, got {m_list}")
@@ -97,14 +86,14 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
         factors = factors or m_list[:1]
     solver = "gmres" if (spec.family == "erk" and cycle == "v_cycle"
                          and coarse_kind == "modified") else "direct"
-    steppers = [fine]
+    coarse = []
     F = 1
     for mf in factors:
         F *= mf
-        steppers.append(coarse_stepper(coarse_kind, spec, F, fine,
-                                       solver=solver))
+        coarse.append(coarse_stepper(coarse_kind, spec, F, solver=solver))
     u0 = mgrit.initial_condition(spec.n_x)
-    return mgrit.TimeGridProblem(steppers, factors, spec.n_t, u0)
+    return mgrit.TimeGridProblem([fine_stepper(spec)] + coarse, factors,
+                                 spec.n_t, u0)
 
 
 # ------------------------------------------------------------------ constants
@@ -146,19 +135,19 @@ class SweepPoint:
 
 
 def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
-              m_values: Sequence[int], nu: int = 1,
+              m_values: Sequence[int], config: Optional[mgrit.MgritConfig] = None,
               n_samples: int = 2 ** 11, n_excluded: Optional[int] = None,
               measure_grid: Optional[tuple] = None,
-              measure_config: Optional[mgrit.MgritConfig] = None,
               threads: int = 1) -> List[SweepPoint]:
     """Two-level convergence factors over a CFL sweep, one point per (c, m).
 
     Rediscretized coarse grids of odd order also get the characteristic
-    lower bound.  With ``measure_grid = (n_x, n_t)`` each point also runs
-    two-level MGRIT on that grid with ``nu`` relaxation sweeps, whatever
-    cycle and ``nu`` ``measure_config`` names, and records the effective
-    factor of the final iteration.  With ``threads`` > 1 the points run on
-    a thread pool, each solve serially, and come back in sweep order.
+    lower bound.  ``config`` (default ``MgritConfig()``) sets the iteration
+    controls: its ``nu`` for the prediction, and all of them, cycle aside,
+    for the two-level MGRIT run each point gets on ``measure_grid = (n_x,
+    n_t)``, which records the effective factor of the final iteration.
+    With ``threads`` > 1 the points run on a thread pool, each solve
+    serially, and come back in sweep order.
 
     A sweep may cross the stability limit, so ``StabilityWarning`` is
     silenced for the whole sweep, measured solves included.  The filter is
@@ -166,20 +155,19 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     so worker threads never touch the filters.
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
-    cfg = replace(measure_config or mgrit.MgritConfig(max_iters=30),
-                  cycle="two_level", nu=nu)
+    cfg = replace(config or mgrit.MgritConfig(), cycle="two_level")
 
     def sweep_point(c, m):
         spec = DiscretizationSpec(family, p, float(c), 64, 64)
         fine = fine_stepper(spec)
-        coarse = coarse_stepper(coarse_kind, spec, m, fine)
-        sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, nu,
+        coarse = coarse_stepper(coarse_kind, spec, m)
+        sweep = lfa.rho_two_level(fine.symbol, coarse.symbol, m, cfg.nu,
                                   n_samples, k_excl)
         point = SweepPoint(float(c), int(m), sweep.rho_e, sweep.rho_e >= 1.0,
                            sweep.divergent)
         if coarse_kind == "rediscretized" and p % 2 == 1:
-            e_rk = rk_error_constant(spec.tableau())
-            point.rho_bound = lfa.rho_check(p, float(c), m, e_rk, e_rk,
+            point.rho_bound = lfa.rho_check(p, float(c), m,
+                                            rk_error_constant(spec.tableau()),
                                             error_constant_fd(p))
         if measure_grid is not None:
             n_x, n_t = measure_grid
@@ -223,31 +211,26 @@ class IterationCell:
     iters_v_cycle: str
 
 
-def _format_iters(report: mgrit.SolveReport, max_iters: int) -> str:
-    return str(report.iterations) if report.converged else f">{max_iters}"
-
-
-def iteration_table(family: str, p: int, c: float,
-                    grids: Sequence[tuple], m_values: Sequence[int],
-                    coarse_kind: str = "modified", nu: int = 1,
-                    tol: float = 1e-10, max_iters: int = 40, rng_seed: int = 0,
+def iteration_table(family: str, p: int, c: float, grid: tuple,
+                    m_values: Sequence[int], coarse_kind: str = "modified",
+                    config: Optional[mgrit.MgritConfig] = None,
                     threads: int = 1) -> List[IterationCell]:
-    """Two-level and V-cycle iteration counts to a residual drop by ``tol``
-    (by default ten orders)."""
+    """Two-level and V-cycle iteration counts on the ``grid = (n_x, n_t)``,
+    one cell per coarsening factor.  ``config`` (default
+    ``MgritConfig(max_iters=40)``: a drop by ten orders within 40 cycles)
+    holds the iteration controls; each column runs it under its own cycle."""
+    config = config or mgrit.MgritConfig(max_iters=40)
+    spec = DiscretizationSpec(family, p, c, *grid)
     cells = []
-    for n_x, n_t in grids:
-        for m in m_values:
-            spec = DiscretizationSpec(family, p, c, n_x, n_t)
-            reports = {}
-            for cycle in ("two_level", "v_cycle"):
-                cfg = mgrit.MgritConfig(nu=nu, cycle=cycle, tol=tol,
-                                        max_iters=max_iters, rng_seed=rng_seed)
-                problem = build_problem(spec, m, cycle, coarse_kind)
-                reports[cycle] = mgrit.solve(problem, cfg, threads=threads)
-            cells.append(IterationCell(
-                n_x, n_t, m,
-                _format_iters(reports["two_level"], max_iters),
-                _format_iters(reports["v_cycle"], max_iters)))
+    for m in m_values:
+        iters = []
+        for cycle in ("two_level", "v_cycle"):
+            problem = build_problem(spec, m, cycle, coarse_kind)
+            report = mgrit.solve(problem, replace(config, cycle=cycle),
+                                 threads=threads)
+            iters.append(str(report.iterations) if report.converged
+                         else f">{config.max_iters}")
+        cells.append(IterationCell(spec.n_x, spec.n_t, m, *iters))
     return cells
 
 
@@ -331,7 +314,6 @@ def validation_rows() -> List[ValidationRow]:
                            else [256, 512, 1024, 2048])
         for family, c in (("erk", 0.5 * cfl_limit(p)), ("sdirk", 1.0)):
             tab = tableau(family, p)
-            e_rk = rk_error_constant(tab)
             m = 4
 
             fine = mol_stepper(DiscretizationSpec(family, p, c, 64, 64))
@@ -340,8 +322,8 @@ def validation_rows() -> List[ValidationRow]:
                 coarse = mol_stepper(
                     DiscretizationSpec(family, p, m * c, 64, 64))
             report = lfa.validate_eigenvalue_estimates(
-                p, c, m, error_constant_fd(p), e_rk, e_rk, fine.symbol,
-                coarse.symbol, n_x_list=estimate_meshes)
+                p, c, m, error_constant_fd(p), rk_error_constant(tab),
+                fine.symbol, coarse.symbol, n_x_list=estimate_meshes)
             label = f"{tab.name}+U{p}"
             rows.append(_row("eigenvalue_estimate_order", f"{label} fine",
                              report.fine_order, 1.0, 0.1, "min"))

@@ -147,21 +147,21 @@ def predict_history(fine_symbol: Callable[[np.ndarray], np.ndarray],
     return norms
 
 
-def rho_check(p: int, c: float, m: int, e_rk_fine: float, e_rk_coarse: float,
-              e_fd: float) -> float:
-    """Characteristic-component lower bound for rediscretized coarse grids.
+def rho_check(p: int, c: float, m: int, e_rk: float, e_fd: float) -> float:
+    """Characteristic-component lower bound for rediscretized coarse grids,
+    which reuse the fine grid's tableau and so its error constant ``e_rk``.
 
-        c^p | (e_rk_fine - m^p e_rk_coarse) / (e_fd + (mc)^p e_rk_coarse) |
+        c^p | (e_rk - m^p e_rk) / (e_fd + (mc)^p e_rk) |
 
     Valid for odd p; grows from O((mc)^p) at small coarse CFL numbers to
-    |1 - m^{-p} e_rk_fine / e_rk_coarse| as mc tends to infinity.
+    |1 - m^{-p}| as mc tends to infinity.
     """
     if p % 2 != 1:
         raise ValueError(f"the bound requires odd p, got {p}")
-    denom = e_fd + (m * c) ** p * e_rk_coarse
+    denom = e_fd + (m * c) ** p * e_rk
     if denom == 0.0:
         raise SingularOperatorError("lower-bound denominator vanishes")
-    return float(c ** p * abs((e_rk_fine - m ** p * e_rk_coarse) / denom))
+    return float(c ** p * abs((e_rk - m ** p * e_rk) / denom))
 
 
 # ------------------------------------------------- smooth-mode symbol estimates
@@ -197,8 +197,7 @@ class EigenvalueEstimateReport:
 
 
 def validate_eigenvalue_estimates(p: int, c: float, m: int,
-                                  e_fd: float, e_rk_fine: float,
-                                  e_rk_coarse: float,
+                                  e_fd: float, e_rk: float,
                                   fine_symbol: Callable,
                                   coarse_symbol: Callable,
                                   n_x_list: Sequence[int]
@@ -208,10 +207,10 @@ def validate_eigenvalue_estimates(p: int, c: float, m: int,
     The fine symbol should satisfy
         lambda(omega) = exp(-i c omega) [1 + (-1)^((p+1)/2) c (e_fd + c^p e_rk) omega^(p+1) + ...]
     with the m-step and coarse variants obtained by m-fold amplification and
-    by the substitution c -> m c.  The report records, per mesh, the maximum
-    relative deviation of the bracketed correction term over the
-    ``ESTIMATE_MODES`` smoothest retained modes; the deviations should
-    shrink at observed order >= 1.
+    by the substitution c -> m c, all with the one tableau's constant
+    ``e_rk``.  The report records, per mesh, the maximum relative deviation
+    of the bracketed correction term over the ``ESTIMATE_MODES`` smoothest
+    retained modes; the deviations should shrink at observed order >= 1.
     """
     if p % 2 != 1:
         raise ValueError(f"estimates require odd p, got {p}")
@@ -224,13 +223,13 @@ def validate_eigenvalue_estimates(p: int, c: float, m: int,
         lam = np.asarray(fine_symbol(om), dtype=complex)
         mu = np.asarray(coarse_symbol(om), dtype=complex)
         # fine: single step at CFL c
-        term_f = sign * c * (e_fd + c ** p * e_rk_fine) * om ** (p + 1)
+        term_f = sign * c * (e_fd + c ** p * e_rk) * om ** (p + 1)
         dev_f = np.abs(lam * np.exp(1j * om * c) - 1.0 - term_f) / np.abs(term_f)
         # ideal: m steps at CFL c
-        term_i = sign * m * c * (e_fd + c ** p * e_rk_fine) * om ** (p + 1)
+        term_i = sign * m * c * (e_fd + c ** p * e_rk) * om ** (p + 1)
         dev_i = np.abs(lam ** m * np.exp(1j * om * m * c) - 1.0 - term_i) / np.abs(term_i)
         # coarse: one step at CFL m c
-        term_c = sign * m * c * (e_fd + (m * c) ** p * e_rk_coarse) * om ** (p + 1)
+        term_c = sign * m * c * (e_fd + (m * c) ** p * e_rk) * om ** (p + 1)
         dev_c = np.abs(mu * np.exp(1j * om * m * c) - 1.0 - term_c) / np.abs(term_c)
         fine_dev.append(float(np.max(dev_f)))
         ideal_dev.append(float(np.max(dev_i)))

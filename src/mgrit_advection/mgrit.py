@@ -136,7 +136,7 @@ class SolveReport:
     and can cut a divergent history short, so an unconverged run can read a
     small factor after its residual grew far above r^0.  A solve stops
     unconverged after the first cycle whose residual norm is not finite,
-    which reads inf once it overflows.
+    which reads inf once it overflows or the residuals hold nan.
     """
 
     residual_norms: List[float]
@@ -193,11 +193,13 @@ def cpoint_residual_norm(u, g, stepper, m, out=None, work=None) -> float:
     ``u`` would write; it may be ``u[m-1:-1:m]``, the rows it is stepped
     from.  ``work``, when given, receives the residuals (it may be ``out``;
     keep it contiguous, or the norm copies it); otherwise they are formed in
-    a new array.  A norm too large for a float is inf, without a warning."""
+    a new array.  A norm too large for a float, or of residuals that hold
+    nan, is inf, without a warning."""
     relaxed = _step_rows(u, g, stepper, m, m, out)
     r = np.subtract(relaxed, u[m::m], out=work)
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(r.ravel()))
+        norm = float(np.linalg.norm(r.ravel()))
+    return math.inf if math.isnan(norm) else norm
 
 
 def sequential_solve(problem: TimeGridProblem) -> np.ndarray:

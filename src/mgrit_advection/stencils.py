@@ -97,10 +97,12 @@ class StencilWindow:
 
 
 def upwind_derivative(p: int, n_x: int) -> CirculantOperator:
-    """The operator L_p: L_p/h approximates d/dx at order p on the periodic mesh."""
+    """The operator L_p: L_p/h approximates d/dx at order p on the periodic mesh.
+    No stencil of an order-p run is wider, so its mesh floor is every run's."""
     win = StencilWindow.upwind(p)
     if n_x <= 2 * win.ell:
-        raise ValueError(f"n_x = {n_x} too small for the order-{p} stencil")
+        raise ValueError(f"n_x = {n_x} too small for the order-{p} stencil; "
+                         f"need n_x >= {2 * win.ell + 1}")
     w = fd_weights(1, win.offsets, 0.0)
     return CirculantOperator.from_arrays(n_x, win.offsets, w)
 

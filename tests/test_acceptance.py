@@ -92,7 +92,8 @@ def test_criterion_03_iteration_counts():
         c = c_erk if family == "erk" else 5.0
         for n_x, n_t in ((64, 256), (256, 1024), (1024, 4096)):
             cells = experiments.iteration_table(
-                family, 3, c, [(n_x, n_t)], [2, 4, 8, 16], max_iters=40)
+                family, 3, c, (n_x, n_t), [2, 4, 8, 16],
+                config=MgritConfig(max_iters=40))
             for cell in cells:
                 want_tl, want_v = TABLE3[(family, n_x, n_t)][cell.m]
                 got_tl = int(cell.iters_two_level.lstrip(">"))
@@ -164,7 +165,7 @@ def test_criterion_05_lfa_matches_measured_factors():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             fine = experiments.fine_stepper(spec)
-            coarse = experiments.coarse_stepper(kind, spec, m, fine)
+            coarse = experiments.coarse_stepper(kind, spec, m)
         sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                               n_excluded=lfa.default_exclusion_count(p))
         rep = experiments.measured_point(
@@ -202,13 +203,13 @@ def test_criterion_06_characteristic_lower_bound():
                 coarse = rediscretized_coarse_stepper(spec, m)
                 sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                                       n_excluded=k_excl)
-                bound = rho_check(p, float(c), m, e_rk, e_rk, e_fd)
+                bound = rho_check(p, float(c), m, e_rk, e_fd)
                 if sweep.rho_e < 0.95 * bound:
                     failures.append(f"p={p} m={m} c={c:.3g}: rho "
                                     f"{sweep.rho_e:.4f} < bound {bound:.4f}")
                 if m * c < 1.0 and bound < 0.9 * sweep.rho_e:
                     failures.append(f"p={p} m={m} c={c:.3g}: bound not tight")
-            asym = rho_check(p, 1e3 / m, m, e_rk, e_rk, e_fd)
+            asym = rho_check(p, 1e3 / m, m, e_rk, e_fd)
             target = abs(1.0 - m ** (-p))
             if abs(asym - target) > 0.02 * target:
                 failures.append(f"p={p} m={m}: asymptote {asym:.4f} vs "
@@ -268,7 +269,8 @@ def test_criterion_08_corrected_operator_consistency_order():
 
 def test_criterion_09_dispersive_implicit_second_order():
     points = experiments.lfa_sweep("sdirk", 2, "modified",
-                                   np.linspace(0.03125, 8.0, 256), [16], nu=1)
+                                   np.linspace(0.03125, 8.0, 256), [16],
+                                   MgritConfig(nu=1))
     rhos = np.array([pt.rho_lfa for pt in points])
     cs = np.array([pt.c for pt in points])
     small_c_divergent = bool(np.any(rhos[cs <= 2.0] > 1.0))

@@ -178,13 +178,18 @@ SDIRK_SWEEP = ["sweep", "--family", "sdirk", "--p", "1", "--m", "2"]
     (None, SDIRK_SWEEP + ["--c-range", "0,inf,4"], "c_max = inf is not finite"),
     (None, SDIRK_SWEEP + ["--c-range", "nan,1,4"], "c_min = nan is not finite"),
     (None, SDIRK_SWEEP + ["--c-range", "1,1e300,2"], "c_max = 1e+300 overflows"),
+    (None, ["solve", "--family", "erk", "--p", "3", "--c-fraction", "1.5e308",
+            "--m", "2", "--grid", "64,256"], "c_fraction = 1.5e+308 overflows"),
+    (None, ["sweep", "--family", "erk", "--p", "3", "--m", "2", "--c-range",
+            "1,1.5e308,2"], "c_max = 1.5e+308 overflows"),
     (None, SDIRK_SWEEP + ["--c-range", "0,1,4"], "c_min > 0 for several points"),
     (None, SDIRK_SWEEP + ["--c-range", "1,2,-5"], "c_points must be >= 1, got -5"),
     ("[sweep]\nc_points = 0\n", SDIRK_SWEEP, "c_points must be >= 1, got 0"),
     ("[sweep]\nmeasure = maybe\n", ["constants"], "bad value for measure"),
 ], ids=["seed_negative", "c_inf", "c_fraction_inf", "c_negative",
         "c_fraction_negative", "c_overflow", "c_fraction_overflow",
-        "c_max_inf", "c_min_nan", "c_max_overflow", "c_min_zero",
+        "c_max_inf", "c_min_nan", "c_max_overflow", "c_fraction_inf_product",
+        "c_max_inf_product", "c_min_zero",
         "c_points_negative", "c_points_zero", "measure_maybe"])
 def test_bad_run_input_is_a_configuration_error(tmp_path, capsys, ini, flags,
                                                 message):

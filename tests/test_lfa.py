@@ -151,8 +151,8 @@ def test_default_exclusion_policy():
 
 def test_rho_check_hand_value():
     # same method both grids: 4 * |0.5 - 1.0| / |0.5 + 4.0|
-    assert rho_check(1, 4.0, 2, 0.5, 0.5, 0.5) == pytest.approx(4.0 / 9.0,
-                                                                abs=1e-12)
+    assert rho_check(1, 4.0, 2, 0.5, 0.5) == pytest.approx(4.0 / 9.0,
+                                                           abs=1e-12)
 
 
 def test_rho_check_large_coarse_cfl_asymptote():
@@ -160,7 +160,7 @@ def test_rho_check_large_coarse_cfl_asymptote():
         e_rk = rk_error_constant(sdirk_tableau(p))
         e_fd = error_constant_fd(p)
         c = 1e3 / m
-        value = rho_check(p, c, m, e_rk, e_rk, e_fd)
+        value = rho_check(p, c, m, e_rk, e_fd)
         assert value == pytest.approx(abs(1 - m ** (-p)), rel=0.02)
 
 
@@ -168,14 +168,14 @@ def test_rho_check_small_coarse_cfl_scaling():
     p, m = 1, 4
     e_rk = rk_error_constant(sdirk_tableau(p))
     e_fd = error_constant_fd(p)
-    ratios = [rho_check(p, c, m, e_rk, e_rk, e_fd) / (m * c) ** p
+    ratios = [rho_check(p, c, m, e_rk, e_fd) / (m * c) ** p
               for c in (1e-3, 1e-4, 1e-5)]
     assert max(ratios) < 10 * min(ratios)  # bounded as c -> 0
 
 
 def test_rho_check_requires_odd_order():
     with pytest.raises(ValueError):
-        rho_check(2, 1.0, 2, 0.1, 0.1, 0.3)
+        rho_check(2, 1.0, 2, 0.1, 0.3)
 
 
 # ---------------------------------------------------------------- lower bound
@@ -187,7 +187,7 @@ def test_lower_bound_holds_for_first_order_implicit(m):
     for c in np.linspace(0.25, 8.0, 16):
         lam_fn, mu_fn = sdirk_symbols(1, float(c), m)
         sweep = rho_two_level(lam_fn, mu_fn, m, 1, n_excluded=2)
-        bound = rho_check(1, float(c), m, e_rk, e_rk, e_fd)
+        bound = rho_check(1, float(c), m, e_rk, e_fd)
         assert sweep.rho_e >= 0.95 * bound
 
 
@@ -200,7 +200,7 @@ def test_lower_bound_tight_for_small_coarse_cfl():
             continue
         lam_fn, mu_fn = sdirk_symbols(1, c, m)
         sweep = rho_two_level(lam_fn, mu_fn, m, 1, n_excluded=2)
-        bound = rho_check(1, c, m, e_rk, e_rk, e_fd)
+        bound = rho_check(1, c, m, e_rk, e_fd)
         assert bound >= 0.9 * sweep.rho_e
 
 
@@ -237,7 +237,7 @@ def test_eigenvalue_estimates_converge(family, p, c, m):
     tab = erk_tableau(p) if family == "erk" else sdirk_tableau(p)
     e_rk = rk_error_constant(tab)
     report = validate_eigenvalue_estimates(
-        p, c, m, error_constant_fd(p), e_rk, e_rk,
+        p, c, m, error_constant_fd(p), e_rk,
         _mol_symbol(family, p, c), _mol_symbol(family, p, m * c),
         n_x_list=[1024, 2048, 4096, 8192])
     fit_tol = 0.1
@@ -253,7 +253,7 @@ def test_ideal_estimate_reduces_to_fine_at_unit_factor():
     e_rk = rk_error_constant(erk_tableau(1))
     fn = _mol_symbol("erk", p, c)
     report = validate_eigenvalue_estimates(
-        p, c, 1, error_constant_fd(p), e_rk, e_rk, fn, fn,
+        p, c, 1, error_constant_fd(p), e_rk, fn, fn,
         n_x_list=[256, 512])
     np.testing.assert_allclose(report.fine_deviation, report.ideal_deviation,
                                rtol=1e-12)
@@ -263,7 +263,7 @@ def test_ideal_estimate_reduces_to_fine_at_unit_factor():
 
 def test_estimates_require_odd_order():
     with pytest.raises(ValueError):
-        validate_eigenvalue_estimates(2, 0.5, 2, 0.3, 0.1, 0.1,
+        validate_eigenvalue_estimates(2, 0.5, 2, 0.3, 0.1,
                                       lambda om: om, lambda om: om, [64])
 
 
@@ -321,8 +321,8 @@ def test_threaded_sweep_emits_no_stability_warnings():
 def test_measured_sweep_point_relaxes_with_the_sweeps_nu():
     # nu sets the measured solve too: a configuration's own nu must not
     # measure another relaxation than the prediction uses
-    point, = lfa_sweep("sdirk", 3, "modified", [5.0], [4], nu=2,
-                       measure_grid=(64, 256), measure_config=MgritConfig())
+    point, = lfa_sweep("sdirk", 3, "modified", [5.0], [4], MgritConfig(nu=2),
+                       measure_grid=(64, 256))
     direct = measured_point("sdirk", 3, "modified", 5.0, 4, 64, 256,
                             MgritConfig(nu=2))
     assert point.measured_iters == direct.iterations
@@ -339,5 +339,5 @@ def test_sweep_bounds_exactly_the_odd_rediscretized_points(p):
         assert redisc.rho_bound is None
     else:
         e_rk = rk_error_constant(sdirk_tableau(p))
-        assert redisc.rho_bound == rho_check(p, c, 4, e_rk, e_rk,
+        assert redisc.rho_bound == rho_check(p, c, 4, e_rk,
                                              error_constant_fd(p))

@@ -540,6 +540,22 @@ def test_overflowing_solve_stops_at_its_first_infinite_norm():
     assert all(math.isfinite(r) for r in report.residual_norms[:-1])
 
 
+def test_diverging_capped_v_cycle_stops_at_an_infinite_norm():
+    # the capped correction overflows before the residual norm does: its
+    # Krylov solve gets rows whose norms overflow and returns inf and nan,
+    # which the norm reads as inf, with no numpy warning
+    spec = DiscretizationSpec("erk", 3, 2.0 * cfl_limit(3), 64, 256)
+    with pytest.warns(StabilityWarning):
+        problem = build_problem(spec, 4, "v_cycle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = solve(problem, MgritConfig(cycle="v_cycle", max_iters=30))
+    assert not report.converged
+    assert report.iterations == 17
+    assert report.effective_rho == math.inf
+    assert all(math.isfinite(r) for r in report.residual_norms[:-1])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MgritConfig(nu=-1)

@@ -199,6 +199,14 @@ def test_staged_matches_assembled(family, p):
                                    stencil(assembled).apply(v), atol=1e-11)
 
 
+def test_spec_rejects_a_cfl_number_that_is_not_finite():
+    with pytest.raises(ValueError, match="CFL number c must be positive"):
+        DiscretizationSpec("sdirk", 3, math.nan, 32, 8)
+    # an infinite c is what a product of CFL factors reads once it overflows
+    with pytest.raises(OverflowError, match="CFL number c = inf"):
+        DiscretizationSpec("sdirk", 3, math.inf, 32, 8)
+
+
 def test_cfl_violation_warns_but_constructs():
     spec = DiscretizationSpec("erk", 1, 1.5, 32, 8)
     with pytest.warns(StabilityWarning):
