@@ -196,21 +196,26 @@ def rk_error_constant(tab: ButcherTableau) -> float:
 
 
 def stability_function(tab: ButcherTableau, z) -> complex | np.ndarray:
-    """R(z) = 1 + z b^T (I - zA)^{-1} 1, vectorized over complex z."""
+    """R(z) = 1 + b^T k for the stage slopes k = z (1 + Ak) of one step of
+    u' = zu from u = 1, vectorized over complex z.
+
+    A is lower triangular: the slopes are a forward substitution,
+    k_i = z (1 + sum_{j<i} a_ij k_j) / (1 - a_ii z), skipping zero entries.
+    """
     zarr = np.asarray(z, dtype=complex)
-    flat = zarr.reshape(-1)
-    s = tab.stages
     if tab.kind == "sdirk":
         gamma = tab.A[0, 0]
-        if np.any(np.abs(1.0 - gamma * flat) < 1e-14):
+        if np.any(np.abs(1.0 - gamma * zarr) < 1e-14):
             raise SingularOperatorError(
                 f"stability function pole: z near 1/gamma = {1.0 / gamma}")
-    M = np.eye(s)[None, :, :] - flat[:, None, None] * tab.A[None, :, :]
-    stages = np.linalg.solve(M, np.ones((len(flat), s, 1)))[:, :, 0]
-    out = 1.0 + flat * (stages @ tab.b)
-    if np.isscalar(z):
-        return complex(out[0])
-    return out.reshape(zarr.shape)
+    k = []
+    for i, row in enumerate(tab.A):
+        ki = zarr * (1.0 + sum(a * kj for a, kj in zip(row, k) if a != 0.0))
+        if row[i] != 0.0:
+            ki = ki / (1.0 - row[i] * zarr)
+        k.append(ki)
+    out = 1.0 + sum(b * ki for b, ki in zip(tab.b, k) if b != 0.0)
+    return complex(out) if np.isscalar(z) else out
 
 
 # ------------------------------------------------------------- discretizations
@@ -428,15 +433,9 @@ _CFL_CACHE: dict = {}
 def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
     """Largest CFL number keeping max_omega |R(-c L_p)| <= 1 + STABILITY_TOL.
 
-    Located by bisection over c, to an interval of width 1e-6, with the
-    symbol scanned on 4096 uniform samples of [-pi, pi).  Results are
-    memoized (steppers consult the limit on construction).
-
-    R is evaluated by Horner's rule on its Taylor coefficients
-    beta_j = b^T A^(j-1) 1, j = 0 .. s, not through ``stability_function``'s
-    batched solves.  The polynomial is exact, not a truncated series: an
-    explicit A is strictly lower triangular, hence nilpotent (A^s = 0), so
-    (I - zA)^{-1} = sum_{j<s} z^j A^j and R(z) = sum_{j<=s} beta_j z^j.
+    Located by bisection over c, to an interval of width 1e-6, with
+    ``stability_function`` scanned on 4096 uniform samples of [-pi, pi).
+    Results are memoized (steppers consult the limit on construction).
     """
     if tab is None:
         tab = erk_tableau(p)
@@ -449,11 +448,10 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
     w = fd_weights(1, win.offsets, 0.0)
     om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
     Lsym = stencil_symbol(win.offsets, w, om)
-    # highest power first, as np.polyval takes them
-    beta = [tab.taylor_coefficient(j) for j in range(tab.stages, -1, -1)]
 
     def stable(c):
-        return np.max(np.abs(np.polyval(beta, -c * Lsym))) <= 1.0 + STABILITY_TOL
+        R = stability_function(tab, -c * Lsym)
+        return np.max(np.abs(R)) <= 1.0 + STABILITY_TOL
 
     lo, hi = 1e-8, 1.0
     while stable(hi):

@@ -231,8 +231,8 @@ def test_over_limit_run_still_warns(tmp_path):
 
 
 def test_held_warnings_keep_their_module(tmp_path):
-    # re-emitted after the build, a warning still meets filters that name
-    # the module that raised it
+    # the over-limit fine stepper's warning reaches the caller as raised,
+    # so filters that name the module that raised it still apply
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warnings.filterwarnings("ignore", category=StabilityWarning,
@@ -240,6 +240,18 @@ def test_held_warnings_keep_their_module(tmp_path):
         code, _ = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1.2"], tmp_path)
     assert code == 0
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+
+
+def test_singular_correction_is_exit_code_2(tmp_path, capsys):
+    # at this c, phi = -1/4 and 1 - phi D vanishes at omega = pi on an even
+    # mesh; the coarse level is built first, so nothing warns before it fails
+    code, _ = run_cli(["solve", "--family", "erk", "--p", "1",
+                       "--c", "1.1339745962155612", "--m", "2",
+                       "--grid", "32,64"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical singularity: correction matrix singular for phi = -0.25 "
+        "at omega = 2*pi*16/32"]
 
 
 @pytest.mark.parametrize("text,value", [
@@ -502,6 +514,18 @@ def test_validate_quick_smoke(tmp_path):
     rows = validation_rows()
     assert all(hasattr(r, "passed") for r in rows)
     assert any(r.check == "global_order" for r in rows)
+
+
+def test_failed_validation_is_exit_code_3(tmp_path, capsys, monkeypatch):
+    from mgrit_advection import experiments
+    failing = experiments.ValidationRow("global_order", "erk p=3", 2.5, 3.0,
+                                        0.1, False)
+    monkeypatch.setattr(experiments, "validation_rows", lambda: [failing])
+    code, text = run_cli(["validate"], tmp_path)
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "FAILED global_order [erk p=3]: observed ")
+    assert text.splitlines()[-1].endswith(",false")
 
 
 # --------------------------------------------------------------- CI workflow

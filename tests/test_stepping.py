@@ -140,6 +140,20 @@ def test_stability_function_taylor_remainder(family, q):
         assert slope >= q + 2 - 0.2
 
 
+@pytest.mark.parametrize("c", [1e9, 1e17])
+def test_stability_function_is_conjugate_symmetric_far_past_the_limit(c):
+    # an ERK3 stepper far beyond its CFL limit is still a real operator:
+    # R at -c times the upwind symbol on the mesh is finite and mirrors
+    # itself, lambda(2 pi - omega) = conj(lambda(omega)), to rounding (the
+    # test FourierBasisOperator makes, at 1e-14 rather than 1e-8)
+    n_x = 64
+    lsym = upwind_derivative(3, n_x).symbol(2.0 * np.pi * np.arange(n_x) / n_x)
+    lam = stability_function(erk_tableau(3), -c * lsym)
+    assert np.all(np.isfinite(lam))
+    mirror = np.conj(lam[-np.arange(n_x) % n_x])
+    assert np.max(np.abs(lam - mirror)) <= 1e-14 * np.max(np.abs(lam))
+
+
 # ----------------------------------------------------------------- mol_stepper
 
 def test_explicit_euler_upwind_stencil():
@@ -287,8 +301,8 @@ def test_cfl_limits(p):
 
 
 #: c_max of ERK q + U p, keyed (p, q): the bisection gives exactly these
-#: values whether it evaluates R as a polynomial or through the resolvent
-#: 1 + z b^T (I - zA)^{-1} 1 (``stability_function``)
+#: values whichever way R is evaluated (stage recurrence, Horner polynomial,
+#: resolvent 1 + z b^T (I - zA)^{-1} 1): those differ by rounding only
 CMAX_PINNED = {
     (1, 1): 1.0000004768371582, (1, 2): 1.0000004768371582,
     (1, 3): 1.2563729286193848, (1, 4): 1.3926472663879395,
@@ -317,7 +331,7 @@ def test_cfl_limit_is_pinned_bitwise(p, q):
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_explicit_stability_function_is_its_taylor_polynomial(p, q):
     # A is nilpotent, so the series b^T A^(j-1) 1 z^j stops at j = s; the
-    # polynomial must match the resolvent form on cfl_limit's scan samples
+    # polynomial must match the stage recurrence on cfl_limit's scan samples
     tab = erk_tableau(q)
     assert tab.taylor_coefficient(tab.stages + 1) == 0.0
     beta = [tab.taylor_coefficient(j) for j in range(tab.stages, -1, -1)]
