@@ -8,8 +8,8 @@ convergence analysis (``lfa``), and experiment drivers (``experiments``,
 """
 
 from .circulant import CirculantOperator
-from .errors import (DimensionMismatchError, SingularOperatorError,
-                     StabilityWarning, TableauError)
+from .errors import (DimensionMismatchError, NotRealOperatorError,
+                     SingularOperatorError, StabilityWarning, TableauError)
 from .lfa import (LfaSweep, default_exclusion_count, predict_history,
                   rho_check, rho_mode, rho_two_level,
                   validate_eigenvalue_estimates)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NotRealOperatorError
 
 #: weights with magnitude below this are dropped when stencils are combined
 PRUNE_TOL = 1e-15
@@ -226,7 +226,7 @@ class FourierBasisOperator:
     ``op`` is anything with ``n_x`` and ``eigenvalues()`` (its symbol at
     2*pi*k/n_x, FFT order), such as a ``CirculantOperator`` or a ``Stepper``;
     a spectrum that is not conjugate-symmetric (not a real operator) is
-    refused.
+    refused with ``NotRealOperatorError``.
     """
 
     __slots__ = ("n_x", "_head", "_interior")
@@ -238,8 +238,9 @@ class FourierBasisOperator:
         # errors that grow with its offsets (a semi-Lagrangian shift)
         mirror = np.conj(lam[-np.arange(n) % n])
         if np.max(np.abs(lam - mirror)) > 1e-8 * np.max(np.abs(lam)):
-            raise ValueError("the real Fourier basis needs a real operator "
-                             "(a conjugate-symmetric spectrum)")
+            raise NotRealOperatorError(
+                "the real Fourier basis needs a real operator (a "
+                "conjugate-symmetric spectrum)")
         lam = lam[: n // 2 + 1]
         self.n_x = n
         # eigenvalues of the real modes are real up to rounding; the
@@ -385,6 +386,14 @@ def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
     return X, res, j, breakdown
 
 
+def _row_norms(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of the real 2-D ``x``, with the squares
+    formed in the first rows of ``work``: bitwise ``np.linalg.norm(x,
+    axis=-1)``, which squares a copy of ``x`` each time."""
+    squares = np.multiply(x, x, out=work[:len(x)])
+    return np.sqrt(np.add.reduce(squares, axis=-1))
+
+
 def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
                      max_iters: int):
     """``_gmres_batched`` for a symmetric operator, by MINRES on each row's
@@ -429,7 +438,8 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
     c = np.empty((K, len(lam)))
     np.abs(B[:, :h], out=c[:, :h])
     np.abs(B[:, h:].view(complex), out=c[:, h:])
-    beta1 = np.linalg.norm(c, axis=-1)
+    work = np.empty_like(c)  # the squares of the row norms
+    beta1 = _row_norms(c, work)
     rows = np.flatnonzero(beta1 > 0.0)
     res = np.where(beta1 > 0.0, 1.0, 0.0)
     breakdown = False
@@ -455,7 +465,7 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
         w -= beta[:, None] * v_prev
         alpha = np.einsum("kn,kn->k", w, v)
         w -= alpha[:, None] * v
-        beta_next = np.linalg.norm(w, axis=-1)
+        beta_next = _row_norms(w, work)
         # rotate the new tridiagonal column [beta, alpha, beta_next]
         eps = sn2 * beta
         delta_hat = cs2 * beta

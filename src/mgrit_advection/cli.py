@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, get_type_hints
 import numpy as np
 
 from . import experiments, lfa, mgrit
-from .errors import SingularOperatorError
+from .errors import NotRealOperatorError, SingularOperatorError
 from .stencils import upwind_derivative
 from .stepping import DiscretizationSpec, cfl_limit
 
@@ -136,16 +136,21 @@ class ExperimentConfig:
     @contextlib.contextmanager
     def cfl_overflow(self, name: str = ""):
         """Report an overflow while operators are built from a CFL number as
-        a bad value of ``name``, by default the setting ``resolve_c`` reads.
-        A build that overflows has warned of nothing: ``build_problem``
-        builds the coarse levels, where it overflows, before the fine
-        stepper, the only one that warns."""
+        a bad value of ``name``, by default the setting ``resolve_c`` reads,
+        and so a semi-Lagrangian shift too long for its symbol's phases to
+        stay conjugate-symmetric in floating point.  A build that fails so
+        has warned of nothing: ``build_problem`` builds the coarse levels,
+        where it fails, before the fine stepper, the only one that warns."""
         name = name or ("c_fraction" if self.c_fraction > 0.0 else "c")
         try:
             yield
         except OverflowError as exc:
             raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
                               f"{exc}") from exc
+        except NotRealOperatorError as exc:
+            raise ConfigError(f"{name} = {getattr(self, name)} is too large: "
+                              f"its semi-Lagrangian shifts round the phases "
+                              f"of their symbols, and {exc}") from exc
 
     def resolve_c(self) -> float:
         """Absolute fine-grid CFL number (fractions refer to c_max)."""

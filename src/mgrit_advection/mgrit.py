@@ -28,13 +28,34 @@ of the iterate holds, and zero elsewhere); after the first cycle it skips the
 opening F-relaxation, which the closing one already did, and its first
 C-relaxation copies the values the residual norm propagated.
 
-Level 0 cycles in the iterate plus one coarse buffer.  The residual norm
-forms its residuals in level 0's coarse buffer, which is dead between cycles.
-With nu >= 1 it writes its propagated values Phi u_{km-1} over each
-interval's last F-point u_{km-1}, which the next F-relaxation overwrites
-anyway; with nu = 0 no C-relaxation reads them, so they go to the buffer and
-the iterate is left alone.  When the loop ends the last F-points are stepped
-once more from u_{km-2}, so the returned iterate is the cycle's bit for bit.
+A right-hand side ``g`` holds rows 1..n of a level's n + 1 time points, or
+is None for zero.  No kernel reads g_0: row 0 of the iterate holds the value
+at t = 0 (u0 on level 0, a zero error below).
+
+Every level cycles in its iterate plus one coarse buffer, of the next level's
+n_c + 1 rows.  The two-level cycle and the coarsest level restrict into the
+buffer's rows 1..n_c and forward-substitute there in place.  An inner
+V-cycle level restricts over its own last F-points u_{km-1} instead: the
+closing F-relaxation rewrites every F-point, so those rows are dead while
+the level waits for its correction, and they are the next level's ``g``.
+Its buffer is zeroed and cycles as the next level's error.  A V-cycle at
+factor m so holds the iterate plus about m / (m - 1) level-0 coarse
+buffers, and a capped coarse solve adds its transients, bounded by one
+block of rows (``stepping.CappedCorrection``).  The ``tracemalloc`` peaks of
+3-iteration ERK3 V-cycles on 64 x 4096 are 2.5 and 2.0 level-0 buffers at
+m = 2 and 4, numpy's ufunc buffers included.
+
+The residual norm forms its residuals in level 0's coarse buffer, which is
+dead between cycles.  With nu >= 1 it writes its propagated values
+Phi u_{km-1} over each interval's last F-point u_{km-1}, which the next
+F-relaxation overwrites anyway; with nu = 0 no C-relaxation reads them, so
+they go to the buffer and the iterate is left alone.  When the loop ends the
+last F-points are stepped once more from u_{km-2}, so the returned iterate
+is the cycle's bit for bit.
+
+``solve`` runs with numpy's overflow and invalid-value warnings off, in
+every pool task too: a diverging solve stops at its first infinite residual
+norm, and no warning escapes.
 
 ``threads`` splits each F- and C-relaxation sweep and each residual
 restriction into one task per block of whole coarse intervals, on levels with
@@ -148,10 +169,11 @@ class SolveReport:
 
 def _step_rows(u, g, stepper, m, j, out) -> np.ndarray:
     """Phi u_{km+j-1} + g_{km+j} for every interval k, with ``g`` None read
-    as zero; written to ``out`` when given."""
+    as zero; written to ``out`` when given.  ``g`` holds rows 1..n, so
+    g_{km+j} is its row km+j-1."""
     out = stepper.apply(u[j - 1:-1:m], out=out)
     if g is not None:
-        out += g[j::m]
+        out += g[j - 1::m]
     return out
 
 
@@ -160,7 +182,8 @@ def f_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
     """Zero the residual at the m-1 points after each coarse point.
 
     Sequential inside an interval, batched across intervals, each step
-    written straight into ``u``.  ``g`` None is read as zero.
+    written straight into ``u``.  ``g`` holds time points 1..n, or is None
+    for zero.
     """
     for j in range(1, m):
         _step_rows(u, g, stepper, m, j, u[j::m])
@@ -169,7 +192,8 @@ def f_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
 def c_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
             m: int) -> None:
     """Zero the residual at every coarse point after the first, writing
-    straight into ``u``; ``g`` None is read as zero."""
+    straight into ``u``; ``g`` holds time points 1..n, or is None for
+    zero."""
     _step_rows(u, g, stepper, m, m, u[m::m])
 
 
@@ -178,8 +202,9 @@ def restrict_residual(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
     """Coarse-point residuals g_km + Phi u_{km-1} - u_km for k >= 1.
 
     Injected to the coarse grid; valid as the full residual once the interior
-    points have been F-relaxed.  ``g`` None is read as zero.  Written to
-    ``out`` when given.
+    points have been F-relaxed.  ``g`` holds time points 1..n, or is None
+    for zero.  Written to ``out`` when given; it may be ``u[m-1::m]``, the
+    rows stepped from.
     """
     r = _step_rows(u, g, stepper, m, m, out)
     r -= u[m::m]
@@ -187,7 +212,8 @@ def restrict_residual(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
 
 
 def cpoint_residual_norm(u, g, stepper, m, out=None, work=None) -> float:
-    """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km.
+    """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km,
+    with ``g`` as in ``restrict_residual``.
 
     ``out``, when given, receives g_km + Phi u_{km-1}, what a C-relaxation of
     ``u`` would write; it may be ``u[m-1:-1:m]``, the rows it is stepped
@@ -252,9 +278,10 @@ class MgritSolver:
         """Run ``kernel(u, g, stepper, m, *out)`` over the level's coarse
         intervals: serially, or with at least two intervals per thread as one
         pool task per contiguous block k0 <= k < k1, on rows k0*m .. k1*m of
-        ``u`` and ``g`` and rows k0 .. k1-1 of ``out``.  Adjacent blocks
-        share only their boundary C-point, which only the left block's
-        C-relaxation writes and the right block's kernels never read.
+        ``u`` (rows k0*m .. k1*m-1 of ``g``, which starts at time point 1)
+        and rows k0 .. k1-1 of ``out``.  Adjacent blocks share only their
+        boundary C-point, which only the left block's C-relaxation writes
+        and the right block's kernels never read.
         """
         n_intervals = (u.shape[0] - 1) // m
         if self._pool is None or n_intervals < 2 * self.threads:
@@ -264,20 +291,25 @@ class MgritSolver:
                  for i in range(self.threads + 1)]
 
         def block(k0, k1):
-            rows = slice(k0 * m, k1 * m + 1)
-            kernel(u[rows], None if g is None else g[rows], stepper, m,
-                   *(o[k0:k1] for o in out))
+            # a pool thread starts from numpy's default error state
+            with np.errstate(over="ignore", invalid="ignore"):
+                kernel(u[k0 * m:k1 * m + 1],
+                       None if g is None else g[k0 * m:k1 * m], stepper, m,
+                       *(o[k0:k1] for o in out))
 
         list(self._pool.map(block, edges[:-1], edges[1:]))
 
     def _cycle(self, level: int, u: np.ndarray, g: Optional[np.ndarray],
                coarse: Optional[np.ndarray] = None, warm: bool = False) -> None:
-        """One cycle in place on ``u``, with its coarse problem in ``coarse``
-        (n_c + 1 rows, allocated if None).  ``warm``: the F-points of ``u``
-        are relaxed, so the opening F-relaxation is skipped; with ``nu`` >= 1
-        each interval's last F-point u[km-1] holds the C-point value
-        Phi u_{km-1} in its place (``cpoint_residual_norm``'s ``out``), and
-        the first C-relaxation copies it rather than stepping."""
+        """One cycle in place on ``u``, with its coarse buffer ``coarse``
+        (n_c + 1 rows, allocated if None): the coarse problem, solved in
+        place, of a two-level or coarsest-level cycle, or the next level's
+        error, whose right-hand side goes over the last F-points of ``u``.
+        ``warm``: the F-points of ``u`` are relaxed, so the opening
+        F-relaxation is skipped; with ``nu`` >= 1 each interval's last
+        F-point u[km-1] holds the C-point value Phi u_{km-1} in its place
+        (``cpoint_residual_norm``'s ``out``), and the first C-relaxation
+        copies it rather than stepping."""
         cfg = self.config
         steppers = self.problem.steppers
         stepper = steppers[level]
@@ -297,18 +329,23 @@ class MgritSolver:
                 phase(c_relax, u, g, stepper, m)
             phase(f_relax, u, g, stepper, m)
 
-        # coarse right-hand side: zero at t = 0, the restricted residual after
-        coarse[0] = 0.0
-        phase(restrict_residual, u, g, stepper, m, coarse[1:])
-
         last_level = level + 1 == len(self.problem.m)
         if cfg.cycle == "two_level" or last_level:
-            e = _forward_substitute(steppers[level + 1], coarse)
+            # coarse right-hand side: zero at t = 0, the restricted residual
+            # after; forward substitution turns it into the error
+            coarse[0] = 0.0
+            phase(restrict_residual, u, g, stepper, m, coarse[1:])
+            _forward_substitute(steppers[level + 1], coarse)
         else:
-            e = np.zeros(coarse.shape)
-            self._cycle(level + 1, e, coarse)
+            # the last F-points are dead until the closing F-relaxation
+            # rewrites them: they hold the restricted residual, the next
+            # level's right-hand side, and the buffer its error
+            rhs = u[m - 1::m]
+            phase(restrict_residual, u, g, stepper, m, rhs)
+            coarse[...] = 0.0
+            self._cycle(level + 1, coarse, rhs)
 
-        u[m::m] += e[1:]
+        u[m::m] += coarse[1:]
         phase(f_relax, u, g, stepper, m)
 
     # ------------------------------------------------------------------ solve
@@ -331,7 +368,8 @@ class MgritSolver:
                 f"the iterate must be a float64 array of shape {shape} with a "
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
-        # level 0's coarse problem; between cycles, the norm's residuals
+        # level 0's coarse buffer (``_cycle``); between cycles, the norm's
+        # residuals
         coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
         # the norm's C-point values: over the last F-points for the warm
         # cycle's first C-relaxation, or in the residuals' buffer if unused
@@ -344,37 +382,40 @@ class MgritSolver:
         if self.threads > 1:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
-        try:
-            norms = [cpoint_residual_norm(u, None, stepper, m, relaxed,
-                                          coarse[1:])]
-            converged = False
-            it = 0
-            while it < cfg.max_iters:
-                self._cycle(0, u, None, coarse, warm=it > 0)
-                it += 1
-                norms.append(cpoint_residual_norm(u, None, stepper, m,
-                                                  relaxed, coarse[1:]))
-                # a cycle that leaves a zero residual has converged; the
-                # opening norm alone is never enough, as it reads only the
-                # C-points and leaves the F-points unchecked
-                if norms[-1] == 0.0 or (norms[0] > 0
-                                        and norms[-1] / norms[0] <= cfg.tol):
-                    converged = True
-                    break
-                # past a norm that is not finite, the cycles would only run
-                # on in inf and nan
-                if not math.isfinite(norms[-1]):
-                    break
-            if cfg.nu:
-                # the closing F-relaxation's values at the last F-points
-                _step_rows(u, None, stepper, m, m - 1, u[m - 1::m])
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-            # free the coarse buffer before the basis change's temporaries
-            del coarse, relaxed
-            FourierBasisOperator.from_basis(u)
+        # a diverging iterate overflows, the norm reads inf, and the basis
+        # change returns what it holds
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                norms = [cpoint_residual_norm(u, None, stepper, m, relaxed,
+                                              coarse[1:])]
+                converged = False
+                it = 0
+                while it < cfg.max_iters:
+                    self._cycle(0, u, None, coarse, warm=it > 0)
+                    it += 1
+                    norms.append(cpoint_residual_norm(u, None, stepper, m,
+                                                      relaxed, coarse[1:]))
+                    # a cycle that leaves a zero residual has converged;
+                    # the opening norm alone is never enough, as it reads
+                    # only the C-points and leaves the F-points unchecked
+                    if norms[-1] == 0.0 or (
+                            norms[0] > 0 and norms[-1] / norms[0] <= cfg.tol):
+                        converged = True
+                        break
+                    # past a norm that is not finite, the cycles would only
+                    # run on in inf and nan
+                    if not math.isfinite(norms[-1]):
+                        break
+                if cfg.nu:
+                    # the closing F-relaxation's values at the last F-points
+                    _step_rows(u, None, stepper, m, m - 1, u[m - 1::m])
+            finally:
+                if self._pool is not None:
+                    self._pool.shutdown()
+                    self._pool = None
+                # free the coarse buffer before the basis change's temporaries
+                del coarse, relaxed
+                FourierBasisOperator.from_basis(u)
         wall = time.perf_counter() - start
 
         if len(norms) >= 2 and norms[-2] > 0:

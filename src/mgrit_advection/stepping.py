@@ -323,6 +323,13 @@ class CappedCorrection(NamedTuple):
     the last iteration; ``_minres_spectral`` stores one array per iteration
     of the rows still live, so its storage grows with the iterations run.
 
+    The rows are stepped and solved in blocks of ``_CAPPED_BLOCK_ROWS``, each
+    block's iterate written straight into ``out``, so the step output and
+    the Krylov storage are those of one block however many rows are
+    stepped.  Both kernels solve each row on its own, so the result does
+    not depend on the blocking.  ``out`` may be ``u`` itself, or rows that
+    do not overlap it.
+
     A batch that is all zeros steps to zeros with neither the step nor the
     solve: every coarse cycle's first F-relaxation steps the zero error.
     """
@@ -335,26 +342,32 @@ class CappedCorrection(NamedTuple):
 
     def __call__(self, u: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(np.shape(u))
         if not np.any(u):
-            if out is None:
-                return np.zeros(np.shape(u))
             out[...] = 0.0
             return out
-        rhs = self.step.apply(u)
-        flat = rhs.reshape(-1, rhs.shape[-1])
+        rows = np.reshape(u, (-1, out.shape[-1]))
+        dest = out.reshape(rows.shape)
         # rows of a diverging solve overflow; the residual norm reads inf
         with np.errstate(over="ignore", invalid="ignore"):
-            x, _, _, _ = self.krylov(self.correction, flat, self.tol,
-                                     self.max_iters)
-        x = x.reshape(rhs.shape)
-        if out is None:
-            return x
-        out[...] = x
+            for start in range(0, len(rows), _CAPPED_BLOCK_ROWS):
+                block = slice(start, start + _CAPPED_BLOCK_ROWS)
+                rhs = self.step.apply(rows[block])
+                x, _, _, _ = self.krylov(self.correction, rhs, self.tol,
+                                         self.max_iters)
+                dest[block] = x
+        if not np.may_share_memory(dest, out):  # reshaping ``out`` copied it
+            out[...] = dest.reshape(out.shape)
         return out
 
 
 #: relative residual at which the capped correction solve stops a row
 CAPPED_TOL = 1e-2
+
+#: rows per block of the capped correction solve, which bounds its step
+#: output and Krylov storage to one block however many rows are stepped
+_CAPPED_BLOCK_ROWS = 64
 
 
 def capped_max_iters(p: int) -> int:

@@ -222,6 +222,23 @@ def test_overflow_drops_the_warnings_of_its_build(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
 
 
+def test_shift_too_long_for_its_phases_is_a_configuration_error(tmp_path,
+                                                                capsys):
+    # the capped V-cycle's coarse levels shift by 2e9 cells and more, whose
+    # rounded phases leave their spectra conjugate-symmetric only past the
+    # real Fourier basis's 1e-8; the build stops before the fine stepper warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(ERK3_OVER_LIMIT + ["--c", "1e9", "--cycle", "v"],
+                          tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: c = 1000000000.0 is too "
+                             "large: its semi-Lagrangian shifts")
+    assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+
+
 def test_over_limit_run_still_warns(tmp_path):
     with pytest.warns(StabilityWarning, match="exceeds the stability limit"):
         code, text = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1.2"],

@@ -18,6 +18,7 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
                              truncation_residual, upwind_derivative)
 from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
                                        _minres_spectral)
+from mgrit_advection import stepping
 from mgrit_advection.stencils import fd_weights, lagrange_weights
 from mgrit_advection.stepping import (correction_operator, f_poly,
                                       global_error_order, split_cfl)
@@ -518,6 +519,27 @@ def test_capped_correction_steps_a_zero_batch_without_solving():
     np.testing.assert_array_equal(out, zeros)
     with pytest.raises(AssertionError):
         capped(np.eye(3, 64))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_capped_correction_in_row_blocks_is_one_kernel_call(p):
+    # three blocks and a remainder, stepped and solved block by block into
+    # ``out``, are bitwise the whole batch in one kernel call, also when
+    # ``out`` is ``u`` itself; odd p runs MINRES, even p GMRES
+    spec = DiscretizationSpec("erk", p, 0.85 * cfl_limit(p), 64, 16)
+    capped = modified_coarse_stepper(spec, 16, solver="gmres")._apply_fn
+    assert capped.krylov is (_minres_spectral if p == 3 else _gmres_batched)
+    rows = 3 * stepping._CAPPED_BLOCK_ROWS + 5
+    u = np.random.default_rng(p).standard_normal((rows, 64))
+    FourierBasisOperator.to_basis(u)
+    whole, _, _, _ = capped.krylov(capped.correction, capped.step.apply(u),
+                                   capped.tol, capped.max_iters)
+    assert capped(u).tobytes() == whole.tobytes()
+    out = np.full_like(u, np.nan)
+    assert capped(u, out) is out
+    assert out.tobytes() == whole.tobytes()
+    assert capped(u, u) is u
+    assert u.tobytes() == whole.tobytes()
 
 
 # ------------------------------------------------- rediscretized coarse grids
