@@ -170,6 +170,13 @@ def rho_check(p: int, c: float, m: int, e_rk: float, e_fd: float) -> float:
 ESTIMATE_MODES = 4
 
 
+def _mesh_order(n_x: Sequence[int], values: Sequence[float]) -> float:
+    """Order at which ``values`` vanish under mesh refinement: their
+    log-log slope against 1 / n_x, which the domain length only shifts."""
+    x = np.log(1.0 / np.asarray(n_x, dtype=float))
+    return float(np.polyfit(x, np.log(np.asarray(values, dtype=float)), 1)[0])
+
+
 @dataclass
 class EigenvalueEstimateReport:
     """Deviation of exact symbols from their leading-order smooth-mode form."""
@@ -179,21 +186,17 @@ class EigenvalueEstimateReport:
     ideal_deviation: list
     coarse_deviation: list
 
-    def _slope(self, devs) -> float:
-        x = np.log(1.0 / np.asarray(self.n_x, dtype=float))
-        return float(np.polyfit(x, np.log(np.asarray(devs, dtype=float)), 1)[0])
-
     @property
     def fine_order(self) -> float:
-        return self._slope(self.fine_deviation)
+        return _mesh_order(self.n_x, self.fine_deviation)
 
     @property
     def ideal_order(self) -> float:
-        return self._slope(self.ideal_deviation)
+        return _mesh_order(self.n_x, self.ideal_deviation)
 
     @property
     def coarse_order(self) -> float:
-        return self._slope(self.coarse_deviation)
+        return _mesh_order(self.n_x, self.coarse_deviation)
 
 
 def validate_eigenvalue_estimates(p: int, c: float, m: int,

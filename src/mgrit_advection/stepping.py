@@ -6,8 +6,8 @@ unconditionally stable semi-Lagrangian steppers, and the corrected
 semi-Lagrangian coarse steppers whose truncation error matches that of a
 repeated fine step.  A stepper is its exact Fourier symbol: it steps rows held
 in the real orthonormal Fourier basis by multiplying with the symbol's mesh
-values, and a physical stencil, where one is needed, is built from those
-values where it is used.
+values; the one place that steps physical rows, the oracle
+``mgrit.sequential_solve``, builds its stencil from those values.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .circulant import (CirculantOperator, FourierBasisOperator,
                         _gmres_batched, _minres_spectral, stencil_symbol)
 from .errors import SingularOperatorError, StabilityWarning, TableauError
+from .lfa import _mesh_order, default_exclusion_count
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
                        upwind_derivative)
@@ -260,8 +261,9 @@ class Stepper:
     real orthonormal Fourier basis (``FourierBasisOperator``) by multiplying
     with its mesh values, ``eigenvalues()``, or with ``apply_fn(u, out)``: a
     capped stepper's ``CappedCorrection``, which approximates that product.
-    A caller that steps physical rows builds the stencil from the same
-    values, ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
+    The one place that steps physical rows, ``mgrit.sequential_solve``,
+    builds its stencil from the same values,
+    ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
     ``level`` only labels the stepper: it starts at 0, and
     ``mgrit.TimeGridProblem`` sets it to the stepper's index in a hierarchy.
     """
@@ -602,28 +604,17 @@ class TruncationReport:
     @property
     def remainder_order(self) -> float:
         """Log-log slope of the after-fit remainder against h."""
-        logs = np.log(np.asarray(self.remainder_norms, dtype=float))
-        x = np.log(DOMAIN_LENGTH / np.asarray(self.n_x, dtype=float))
-        return float(np.polyfit(x, logs, 1)[0])
+        return _mesh_order(self.n_x, self.remainder_norms)
 
     @property
     def residual_order(self) -> float:
-        logs = np.log(np.asarray(self.residual_norms, dtype=float))
-        x = np.log(DOMAIN_LENGTH / np.asarray(self.n_x, dtype=float))
-        return float(np.polyfit(x, logs, 1)[0])
-
-
-def _profile(n_x: int, time_shift: float = 0.0) -> np.ndarray:
-    """Smooth periodic test profile sin(pi x) sampled on the mesh, advected."""
-    x = -1.0 + DOMAIN_LENGTH * np.arange(n_x) / n_x
-    return np.sin(np.pi * (x - time_shift))
+        return _mesh_order(self.n_x, self.residual_norms)
 
 
 def truncation_residual(family: str, p: int, c: float,
                         n_x_list: Sequence[int]) -> TruncationReport:
     """Fit the one-step residual u(t+dt) - Phi u(t) of the order-p ``family``
-    stepper at CFL number c to its leading error term.  Phi steps the
-    physical profile with the stencil built from the stepper's eigenvalues.
+    stepper at CFL number c to its leading error term.
 
     The leading term is K * D u(t+dt) with D the correction operator of
     order p+1; K is fitted by least squares on each mesh and compared against
@@ -631,6 +622,13 @@ def truncation_residual(family: str, p: int, c: float,
 
     - method of lines:  K = -( c e_fd + (-c)^{p+1} e_rk )
     - semi-Lagrangian:  K = (-1)^{p+1} f_{p+1}(eps)
+
+    The profile u(t) = sin(pi x) is the mesh mode Im(-z), z_j = exp(i omega j)
+    at omega = 2 pi / n_x, so with a = exp(-i c omega) - lambda(omega) and
+    b = D(omega) exp(-i c omega) the residual is Im(-a z) and D u(t+dt) is
+    Im(-b z).  For n_x >= 3, sum_j Im(a z_j) Im(b z_j) = (n_x/2) Re(a conj b):
+    K = Re(a conj b) / |b|^2, and the RMS residual and remainder are
+    |a| / sqrt 2 and |a - K b| / sqrt 2.
     """
     if family in ("erk", "sdirk"):
         e_rk = rk_error_constant(tableau(family, p))
@@ -647,18 +645,14 @@ def truncation_residual(family: str, p: int, c: float,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StabilityWarning)
             stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, 1))
-        op = CirculantOperator.from_eigenvalues(n_x, stepper.eigenvalues())
-        h = DOMAIN_LENGTH / n_x
-        dt_shift = c * h
-        u_old = _profile(n_x)
-        u_new = _profile(n_x, dt_shift)
-        tau = u_new - op.apply(u_old)
-        basis = correction_operator(p, n_x).apply(u_new)
-        denom = float(basis @ basis)
-        K = float(tau @ basis) / denom if denom > 0 else 0.0
+        om = 2.0 * np.pi / n_x
+        exact = np.exp(-1j * c * om)
+        a = exact - complex(stepper.symbol(om))
+        b = correction_operator(p, n_x).symbol(om) * exact
+        K = (a * b.conjugate()).real / abs(b) ** 2
         fitted.append(K)
-        res_norms.append(float(np.linalg.norm(tau) / math.sqrt(n_x)))
-        rem_norms.append(float(np.linalg.norm(tau - K * basis) / math.sqrt(n_x)))
+        res_norms.append(abs(a) / math.sqrt(2.0))
+        rem_norms.append(abs(a - K * b) / math.sqrt(2.0))
     return TruncationReport(list(n_x_list), fitted, predicted, res_norms,
                             rem_norms)
 
@@ -667,24 +661,21 @@ def global_error_order(family: str, p: int, c: float,
                        n_x_list: Sequence[int]) -> Tuple[float, list]:
     """Observed global convergence order at a fixed CFL number.
 
-    Integrates the smooth profile with the order-p ``family`` stepper to
-    (approximately) t = 1 on each mesh and regresses the endpoint error
-    against h in log-log coordinates.  Returns (slope, errors).
+    Steps the mode sin(pi x) of ``truncation_residual`` with the order-p
+    ``family`` stepper to (approximately) t = 1 on each mesh, where for
+    n_x >= 3 the RMS error is |lambda(omega)^n_t - exp(-i omega c n_t)|
+    / sqrt 2, and regresses it against h in log-log coordinates.  Returns
+    (slope, errors).
     """
     errors = []
     for n_x in n_x_list:
         h = DOMAIN_LENGTH / n_x
-        dt = c * h
-        n_t = max(1, round(1.0 / dt))
+        n_t = max(1, round(1.0 / (c * h)))
         stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, n_t))
-        u = _profile(n_x)
-        lam = stepper.eigenvalues()
-        u = np.fft.ifft(np.fft.fft(u) * lam ** n_t).real
-        exact = _profile(n_x, n_t * dt)
-        errors.append(float(np.linalg.norm(u - exact) / math.sqrt(n_x)))
-    x = np.log([DOMAIN_LENGTH / n for n in n_x_list])
-    slope = float(np.polyfit(x, np.log(errors), 1)[0])
-    return slope, errors
+        om = 2.0 * np.pi / n_x
+        drift = complex(stepper.symbol(om)) ** n_t - np.exp(-1j * om * c * n_t)
+        errors.append(abs(drift) / math.sqrt(2.0))
+    return _mesh_order(n_x_list, errors), errors
 
 
 def modified_ideal_consistency(spec: DiscretizationSpec, m: int,
@@ -695,7 +686,6 @@ def modified_ideal_consistency(spec: DiscretizationSpec, m: int,
     frequency on each grid and returns the log-log slope against h (expected
     at least p + 2) together with the sampled differences.
     """
-    from .lfa import default_exclusion_count
     j_min = default_exclusion_count(spec.p) // 2 + 1
     diffs = []
     for n_x in n_x_list:
@@ -706,6 +696,4 @@ def modified_ideal_consistency(spec: DiscretizationSpec, m: int,
             coarse = modified_coarse_stepper(spec_n, m)
         om = 2.0 * np.pi * j_min / n_x
         diffs.append(float(abs(coarse.symbol(om) - fine.symbol(om) ** m)))
-    x = np.log([DOMAIN_LENGTH / n for n in n_x_list])
-    slope = float(np.polyfit(x, np.log(diffs), 1)[0])
-    return slope, diffs
+    return _mesh_order(n_x_list, diffs), diffs

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from mgrit_advection import StabilityWarning
+from mgrit_advection import StabilityWarning, mgrit
 from mgrit_advection.cli import (ConfigError, ExperimentConfig, build_parser,
                                  main, write_csv)
 
@@ -237,6 +237,24 @@ def test_shift_too_long_for_its_phases_is_a_configuration_error(tmp_path,
     assert err[0].startswith("configuration error: c = 1000000000.0 is too "
                              "large: its semi-Lagrangian shifts")
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+
+
+def test_iters_table_fails_before_it_solves(tmp_path, capsys, monkeypatch):
+    # the table builds every hierarchy, the V-cycles first, before its first
+    # solve: the capped V-cycle that cannot be built is the whole report
+    solves = []
+    monkeypatch.setattr(mgrit, "solve", lambda *a, **k: solves.append(a))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(["iters", "--family", "erk", "--p", "3", "--c",
+                           "1e9", "--m", "2", "--grid", "64,256"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: c = 1000000000.0 is too "
+                             "large: its semi-Lagrangian shifts")
+    assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
+    assert not solves
 
 
 def test_over_limit_run_still_warns(tmp_path):

@@ -2,6 +2,7 @@
 stability limits, correction coefficients, and truncation-error fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
 from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
                                        _minres_spectral)
 from mgrit_advection import stepping
+from mgrit_advection.experiments import _measured_fd_constant
 from mgrit_advection.stencils import fd_weights, lagrange_weights
 from mgrit_advection.stepping import (correction_operator, f_poly,
-                                      global_error_order, split_cfl)
+                                      fine_stepper, global_error_order,
+                                      split_cfl)
 
 
 def stencil(stepper):
@@ -612,3 +615,81 @@ def test_truncation_remainder_gains_an_order():
     rep = truncation_residual("sdirk", 3, 0.8, [24, 32, 48, 64])
     assert rep.residual_order >= 4 - 0.2        # leading term is order p+1
     assert rep.remainder_order >= 5 - 0.35      # after removing it: order p+2
+
+
+# ------------------------------------- single-mode fits against the profile
+#
+# The fits evaluate symbols at the one mesh mode of their profile.  These
+# references sample the profile and step it physically instead; they differ
+# from the closed forms by the physical path's rounding only.
+
+def profile(n_x, time_shift=0.0):
+    """sin(pi x) sampled on the mesh, advected by ``time_shift``."""
+    x = -1.0 + 2.0 * np.arange(n_x) / n_x
+    return np.sin(np.pi * (x - time_shift))
+
+
+def physical_truncation_fit(family, p, c, n_x):
+    """(K, residual norm, remainder norm) of one step of the sampled
+    profile with the stencil of the stepper's eigenvalues, K fitted by
+    least squares."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        op = stencil(fine_stepper(DiscretizationSpec(family, p, c, n_x, 1)))
+    u_new = profile(n_x, c * 2.0 / n_x)
+    tau = u_new - op.apply(profile(n_x))
+    basis = correction_operator(p, n_x).apply(u_new)
+    K = float(tau @ basis) / float(basis @ basis)
+    scale = math.sqrt(n_x)
+    return (K, np.linalg.norm(tau) / scale,
+            np.linalg.norm(tau - K * basis) / scale)
+
+
+def physical_global_error(family, p, c, n_x):
+    """RMS error of the sampled profile after the stepper's steps to t ~ 1,
+    taken as eigenvalue powers between FFTs."""
+    n_t = max(1, round(1.0 / (c * (2.0 / n_x))))
+    stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, n_t))
+    u = np.fft.ifft(np.fft.fft(profile(n_x)) * stepper.eigenvalues() ** n_t)
+    exact = profile(n_x, n_t * c * 2.0 / n_x)
+    return np.linalg.norm(u.real - exact) / math.sqrt(n_x)
+
+
+def validation_cfl(family, p):
+    """CFL numbers of the validation suite's (truncation, global) fits."""
+    if family == "erk":
+        return 0.7 * cfl_limit(p), 0.7 * cfl_limit(p)
+    return (0.8, 0.8) if family == "sdirk" else (1.6, 0.7)
+
+
+@pytest.mark.parametrize("family", ["erk", "sdirk", "semi_lagrangian"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_single_mode_fits_match_the_physical_profile(family, p):
+    c_trunc, c_global = validation_cfl(family, p)
+    meshes = [n for n in (24, 32, 48, 64) if n > 4 * p]
+    rep = truncation_residual(family, p, c_trunc, meshes)
+    physical = np.array([physical_truncation_fit(family, p, c_trunc, n)
+                         for n in meshes])
+    np.testing.assert_allclose(rep.fitted_constants, physical[:, 0],
+                               rtol=1e-5)
+    np.testing.assert_allclose(rep.residual_norms, physical[:, 1], rtol=1e-5)
+    np.testing.assert_allclose(rep.remainder_norms, physical[:, 2],
+                               rtol=1e-5, atol=1e-13)
+
+    meshes = [64, 128, 256, 512]
+    _, errors = global_error_order(family, p, c_global, meshes)
+    physical = [physical_global_error(family, p, c_global, n) for n in meshes]
+    np.testing.assert_allclose(errors, physical, rtol=1e-5, atol=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_fd_constant_fit_matches_the_physical_profile(p):
+    n_x = 512
+    h = 2.0 / n_x
+    x = -1.0 + h * np.arange(n_x)
+    k = 2.0 * np.pi
+    err = (k * np.cos(k * x)
+           - upwind_derivative(p, n_x).apply(np.sin(k * x)) / h)
+    basis = h ** p * k ** (p + 1) * np.sin(k * x + (p + 1) * np.pi / 2.0)
+    physical = float(err @ basis) / float(basis @ basis)
+    assert _measured_fd_constant(p, n_x) == pytest.approx(physical, rel=1e-5)
