@@ -4,7 +4,8 @@ A circulant operator is stored as a sparse stencil: a list of (offset, weight)
 pairs interpreted periodically, so row ``i`` of the equivalent dense matrix has
 entry ``weight`` in column ``(i + offset) mod n_x``.  All time-stepping and
 difference operators in this package are circulant, which keeps their Fourier
-symbols exact.
+symbols exact.  The solver runs in the real orthonormal Fourier basis
+(``to_basis``), where a real circulant is a diagonal (``basis_diagonal``).
 """
 
 from __future__ import annotations
@@ -209,87 +210,70 @@ class CirculantOperator:
                 f"mesh sizes differ: {self.n_x} vs {other.n_x}")
 
 
-class FourierBasisOperator:
-    """A real circulant operator acting on rows held in the real orthonormal
-    Fourier basis, where it is diagonal.
+def to_basis(u: np.ndarray) -> None:
+    """Overwrite the physical rows of ``u`` (a vector or a stack of rows; rows
+    may be strided, the last axis contiguous) with their basis coefficients.
 
     With X = rfft(v, norm="ortho") a physical row v of length n is stored as
-    n reals: slot 0 holds X_0, slot 1 holds X_{n/2} when n is even, and the
-    remaining slots, read as complex128 pairs, hold sqrt(2) X_k for
-    k = 1 .. (n-1)//2.  The change of basis is orthogonal, so Euclidean norms
-    and dot products of stored rows equal those of the physical vectors.
-
-    ``to_basis`` and ``from_basis`` change the basis in place on a vector or
-    a stack of rows (rows may be strided, the last axis must be contiguous);
-    ``apply`` multiplies by the operator's half-spectrum eigenvalues.
-
-    ``op`` is anything with ``n_x`` and ``eigenvalues()`` (its symbol at
-    2*pi*k/n_x, FFT order), such as a ``CirculantOperator`` or a ``Stepper``;
-    a spectrum that is not conjugate-symmetric (not a real operator) is
-    refused with ``NotRealOperatorError``.
-    """
-
-    __slots__ = ("n_x", "_head", "_interior")
-
-    def __init__(self, op):
-        n = op.n_x
-        lam = op.eigenvalues()
-        # to 1e-8: a symbol evaluated at rounded frequencies carries phase
-        # errors that grow with its offsets (a semi-Lagrangian shift)
-        mirror = np.conj(lam[-np.arange(n) % n])
-        if np.max(np.abs(lam - mirror)) > 1e-8 * np.max(np.abs(lam)):
-            raise NotRealOperatorError(
-                "the real Fourier basis needs a real operator (a "
-                "conjugate-symmetric spectrum)")
-        lam = lam[: n // 2 + 1]
-        self.n_x = n
-        # eigenvalues of the real modes are real up to rounding; the
-        # physical rfft/irfft round trip discards the same imaginary parts
-        self._head = lam[[0, -1][: _head_slots(n)]].real
-        self._interior = lam[1: 1 + (n - 1) // 2]
-
-    def apply(self, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Operator applied to basis rows ``v`` of shape (..., n_x), written
-        to ``out`` (same shape, last axis contiguous; it may be ``v``
-        itself) when given."""
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self.n_x:
-            raise DimensionMismatchError(
-                f"vector length {v.shape[-1]} != n_x {self.n_x}")
-        h = len(self._head)
-        if out is None:
-            out = np.empty(v.shape)
-        np.multiply(v[..., :h], self._head, out=out[..., :h])
-        np.multiply(v[..., h:].view(complex), self._interior,
-                    out=out[..., h:].view(complex))
-        return out
-
-    @staticmethod
-    def to_basis(u: np.ndarray) -> None:
-        """Overwrite the physical rows of ``u`` with their basis coefficients."""
-        for blk, h, q in _row_blocks(u):
-            X = np.fft.rfft(blk, axis=-1, norm="ortho")
-            blk[:, 0] = X[:, 0].real
-            if h == 2:
-                blk[:, 1] = X[:, -1].real
-            np.multiply(X[:, 1: 1 + q], _SQRT2, out=blk[:, h:].view(complex))
-
-    @staticmethod
-    def from_basis(u: np.ndarray) -> None:
-        """Overwrite the basis rows of ``u`` with the physical vectors."""
-        for blk, h, q in _row_blocks(u):
-            n = blk.shape[-1]
-            X = np.empty((blk.shape[0], n // 2 + 1), dtype=complex)
-            X[:, 0] = blk[:, 0]
-            if h == 2:
-                X[:, -1] = blk[:, 1]
-            np.divide(blk[:, h:].view(complex), _SQRT2, out=X[:, 1: 1 + q])
-            blk[...] = np.fft.irfft(X, n=n, axis=-1, norm="ortho")
+    n reals: slot 0 holds X_0, slot 1 holds X_{n/2} when n is even (the head
+    slots), and the remaining slots, read as complex128 pairs, hold
+    sqrt(2) X_k for k = 1 .. (n-1)//2.  The change is orthogonal, so stored
+    rows have the norms and dot products of the physical vectors."""
+    for blk, h, q in _row_blocks(u):
+        X = np.fft.rfft(blk, axis=-1, norm="ortho")
+        blk[:, 0] = X[:, 0].real
+        if h == 2:
+            blk[:, 1] = X[:, -1].real
+        np.multiply(X[:, 1: 1 + q], _SQRT2, out=blk[:, h:].view(complex))
 
 
-def _head_slots(n_x: int) -> int:
-    """Real-valued modes of a length-n_x row: X_0, plus X_{n/2} if n_x is even."""
-    return 2 - n_x % 2
+def from_basis(u: np.ndarray) -> None:
+    """Overwrite the basis rows of ``u`` with the physical vectors."""
+    for blk, h, q in _row_blocks(u):
+        n = blk.shape[-1]
+        X = np.empty((blk.shape[0], n // 2 + 1), dtype=complex)
+        X[:, 0] = blk[:, 0]
+        if h == 2:
+            X[:, -1] = blk[:, 1]
+        np.divide(blk[:, h:].view(complex), _SQRT2, out=X[:, 1: 1 + q])
+        blk[...] = np.fft.irfft(X, n=n, axis=-1, norm="ortho")
+
+
+def basis_diagonal(eigenvalues: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The diagonal of a real circulant on basis rows: the head slots' real
+    and the interior pairs' complex values of its ``eigenvalues`` (FFT
+    order).  ``NotRealOperatorError`` if they are not conjugate-symmetric."""
+    lam = np.asarray(eigenvalues)
+    n = len(lam)
+    # to 1e-8: a symbol evaluated at rounded frequencies carries phase
+    # errors that grow with its offsets (a semi-Lagrangian shift)
+    mirror = np.conj(lam[-np.arange(n) % n])
+    if np.max(np.abs(lam - mirror)) > 1e-8 * np.max(np.abs(lam)):
+        raise NotRealOperatorError(
+            "the real Fourier basis needs a real operator (a "
+            "conjugate-symmetric spectrum)")
+    lam = lam[: n // 2 + 1]
+    # eigenvalues of the real modes are real up to rounding; the physical
+    # rfft/irfft round trip discards the same imaginary parts
+    return lam[[0, -1][: 2 - n % 2]].real, lam[1: 1 + (n - 1) // 2]
+
+
+def basis_multiply(diagonal: Tuple[np.ndarray, np.ndarray], v: np.ndarray,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Basis rows ``v`` of shape (..., n_x) times a ``basis_diagonal``, into
+    ``out`` when given (last axis contiguous; it may be ``v`` itself)."""
+    head, interior = diagonal
+    v = np.asarray(v, dtype=float)
+    h = len(head)
+    if v.shape[-1] != h + 2 * len(interior):
+        raise DimensionMismatchError(
+            f"vector length {v.shape[-1]} != n_x {h + 2 * len(interior)}")
+    if out is None:
+        out = np.empty(v.shape)
+    np.multiply(v[..., :h], head, out=out[..., :h])
+    np.multiply(v[..., h:].view(complex), interior,
+                out=out[..., h:].view(complex))
+    return out
 
 
 def _row_blocks(u: np.ndarray):
@@ -300,7 +284,7 @@ def _row_blocks(u: np.ndarray):
             "basis changes need a float64 vector or a 2-D stack of rows")
     rows = u[np.newaxis] if u.ndim == 1 else u
     n = rows.shape[-1]
-    h, q = _head_slots(n), (n - 1) // 2
+    h, q = 2 - n % 2, (n - 1) // 2  # head slots, interior pairs
     for start in range(0, rows.shape[0], _BASIS_BLOCK_ROWS):
         yield rows[start: start + _BASIS_BLOCK_ROWS], h, q
 
@@ -309,7 +293,7 @@ def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
     """GMRES on many right-hand sides sharing one operator.
 
     ``op`` needs only a batched ``apply``: a ``CirculantOperator`` on
-    physical rows or a ``FourierBasisOperator`` on basis rows (the inner
+    physical rows or a ``stepping.Stepper`` on basis rows (the inner
     products are Euclidean, so both give the same iterates up to rounding).
     Each row of ``B`` gets its own Krylov space; the Arnoldi matrix-vector
     products are batched across rows.  Breakdown (a zero Krylov vector) stops
@@ -394,8 +378,7 @@ def _row_norms(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(squares, axis=-1))
 
 
-def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
-                     max_iters: int):
+def _minres_spectral(op, B: np.ndarray, rel_tol: float, max_iters: int):
     """``_gmres_batched`` for a symmetric operator, by MINRES on each row's
     frequency spectrum.
 
@@ -406,7 +389,8 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
     p that depends on b only through the weights |X_k|^2 of its frequencies,
     so the recurrence runs on the n//2 + 1 magnitudes c_k = |X_k| of each
     basis row (the head slots, and the interior complex pairs) against the
-    operator's real eigenvalues, and maps back per frequency: x = (x_c / c) b.
+    real eigenvalues of ``op.basis_diagonal()`` (a ``stepping.Stepper``),
+    and maps back per frequency: x = (x_c / c) b.
 
     Each iteration runs only the Lanczos step and the Givens update of the
     residual estimate.  As in GMRES (Saad & Schultz 1986) the iterate is
@@ -433,8 +417,9 @@ def _minres_spectral(op: FourierBasisOperator, B: np.ndarray, rel_tol: float,
     """
     K, n = B.shape
     max_iters = min(max_iters, n)
-    h = len(op._head)
-    lam = np.concatenate([op._head, op._interior.real])
+    head, interior = op.basis_diagonal()
+    h = len(head)
+    lam = np.concatenate([head, interior.real])
     c = np.empty((K, len(lam)))
     np.abs(B[:, :h], out=c[:, :h])
     np.abs(B[:, h:].view(complex), out=c[:, h:])

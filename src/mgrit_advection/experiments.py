@@ -59,10 +59,10 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     in the Fourier basis of ``mgrit.solve`` that GMRES runs as spectral
     MINRES for odd p, whose correction is symmetric.
 
-    The coarse levels are built first.  Only a fine stepper warns, as level
-    0 or inside an ideal coarse stepper (rediscretized ones are SDIRK-only),
-    and only the other coarse kinds can overflow, so a build that overflows
-    has warned of nothing.
+    The coarse levels are built first, each with ``Stepper.build_basis``.
+    Only a fine stepper warns, as level 0 or inside an ideal coarse stepper
+    (rediscretized ones are SDIRK-only), and only the other coarse kinds
+    overflow or fail ``build_basis``, so such a build has warned of nothing.
     """
     m_list = [m] if np.isscalar(m) else list(m)
     if not m_list or any(mf < 2 for mf in m_list):
@@ -91,9 +91,11 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     for mf in factors:
         F *= mf
         coarse.append(coarse_stepper(coarse_kind, spec, F, solver=solver))
+        coarse[-1].build_basis()
+    fine = fine_stepper(spec)
+    fine.build_basis()
     u0 = mgrit.initial_condition(spec.n_x)
-    return mgrit.TimeGridProblem([fine_stepper(spec)] + coarse, factors,
-                                 spec.n_t, u0)
+    return mgrit.TimeGridProblem([fine] + coarse, factors, spec.n_t, u0)
 
 
 # ------------------------------------------------------------------ constants
@@ -220,7 +222,7 @@ def iteration_table(family: str, p: int, c: float, grid: tuple,
     ``MgritConfig(max_iters=40)``: a drop by ten orders within 40 cycles)
     holds the iteration controls; each column runs it under its own cycle.
     Every hierarchy is built before the first solve, the V-cycles first, so a
-    capped level that cannot be built fails before a fine stepper warns."""
+    coarse level that cannot be built fails before a fine stepper warns."""
     config = config or mgrit.MgritConfig(max_iters=40)
     spec = DiscretizationSpec(family, p, c, *grid)
     problems = {cycle: [build_problem(spec, m, cycle, coarse_kind)

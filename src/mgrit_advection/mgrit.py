@@ -14,13 +14,13 @@ residual by construction.
 
 ``solve`` runs in the real orthonormal Fourier basis: it changes the basis of
 the iterate in place once, cycles with the levels' steppers, whose
-``Stepper.apply`` steps basis rows (a diagonal multiply, or a capped
-correction's MINRES or GMRES solve), and changes back when it returns or
-raises.  The change of basis is orthogonal, so the residual norms it computes
-there equal the physical l2 norms.  Its two-level residual histories with a
-direct coarse solve are predicted mode by mode by ``lfa.predict_history``,
-and ``sequential_solve`` steps the fine stepper's physical stencil for the
-exact solution.
+``Stepper.apply`` steps basis rows (a multiply by ``basis_diagonal``, built
+with the hierarchy, or a capped correction's MINRES or GMRES solve), and
+changes back when it returns or raises.  The change of basis is orthogonal,
+so the residual norms it computes there equal the physical l2 norms.  Its
+two-level residual histories with a direct coarse solve are predicted mode
+by mode by ``lfa.predict_history``, and ``sequential_solve`` steps the fine
+stepper's physical stencil for the exact solution.
 
 ``solve`` does each fine-level sweep once, bit for bit the cycle as written:
 level 0 passes ``g = None`` (its right-hand side is u0 at t = 0, which row 0
@@ -72,7 +72,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circulant import CirculantOperator, FourierBasisOperator
+from .circulant import CirculantOperator, from_basis, to_basis
 from .stepping import Stepper
 
 
@@ -378,7 +378,7 @@ class MgritSolver:
         start = time.perf_counter()
         stepper = problem.steppers[0]
         u[0] = problem.u0
-        FourierBasisOperator.to_basis(u)
+        to_basis(u)
         if self.threads > 1:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
@@ -415,7 +415,7 @@ class MgritSolver:
                     self._pool = None
                 # free the coarse buffer before the basis change's temporaries
                 del coarse, relaxed
-                FourierBasisOperator.from_basis(u)
+                from_basis(u)
         wall = time.perf_counter() - start
 
         if len(norms) >= 2 and norms[-2] > 0:

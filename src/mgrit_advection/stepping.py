@@ -6,8 +6,8 @@ unconditionally stable semi-Lagrangian steppers, and the corrected
 semi-Lagrangian coarse steppers whose truncation error matches that of a
 repeated fine step.  A stepper is its exact Fourier symbol: it steps rows held
 in the real orthonormal Fourier basis by multiplying with the symbol's mesh
-values; the one place that steps physical rows, the oracle
-``mgrit.sequential_solve``, builds its stencil from those values.
+values (``Stepper.basis_diagonal``); the one place that steps physical rows,
+the oracle ``mgrit.sequential_solve``, builds its stencil from those values.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circulant import (CirculantOperator, FourierBasisOperator,
-                        _gmres_batched, _minres_spectral, stencil_symbol)
+from .circulant import (CirculantOperator, _gmres_batched, _minres_spectral,
+                        basis_diagonal, basis_multiply, stencil_symbol)
 from .errors import SingularOperatorError, StabilityWarning, TableauError
 from .lfa import _mesh_order, default_exclusion_count
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
@@ -258,12 +258,12 @@ class Stepper:
 
     The exact Fourier symbol ``symbol_fn`` is its only representation: the
     mode analysis evaluates it anywhere, and ``apply`` steps rows held in the
-    real orthonormal Fourier basis (``FourierBasisOperator``) by multiplying
-    with its mesh values, ``eigenvalues()``, or with ``apply_fn(u, out)``: a
-    capped stepper's ``CappedCorrection``, which approximates that product.
-    The one place that steps physical rows, ``mgrit.sequential_solve``,
-    builds its stencil from the same values,
-    ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
+    real orthonormal Fourier basis (``circulant.to_basis``) by multiplying
+    with its mesh values, ``eigenvalues()``, laid out as ``basis_diagonal()``,
+    or with ``apply_fn(u, out)``: a capped stepper's ``CappedCorrection``,
+    which approximates that product.  The one place that steps physical
+    rows, ``mgrit.sequential_solve``, builds its stencil from the same
+    values, ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
     ``level`` only labels the stepper: it starts at 0, and
     ``mgrit.TimeGridProblem`` sets it to the stepper's index in a hierarchy.
     """
@@ -278,17 +278,29 @@ class Stepper:
         self._symbol_fn = symbol_fn
         self._apply_fn = apply_fn
         self._eig = None
-        self._basis = None
+        self._diagonal = None
 
     def apply(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance rows held in the real orthonormal Fourier basis one step;
         ``u`` may be batched with shape (..., n_x).  Written to ``out`` when
-        given."""
+        given; it may be ``u`` itself."""
         if self._apply_fn is not None:
             return self._apply_fn(u, out)
-        if self._basis is None:
-            self._basis = FourierBasisOperator(self)
-        return self._basis.apply(u, out)
+        return basis_multiply(self.basis_diagonal(), u, out)
+
+    def basis_diagonal(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``circulant.basis_diagonal`` of the eigenvalues, built once."""
+        if self._diagonal is None:
+            self._diagonal = basis_diagonal(self.eigenvalues())
+        return self._diagonal
+
+    def build_basis(self) -> None:
+        """Build the diagonals ``apply`` multiplies by: this stepper's, or a
+        capped one's step and correction (``NotRealOperatorError``)."""
+        capped = self._apply_fn
+        parts = (self,) if capped is None else (capped.step, capped.correction)
+        for part in parts:
+            part.basis_diagonal()
 
     def symbol(self, omega) -> np.ndarray:
         return self._symbol_fn(np.asarray(omega, dtype=float))
@@ -316,11 +328,11 @@ class CappedCorrection(NamedTuple):
     step u), unrestarted from a zero guess, stopped at relative residual
     ``tol`` or after ``max_iters`` iterations per row.
 
-    ``step`` and ``correction`` are the ``FourierBasisOperator`` forms of the
-    semi-Lagrangian step and of the correction I - phi D, each built from
-    its symbol.  ``krylov`` is ``_gmres_batched``, or ``_minres_spectral``
-    for a symmetric correction, which has the same iterates and stopping
-    steps in exact arithmetic.
+    ``step`` and ``correction`` are the ``Stepper`` forms of the
+    semi-Lagrangian step, multiplied by its ``basis_diagonal``, and of the
+    correction I - phi D.  ``krylov`` is ``_gmres_batched``, or
+    ``_minres_spectral`` for a symmetric correction, which has the same
+    iterates and stopping steps in exact arithmetic.
     Both form each row's iterate once, from the stored Krylov vectors, after
     the last iteration; ``_minres_spectral`` stores one array per iteration
     of the rows still live, so its storage grows with the iterations run.
@@ -336,8 +348,8 @@ class CappedCorrection(NamedTuple):
     solve: every coarse cycle's first F-relaxation steps the zero error.
     """
 
-    step: FourierBasisOperator
-    correction: FourierBasisOperator
+    step: Stepper
+    correction: Stepper
     tol: float
     max_iters: int
     krylov: Callable
@@ -355,7 +367,7 @@ class CappedCorrection(NamedTuple):
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(rows), _CAPPED_BLOCK_ROWS):
                 block = slice(start, start + _CAPPED_BLOCK_ROWS)
-                rhs = self.step.apply(rows[block])
+                rhs = basis_multiply(self.step.basis_diagonal(), rows[block])
                 x, _, _, _ = self.krylov(self.correction, rhs, self.tol,
                                          self.max_iters)
                 dest[block] = x
@@ -547,10 +559,8 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int,
     elif solver == "gmres":
         # I - phi D is symmetric exactly when D is
         krylov = _minres_spectral if D.is_symmetric() else _gmres_batched
-        apply_fn = CappedCorrection(FourierBasisOperator(sl),
-                                    FourierBasisOperator(correction),
-                                    CAPPED_TOL, capped_max_iters(spec.p),
-                                    krylov)
+        apply_fn = CappedCorrection(sl, correction, CAPPED_TOL,
+                                    capped_max_iters(spec.p), krylov)
     else:
         raise ValueError(f"unknown solver {solver!r}")
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mgrit_advection import CirculantOperator, DimensionMismatchError
-from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
-                                       _minres_spectral)
+from mgrit_advection import CirculantOperator, DimensionMismatchError, Stepper
+from mgrit_advection.circulant import (_gmres_batched, _minres_spectral,
+                                       to_basis)
 from mgrit_advection.stepping import correction_operator
 
 
@@ -340,13 +340,13 @@ def symmetric_correction(p, n_x, cond):
     D = correction_operator(p, n_x)
     d_hat = D.eigenvalues().real
     phi = (cond - 1.0) / np.max(np.abs(d_hat)) * -np.sign(d_hat[n_x // 2])
-    return FourierBasisOperator(
-        CirculantOperator.identity(n_x).add(D.scale(-phi)))
+    op = CirculantOperator.identity(n_x).add(D.scale(-phi))
+    return Stepper(op.n_x, op.symbol)
 
 
 def basis_rows(rng, k, n_x):
     rows = rng.standard_normal((k, n_x))
-    FourierBasisOperator.to_basis(rows)
+    to_basis(rows)
     return rows
 
 
@@ -358,8 +358,9 @@ def minres_direction_reference(op, B, rel_tol, max_iters):
     operation; only the way the iterate is formed differs."""
     K, n = B.shape
     max_iters = min(max_iters, n)
-    h = len(op._head)
-    lam = np.concatenate([op._head, op._interior.real])
+    head, interior = op.basis_diagonal()
+    h = len(head)
+    lam = np.concatenate([head, interior.real])
     c = np.empty((K, len(lam)))
     np.abs(B[:, :h], out=c[:, :h])
     np.abs(B[:, h:].view(complex), out=c[:, h:])
@@ -503,8 +504,8 @@ def test_minres_basis_storage_grows_per_iteration():
     # a (rows, cap, n) buffer allocated up front would exceed the bound
     K, n_x = 256, 1024
     D = correction_operator(3, n_x)
-    op = FourierBasisOperator(
-        CirculantOperator.identity(n_x).add(D.scale(2.0)))
+    correction = CirculantOperator.identity(n_x).add(D.scale(2.0))
+    op = Stepper(correction.n_x, correction.symbol)
     B = basis_rows(np.random.default_rng(0), K, n_x)
     unit = K * (n_x // 2 + 1) * 8
     tracemalloc.start()
@@ -582,7 +583,7 @@ def test_minres_single_row_and_mixed_stopping_steps():
     op = symmetric_correction(3, n_x, 1e4)
     rng = np.random.default_rng(9)
     smooth = np.exp(np.sin(2 * np.pi * np.arange(n_x) / n_x))[None, :]
-    FourierBasisOperator.to_basis(smooth)
+    to_basis(smooth)
     eigen = np.zeros((1, n_x))
     eigen[0, 7] = 1.0
     B = np.concatenate([basis_rows(rng, 2, n_x), smooth, eigen])
@@ -616,9 +617,9 @@ def test_breakdown_verdict_does_not_depend_on_rhs_scale(solver, big, small,
         if solver == "gmres":
             runs.append(_gmres_batched(op, B, 1e-14, cap))
         else:
-            FourierBasisOperator.to_basis(B)
-            runs.append(_minres_spectral(FourierBasisOperator(op), B, 1e-14,
-                                         cap))
+            to_basis(B)
+            runs.append(_minres_spectral(Stepper(op.n_x, op.symbol), B,
+                                         1e-14, cap))
     (_, res_big, it_big, brk_big), (_, res_small, it_small, brk_small) = runs
     assert it_big == it_small and brk_big == brk_small
     if cap == 20:

@@ -289,6 +289,35 @@ def test_singular_correction_is_exit_code_2(tmp_path, capsys):
         "at omega = 2*pi*16/32"]
 
 
+FAR_PAST_CASES = [("sdirk", kind) for kind in ("modified", "plain_sl",
+                                               "ideal", "rediscretized")]
+FAR_PAST_CASES += [("erk", kind) for kind in ("modified", "plain_sl", "ideal")]
+
+
+@pytest.mark.parametrize("c", ["1e5", "1e7", "1e9", "1e12"])
+@pytest.mark.parametrize("cycle", ["two-level", "v"])
+@pytest.mark.parametrize("family,coarse", FAR_PAST_CASES)
+def test_far_past_solve_runs_or_is_one_configuration_error(
+        tmp_path, capsys, family, coarse, cycle, c):
+    # at these CFL numbers the semi-Lagrangian shifts of some coarse levels
+    # are too long for their symbols' phases; every level's diagonal is
+    # built with the hierarchy, so such a solve stops in its build, and
+    # any other runs (diverging, where the fine stepper is unstable)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(["solve", "--family", family, "--p", "3", "--c", c,
+                           "--m", "2", "--coarse", coarse, "--cycle", cycle,
+                           "--grid", "32,64"], tmp_path)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error:")
+        assert not [w for w in caught
+                    if issubclass(w.category, StabilityWarning)]
+
+
 @pytest.mark.parametrize("text,value", [
     ("true", True), ("On", True), ("1", True), ("no", False), ("False", False)])
 def test_config_file_booleans(text, value):

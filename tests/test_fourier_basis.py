@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              DiscretizationSpec, MgritConfig, MgritSolver,
-                             Stepper, StabilityWarning, c_relax, cfl_limit,
-                             error_constant_fd, f_relax, ideal_coarse_stepper,
-                             modified_coarse_stepper, mol_stepper,
-                             phi_coefficient, plain_sl_coarse_stepper,
+                             NotRealOperatorError, Stepper, StabilityWarning,
+                             c_relax, cfl_limit, error_constant_fd, f_relax,
+                             ideal_coarse_stepper, modified_coarse_stepper,
+                             mol_stepper, phi_coefficient,
+                             plain_sl_coarse_stepper,
                              rediscretized_coarse_stepper, rk_error_constant,
                              sequential_solve, sl_stepper, stepping)
-from mgrit_advection.circulant import FourierBasisOperator, _gmres_batched
+from mgrit_advection.circulant import _gmres_batched, from_basis, to_basis
 from mgrit_advection.experiments import build_problem
 from mgrit_advection.lfa import predict_history
 from mgrit_advection.stepping import correction_operator
@@ -28,7 +29,7 @@ from mgrit_advection.stepping import correction_operator
 
 def in_basis(v):
     w = np.array(v, dtype=float).reshape(-1, v.shape[-1])
-    FourierBasisOperator.to_basis(w)
+    to_basis(w)
     return w.reshape(v.shape)
 
 
@@ -40,7 +41,7 @@ def test_layout_holds_scaled_rfft_coefficients(n_x):
     v = rng.standard_normal(n_x)
     X = np.fft.rfft(v, norm="ortho")
     b = v.copy()
-    FourierBasisOperator.to_basis(b)
+    to_basis(b)
     h = 2 - n_x % 2
     assert b[0] == pytest.approx(X[0].real, abs=1e-14)
     if h == 2:
@@ -57,11 +58,11 @@ def test_round_trip_and_norms_on_contiguous_blocks(n_x, rows):
     rng = np.random.default_rng(rows)
     u = rng.standard_normal((rows, n_x))
     orig = u.copy()
-    FourierBasisOperator.to_basis(u)
+    to_basis(u)
     np.testing.assert_allclose(np.linalg.norm(u, axis=1),
                                np.linalg.norm(orig, axis=1), rtol=1e-14)
     np.testing.assert_allclose(u @ u.T, orig @ orig.T, atol=1e-12)
-    FourierBasisOperator.from_basis(u)
+    from_basis(u)
     np.testing.assert_allclose(u, orig, atol=1e-14)
 
 
@@ -72,14 +73,14 @@ def test_round_trip_on_strided_row_views(n_x, j, m):
     u = rng.standard_normal((33, n_x))
     orig = u.copy()
     view = u[j::m]
-    FourierBasisOperator.to_basis(view)
+    to_basis(view)
     untouched = np.ones(33, dtype=bool)
     untouched[j::m] = False
     np.testing.assert_array_equal(u[untouched], orig[untouched])
     np.testing.assert_allclose(u[j::m], in_basis(orig[j::m]), atol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(view, axis=1),
                                np.linalg.norm(orig[j::m], axis=1), rtol=1e-14)
-    FourierBasisOperator.from_basis(view)
+    from_basis(view)
     np.testing.assert_allclose(u, orig, atol=1e-14)
 
 
@@ -87,17 +88,17 @@ def test_vector_round_trip_and_tiny_meshes():
     for n_x in (1, 2, 3):
         v = np.arange(1.0, n_x + 1.0)
         b = v.copy()
-        FourierBasisOperator.to_basis(b)
+        to_basis(b)
         assert np.linalg.norm(b) == pytest.approx(np.linalg.norm(v))
-        FourierBasisOperator.from_basis(b)
+        from_basis(b)
         np.testing.assert_allclose(b, v, atol=1e-14)
 
 
 def test_basis_changes_reject_unsupported_arrays():
     with pytest.raises(DimensionMismatchError):
-        FourierBasisOperator.to_basis(np.zeros((2, 3, 8)))
+        to_basis(np.zeros((2, 3, 8)))
     with pytest.raises(DimensionMismatchError):
-        FourierBasisOperator.from_basis(np.zeros(8, dtype=np.float32))
+        from_basis(np.zeros(8, dtype=np.float32))
 
 
 # --------------------------------------------------------- diagonal apply
@@ -122,7 +123,7 @@ def stencil_and_rows(draw):
 def test_basis_apply_matches_dense_product(case):
     op, v = case
     expected = in_basis(v @ op.dense().T)
-    got = FourierBasisOperator(op).apply(in_basis(v))
+    got = Stepper(op.n_x, op.symbol).apply(in_basis(v))
     assert got.shape == v.shape
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(got - expected)) <= 1e-12 * scale
@@ -218,7 +219,7 @@ def test_basis_operator_takes_steppers_with_long_shifts(n_x):
     # ~1e-10; the stepper is real and its basis step is still its symbol
     stepper = sl_stepper(3, 327680.3, n_x)
     M, _ = basis_matrix(stepper.symbol, n_x)
-    got = FourierBasisOperator(stepper).apply(np.eye(n_x))
+    got = stepper.apply(np.eye(n_x))
     np.testing.assert_allclose(got, M, rtol=0, atol=1e-15)
 
 
@@ -227,20 +228,32 @@ def test_basis_apply_on_strided_rows_leaves_input_alone():
     op = CirculantOperator(63, [(-2, 0.5), (0, 1.0), (5, -0.25)])
     u = in_basis(rng.standard_normal((9, 63)))
     before = u.copy()
-    got = FourierBasisOperator(op).apply(u[1::3])
+    got = Stepper(op.n_x, op.symbol).apply(u[1::3])
     np.testing.assert_array_equal(u, before)
     phys = u[1::3].copy()
-    FourierBasisOperator.from_basis(phys)
+    from_basis(phys)
     np.testing.assert_allclose(got, in_basis(op.apply(phys)), atol=1e-13)
 
 
 def test_basis_operator_rejects_complex_and_wrong_length():
     with pytest.raises(ValueError):
-        FourierBasisOperator(CirculantOperator(8, [(1, 1j)]))
+        Stepper(8, CirculantOperator(8, [(1, 1j)]).symbol).basis_diagonal()
     with pytest.raises(ValueError, match="conjugate-symmetric"):
-        FourierBasisOperator(Stepper(8, lambda om: 1j * np.exp(1j * om)))
+        Stepper(8, lambda om: 1j * np.exp(1j * om)).basis_diagonal()
     with pytest.raises(DimensionMismatchError):
-        FourierBasisOperator(CirculantOperator.identity(8)).apply(np.ones(7))
+        Stepper(8, CirculantOperator.identity(8).symbol).apply(np.ones(7))
+
+
+def test_build_refuses_a_coarse_level_before_the_fine_stepper_warns():
+    # the plain semi-Lagrangian V-cycle levels shift by 2e12 cells and more;
+    # their diagonals are built with the hierarchy, before the over-limit
+    # ERK3 fine stepper is, so the refusal comes first and nothing warns
+    spec = DiscretizationSpec("erk", 3, 1e12, 32, 64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotRealOperatorError):
+            build_problem(spec, 2, "v_cycle", "plain_sl")
+    assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
 
 
 # ------------------------------------------------------------------ solves
@@ -409,9 +422,9 @@ def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
         one_cycle = dataclasses.replace(config, max_iters=1)
         MgritSolver(problem, one_cycle).solve(ref)
         stepper, m = problem.steppers[0], problem.m[0]
-        FourierBasisOperator.to_basis(ref)
+        to_basis(ref)
         c_relax(ref, None, stepper, m)
         f_relax(ref, None, stepper, m)
-        FourierBasisOperator.from_basis(ref)
+        from_basis(ref)
     np.testing.assert_allclose(u, ref, atol=1e-12)
     np.testing.assert_allclose(u[0], problem.u0, atol=1e-14)

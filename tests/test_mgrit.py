@@ -23,7 +23,7 @@ from mgrit_advection import (CirculantOperator, DiscretizationSpec,
                              restrict_residual, sequential_solve, sl_stepper,
                              solve)
 from mgrit_advection import mgrit
-from mgrit_advection.circulant import FourierBasisOperator
+from mgrit_advection.circulant import from_basis, to_basis
 from mgrit_advection.experiments import build_problem
 
 
@@ -56,8 +56,8 @@ def basis_state(problem, seed):
     u = MgritSolver(problem, MgritConfig(rng_seed=seed)).initial_state()
     g = np.zeros_like(u)
     g[0] = problem.u0
-    FourierBasisOperator.to_basis(u)
-    FourierBasisOperator.to_basis(g)
+    to_basis(u)
+    to_basis(g)
     return u, g
 
 
@@ -134,7 +134,7 @@ def test_relaxation_composition_reproduces_sequential_on_one_interval():
         f_relax(u, g[1:], stepper, m)
         c_relax(u, g[1:], stepper, m)
     f_relax(u, g[1:], stepper, m)
-    FourierBasisOperator.from_basis(u)
+    from_basis(u)
     np.testing.assert_allclose(u, sequential_solve(problem), atol=1e-11)
 
 
@@ -145,8 +145,8 @@ def test_restriction_vanishes_on_exact_solution():
     u = sequential_solve(problem)
     g = np.zeros_like(u)
     g[0] = problem.u0
-    FourierBasisOperator.to_basis(u)
-    FourierBasisOperator.to_basis(g)
+    to_basis(u)
+    to_basis(g)
     r = restrict_residual(u, g[1:], problem.steppers[0], problem.m[0])
     assert np.linalg.norm(r.ravel()) <= 1e-12
 
@@ -162,11 +162,11 @@ def test_restriction_first_interval_hand_unrolled():
     u[0] = problem.u0
     g = np.zeros_like(u)
     g[0] = problem.u0
-    FourierBasisOperator.to_basis(u)
-    FourierBasisOperator.to_basis(g)
+    to_basis(u)
+    to_basis(g)
     f_relax(u, g[1:], stepper, m)
     r = restrict_residual(u, g[1:], stepper, m)
-    FourierBasisOperator.from_basis(r)
+    from_basis(r)
     op = CirculantOperator.from_eigenvalues(stepper.n_x, stepper.eigenvalues())
     expected = problem.u0.copy()
     for _ in range(m):
@@ -230,8 +230,8 @@ def unreduced_basis_solve(problem, config, u):
     steppers = problem.steppers
     g = np.zeros_like(u)
     g[0] = problem.u0
-    FourierBasisOperator.to_basis(g[0])
-    FourierBasisOperator.to_basis(u)
+    to_basis(g[0])
+    to_basis(u)
 
     def cycle(level, u, g):
         stepper, m = steppers[level], problem.m[level]
@@ -258,7 +258,7 @@ def unreduced_basis_solve(problem, config, u):
         norms.append(cpoint_residual_norm(u, g[1:], steppers[0], m))
         if norms[0] > 0 and norms[-1] / norms[0] <= config.tol:
             break
-    FourierBasisOperator.from_basis(u)
+    from_basis(u)
     return norms
 
 

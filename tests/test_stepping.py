@@ -17,8 +17,8 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
                              rediscretized_coarse_stepper, rk_error_constant,
                              sdirk_tableau, sl_stepper, stability_function,
                              truncation_residual, upwind_derivative)
-from mgrit_advection.circulant import (FourierBasisOperator, _gmres_batched,
-                                       _minres_spectral)
+from mgrit_advection.circulant import (_gmres_batched, _minres_spectral,
+                                       from_basis, to_basis)
 from mgrit_advection import stepping
 from mgrit_advection.experiments import _measured_fd_constant
 from mgrit_advection.stencils import fd_weights, lagrange_weights
@@ -149,7 +149,7 @@ def test_stability_function_is_conjugate_symmetric_far_past_the_limit(c):
     # an ERK3 stepper far beyond its CFL limit is still a real operator:
     # R at -c times the upwind symbol on the mesh is finite and mirrors
     # itself, lambda(2 pi - omega) = conj(lambda(omega)), to rounding (the
-    # test FourierBasisOperator makes, at 1e-14 rather than 1e-8)
+    # test circulant.basis_diagonal makes, at 1e-14 rather than 1e-8)
     n_x = 64
     lsym = upwind_derivative(3, n_x).symbol(2.0 * np.pi * np.arange(n_x) / n_x)
     lam = stability_function(erk_tableau(3), -c * lsym)
@@ -486,9 +486,9 @@ def test_modified_gmres_basis_step_matches_physical_step(p, n_x):
                                            stencil(step).apply(V), capped.tol,
                                            capped.max_iters)
         U = V.copy()
-        FourierBasisOperator.to_basis(U)
+        to_basis(U)
         got = stepper.apply(U)
-        FourierBasisOperator.from_basis(got)
+        from_basis(got)
         scale = np.max(np.abs(expected), axis=1, keepdims=True)
         assert np.all(np.abs(got - expected) <= 1e-10 * np.maximum(scale, 1e-300))
 
@@ -510,7 +510,7 @@ def test_capped_correction_steps_a_zero_batch_without_solving():
         raise AssertionError("a zero batch reached the step or the solve")
 
     class RefusingStep:
-        apply = staticmethod(refuse)
+        basis_diagonal = staticmethod(refuse)
 
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), 64, 16)
     capped = modified_coarse_stepper(spec, 16, solver="gmres")._apply_fn
@@ -534,7 +534,7 @@ def test_capped_correction_in_row_blocks_is_one_kernel_call(p):
     assert capped.krylov is (_minres_spectral if p == 3 else _gmres_batched)
     rows = 3 * stepping._CAPPED_BLOCK_ROWS + 5
     u = np.random.default_rng(p).standard_normal((rows, 64))
-    FourierBasisOperator.to_basis(u)
+    to_basis(u)
     whole, _, _, _ = capped.krylov(capped.correction, capped.step.apply(u),
                                    capped.tol, capped.max_iters)
     assert capped(u).tobytes() == whole.tobytes()
