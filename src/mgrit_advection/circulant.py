@@ -289,18 +289,17 @@ def _row_blocks(u: np.ndarray):
         yield rows[start: start + _BASIS_BLOCK_ROWS], h, q
 
 
-def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
-    """GMRES on many right-hand sides sharing one operator.
+def _gmres_batched(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
+                   rel_tol: float, max_iters: int):
+    """GMRES on many basis rows ``B`` sharing one real circulant, given as
+    its ``basis_diagonal``.
 
-    ``op`` needs only a batched ``apply``: a ``CirculantOperator`` on
-    physical rows or a ``stepping.Stepper`` on basis rows (the inner
-    products are Euclidean, so both give the same iterates up to rounding).
     Each row of ``B`` gets its own Krylov space; the Arnoldi matrix-vector
-    products are batched across rows.  Breakdown (a zero Krylov vector) stops
-    the affected rows with their current iterate; it is a status, not an error.
-    The new vector counts as zero at 1e-14 of the norm of its Hessenberg
-    column (that of ``op`` times the last vector), a test that does not
-    depend on the scale of the right-hand side.
+    products are one ``basis_multiply`` across rows.  Breakdown (a zero
+    Krylov vector) stops the affected rows with their current iterate; it is
+    a status, not an error.  The new vector counts as zero at 1e-14 of the
+    norm of its Hessenberg column (that of the operator times the last
+    vector), a test that does not depend on the scale of the right-hand side.
 
     Returns (X, relative residuals, iterations used, breakdown flag).
     """
@@ -326,7 +325,7 @@ def _gmres_batched(op, B: np.ndarray, rel_tol: float, max_iters: int):
 
     j = 0
     while j < max_iters and np.any(active):
-        w = op.apply(V[:, j, :])
+        w = basis_multiply(diagonal, V[:, j, :])
         # modified Gram-Schmidt against the existing basis
         for i in range(j + 1):
             hij = np.einsum("kn,kn->k", w, V[:, i, :])
@@ -378,7 +377,8 @@ def _row_norms(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(squares, axis=-1))
 
 
-def _minres_spectral(op, B: np.ndarray, rel_tol: float, max_iters: int):
+def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
+                     rel_tol: float, max_iters: int):
     """``_gmres_batched`` for a symmetric operator, by MINRES on each row's
     frequency spectrum.
 
@@ -389,8 +389,8 @@ def _minres_spectral(op, B: np.ndarray, rel_tol: float, max_iters: int):
     p that depends on b only through the weights |X_k|^2 of its frequencies,
     so the recurrence runs on the n//2 + 1 magnitudes c_k = |X_k| of each
     basis row (the head slots, and the interior complex pairs) against the
-    real eigenvalues of ``op.basis_diagonal()`` (a ``stepping.Stepper``),
-    and maps back per frequency: x = (x_c / c) b.
+    real eigenvalues of ``diagonal``, and maps back per frequency:
+    x = (x_c / c) b.
 
     Each iteration runs only the Lanczos step and the Givens update of the
     residual estimate.  As in GMRES (Saad & Schultz 1986) the iterate is
@@ -417,7 +417,7 @@ def _minres_spectral(op, B: np.ndarray, rel_tol: float, max_iters: int):
     """
     K, n = B.shape
     max_iters = min(max_iters, n)
-    head, interior = op.basis_diagonal()
+    head, interior = diagonal
     h = len(head)
     lam = np.concatenate([head, interior.real])
     c = np.empty((K, len(lam)))

@@ -146,8 +146,9 @@ class ExperimentConfig:
         try:
             yield
         except OverflowError as exc:
+            # the reason alone: float ** puts an errno before it
             raise ConfigError(f"{name} = {getattr(self, name)} overflows: "
-                              f"{exc}") from exc
+                              f"{exc.args[-1]}") from exc
         except NotRealOperatorError as exc:
             raise ConfigError(f"{name} = {getattr(self, name)} is too large: "
                               f"its semi-Lagrangian shifts round the phases "

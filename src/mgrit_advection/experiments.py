@@ -59,10 +59,10 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     in the Fourier basis of ``mgrit.solve`` that GMRES runs as spectral
     MINRES for odd p, whose correction is symmetric.
 
-    The coarse levels are built first, each with ``Stepper.build_basis``.
-    Only a fine stepper warns, as level 0 or inside an ideal coarse stepper
-    (rediscretized ones are SDIRK-only), and only the other coarse kinds
-    overflow or fail ``build_basis``, so such a build has warned of nothing.
+    Coarse levels are built first, with the diagonals they step by (a capped
+    level builds its two itself).  Only a fine stepper warns (level 0, or
+    inside an ideal coarse stepper; rediscretized ones are SDIRK-only), so a
+    coarse level that overflows or is not real fails before any warning.
     """
     m_list = [m] if np.isscalar(m) else list(m)
     if not m_list or any(mf < 2 for mf in m_list):
@@ -91,9 +91,10 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     for mf in factors:
         F *= mf
         coarse.append(coarse_stepper(coarse_kind, spec, F, solver=solver))
-        coarse[-1].build_basis()
+        if solver == "direct":
+            coarse[-1].basis_diagonal()
     fine = fine_stepper(spec)
-    fine.build_basis()
+    fine.basis_diagonal()
     u0 = mgrit.initial_condition(spec.n_x)
     return mgrit.TimeGridProblem([fine] + coarse, factors, spec.n_t, u0)
 

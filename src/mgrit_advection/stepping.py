@@ -261,7 +261,8 @@ class Stepper:
     real orthonormal Fourier basis (``circulant.to_basis``) by multiplying
     with its mesh values, ``eigenvalues()``, laid out as ``basis_diagonal()``,
     or with ``apply_fn(u, out)``: a capped stepper's ``CappedCorrection``,
-    which approximates that product.  The one place that steps physical
+    which approximates that product from the diagonals of its two factors
+    and never builds the stepper's own.  The one place that steps physical
     rows, ``mgrit.sequential_solve``, builds its stencil from the same
     values, ``CirculantOperator.from_eigenvalues(n_x, eigenvalues())``.
     ``level`` only labels the stepper: it starts at 0, and
@@ -294,14 +295,6 @@ class Stepper:
             self._diagonal = basis_diagonal(self.eigenvalues())
         return self._diagonal
 
-    def build_basis(self) -> None:
-        """Build the diagonals ``apply`` multiplies by: this stepper's, or a
-        capped one's step and correction (``NotRealOperatorError``)."""
-        capped = self._apply_fn
-        parts = (self,) if capped is None else (capped.step, capped.correction)
-        for part in parts:
-            part.basis_diagonal()
-
     def symbol(self, omega) -> np.ndarray:
         return self._symbol_fn(np.asarray(omega, dtype=float))
 
@@ -328,9 +321,9 @@ class CappedCorrection(NamedTuple):
     step u), unrestarted from a zero guess, stopped at relative residual
     ``tol`` or after ``max_iters`` iterations per row.
 
-    ``step`` and ``correction`` are the ``Stepper`` forms of the
-    semi-Lagrangian step, multiplied by its ``basis_diagonal``, and of the
-    correction I - phi D.  ``krylov`` is ``_gmres_batched``, or
+    ``step`` and ``correction`` are the ``circulant.basis_diagonal`` of the
+    semi-Lagrangian step, which ``basis_multiply`` applies, and of the
+    correction I - phi D, which ``krylov`` solves: ``_gmres_batched``, or
     ``_minres_spectral`` for a symmetric correction, which has the same
     iterates and stopping steps in exact arithmetic.
     Both form each row's iterate once, from the stored Krylov vectors, after
@@ -348,8 +341,8 @@ class CappedCorrection(NamedTuple):
     solve: every coarse cycle's first F-relaxation steps the zero error.
     """
 
-    step: Stepper
-    correction: Stepper
+    step: Tuple[np.ndarray, np.ndarray]
+    correction: Tuple[np.ndarray, np.ndarray]
     tol: float
     max_iters: int
     krylov: Callable
@@ -367,7 +360,7 @@ class CappedCorrection(NamedTuple):
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(rows), _CAPPED_BLOCK_ROWS):
                 block = slice(start, start + _CAPPED_BLOCK_ROWS)
-                rhs = basis_multiply(self.step.basis_diagonal(), rows[block])
+                rhs = basis_multiply(self.step, rows[block])
                 x, _, _, _ = self.krylov(self.correction, rhs, self.tol,
                                          self.max_iters)
                 dest[block] = x
@@ -536,15 +529,16 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int,
     symmetric correction of odd p runs that GMRES as MINRES on each row's
     frequency spectrum (``_minres_spectral``), in exact arithmetic the same
     iterates and stopping steps from a short recurrence, and any other
-    correction runs ``_gmres_batched``.
+    correction runs ``_gmres_batched``.  A capped stepper builds the basis
+    diagonals of both here (``NotRealOperatorError``).
     """
     phi = phi_coefficient(spec.p, spec.c, F, error_constant_fd(spec.p),
                           rk_error_constant(spec.tableau()))
     sl = sl_stepper(spec.p, F * spec.c, spec.n_x)
     D = correction_operator(spec.p, spec.n_x)
-    correction = Stepper(spec.n_x, lambda om: 1.0 - phi * D.symbol(om))
+    correction = 1.0 - phi * D.eigenvalues()
 
-    bad = np.abs(correction.eigenvalues()) < 1e-14
+    bad = np.abs(correction) < 1e-14
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SingularOperatorError(
@@ -552,14 +546,15 @@ def modified_coarse_stepper(spec: DiscretizationSpec, F: int,
             f"omega = 2*pi*{k}/{spec.n_x}")
 
     def symbol_fn(om):
-        return sl.symbol(om) / correction.symbol(om)
+        return sl.symbol(om) / (1.0 - phi * D.symbol(om))
 
     if solver == "direct":
         apply_fn = None  # the symbol's mesh values are the exact product
     elif solver == "gmres":
         # I - phi D is symmetric exactly when D is
         krylov = _minres_spectral if D.is_symmetric() else _gmres_batched
-        apply_fn = CappedCorrection(sl, correction, CAPPED_TOL,
+        apply_fn = CappedCorrection(sl.basis_diagonal(),
+                                    basis_diagonal(correction), CAPPED_TOL,
                                     capped_max_iters(spec.p), krylov)
     else:
         raise ValueError(f"unknown solver {solver!r}")

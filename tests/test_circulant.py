@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mgrit_advection import CirculantOperator, DimensionMismatchError, Stepper
+from mgrit_advection import CirculantOperator, DimensionMismatchError
 from mgrit_advection.circulant import (_gmres_batched, _minres_spectral,
-                                       to_basis)
+                                       basis_diagonal, basis_multiply,
+                                       from_basis, to_basis)
 from mgrit_advection.stepping import correction_operator
 
 
@@ -234,18 +235,30 @@ def test_offsets_wrap_periodically():
 
 # -------------------------------------------------------------------- solves
 
-def gmres_one(op, b, rel_tol, max_iters):
-    """``_gmres_batched`` on a single vector: (x, relative residual,
+def gmres_one(diagonal, b, rel_tol, max_iters):
+    """``_gmres_batched`` on a single basis row: (x, relative residual,
     iterations)."""
-    X, res, iters, _ = _gmres_batched(op, np.asarray(b, dtype=float)[None, :],
+    X, res, iters, _ = _gmres_batched(diagonal,
+                                      np.asarray(b, dtype=float)[None, :],
                                       rel_tol, max_iters)
     return X[0], float(res[0]), iters
 
 
+def gmres_physical(op, B, rel_tol, max_iters):
+    """``_gmres_batched`` for the real circulant ``op`` on physical rows
+    ``B``, through the basis and back."""
+    B = np.array(B, dtype=float, ndmin=2)
+    to_basis(B)
+    X, res, iters, breakdown = _gmres_batched(basis_diagonal(op.eigenvalues()),
+                                              B, rel_tol, max_iters)
+    from_basis(X)
+    return X, res, iters, breakdown
+
+
 def test_gmres_identity_one_iteration():
-    op = CirculantOperator.identity(16)
     b = np.linspace(0, 1, 16)
-    x, res, iters = gmres_one(op, b, rel_tol=0.5, max_iters=10)
+    x, res, iters = gmres_one(basis_diagonal(np.ones(16)), b, rel_tol=0.5,
+                              max_iters=10)
     assert iters == 1
     assert res <= 0.5
     np.testing.assert_allclose(x, b, atol=1e-12)
@@ -255,12 +268,12 @@ def test_gmres_round_trip_to_tolerance():
     from mgrit_advection import high_derivative_operator
     n_x = 64
     D = high_derivative_operator(2, n_x)
-    op = CirculantOperator.identity(n_x).add(D.scale(-0.36))
+    diagonal = basis_diagonal(1.0 - 0.36 * D.eigenvalues())
     rng = np.random.default_rng(1)
     v = rng.standard_normal(n_x)
-    b = op.apply(v)
-    x, reported, _ = gmres_one(op, b, rel_tol=1e-2, max_iters=10)
-    res = np.linalg.norm(b - op.apply(x)) / np.linalg.norm(b)
+    b = basis_multiply(diagonal, v)
+    x, reported, _ = gmres_one(diagonal, b, rel_tol=1e-2, max_iters=10)
+    res = np.linalg.norm(b - basis_multiply(diagonal, x)) / np.linalg.norm(b)
     assert res <= 1e-2
     assert reported <= 1e-2
 
@@ -274,13 +287,13 @@ def test_gmres_agrees_with_direct():
     b = rng.standard_normal(n_x)
     direct = np.linalg.solve(op.dense(), b)
     rel_tol = 1e-8
-    x, _, _ = gmres_one(op, b, rel_tol=rel_tol, max_iters=48)
+    (x,), _, _, _ = gmres_physical(op, b, rel_tol=rel_tol, max_iters=48)
     assert np.linalg.norm(x - direct) <= 10 * rel_tol * np.linalg.norm(direct)
 
 
 def test_gmres_zero_rhs_is_breakdown_free():
-    op = CirculantOperator.identity(8)
-    X, res, iters, breakdown = _gmres_batched(op, np.zeros((1, 8)), 1e-2, 5)
+    X, res, iters, breakdown = _gmres_batched(basis_diagonal(np.ones(8)),
+                                              np.zeros((1, 8)), 1e-2, 5)
     np.testing.assert_array_equal(X, np.zeros((1, 8)))
     assert res[0] == 0.0 and iters == 0 and not breakdown
 
@@ -322,7 +335,7 @@ def test_batched_gmres_matches_per_row_reference():
     B = np.stack([np.cos(3 * x), np.exp(np.sin(x)), rng.standard_normal(n_x),
                   np.zeros(n_x), rng.standard_normal(n_x)])
     with np.errstate(all="raise"):
-        X, res, _, _ = _gmres_batched(op, B, 1e-6, 12)
+        X, res, _, _ = gmres_physical(op, B, 1e-6, 12)
     for k in range(len(B)):
         ref_x, ref_res = gmres_reference(op, B[k], 1e-6, 12)
         scale = max(1.0, np.max(np.abs(ref_x)))
@@ -340,8 +353,7 @@ def symmetric_correction(p, n_x, cond):
     D = correction_operator(p, n_x)
     d_hat = D.eigenvalues().real
     phi = (cond - 1.0) / np.max(np.abs(d_hat)) * -np.sign(d_hat[n_x // 2])
-    op = CirculantOperator.identity(n_x).add(D.scale(-phi))
-    return Stepper(op.n_x, op.symbol)
+    return basis_diagonal(1.0 - phi * D.eigenvalues())
 
 
 def basis_rows(rng, k, n_x):
@@ -350,7 +362,7 @@ def basis_rows(rng, k, n_x):
     return rows
 
 
-def minres_direction_reference(op, B, rel_tol, max_iters):
+def minres_direction_reference(diagonal, B, rel_tol, max_iters):
     """MINRES as Paige & Saunders write it: the spectral recurrence of
     ``_minres_spectral`` that updates the search directions d, d1, d2 and the
     running iterate on every iteration.  Its Lanczos step, Givens update and
@@ -358,7 +370,7 @@ def minres_direction_reference(op, B, rel_tol, max_iters):
     operation; only the way the iterate is formed differs."""
     K, n = B.shape
     max_iters = min(max_iters, n)
-    head, interior = op.basis_diagonal()
+    head, interior = diagonal
     h = len(head)
     lam = np.concatenate([head, interior.real])
     c = np.empty((K, len(lam)))
@@ -426,10 +438,10 @@ def minres_direction_reference(op, B, rel_tol, max_iters):
     return X, res, j, breakdown
 
 
-def assert_minres_matches_gmres(op, B, tol, cap):
+def assert_minres_matches_gmres(diagonal, B, tol, cap):
     with np.errstate(all="raise"):
-        xg, rg, jg, bg = _gmres_batched(op, B, tol, cap)
-        xm, rm, jm, bm = _minres_spectral(op, B, tol, cap)
+        xg, rg, jg, bg = _gmres_batched(diagonal, B, tol, cap)
+        xm, rm, jm, bm = _minres_spectral(diagonal, B, tol, cap)
     scale = np.maximum(np.max(np.abs(xg), axis=1), 1e-300)
     assert np.all(np.max(np.abs(xm - xg), axis=1) <= 1e-10 * scale)
     np.testing.assert_array_equal(rm <= tol, rg <= tol)
@@ -446,9 +458,9 @@ def test_minres_matches_gmres_at_the_package_caps(p, n_x, log_cond, k, cap,
                                                   log_tol, seed):
     # caps up to 20 (the package uses 10 and 20) on meshes with at least 33
     # distinct eigenvalues, corrections up to condition number 1e5
-    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    diagonal = symmetric_correction(p, n_x, 10.0 ** log_cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
-    assert_minres_matches_gmres(op, B, 10.0 ** log_tol, cap)
+    assert_minres_matches_gmres(diagonal, B, 10.0 ** log_tol, cap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -462,15 +474,15 @@ def test_minres_matches_the_direction_recurrence(p, n_x, log_cond, k, cap,
     # and the stopping decisions are unchanged, so residuals, stopping steps
     # and breakdowns are bitwise those of the recurrence; the iterate is
     # summed in another order
-    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    diagonal = symmetric_correction(p, n_x, 10.0 ** log_cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
     if zero_row:
         B[k // 2] = 0.0
     tol = 10.0 ** log_tol
     with np.errstate(all="raise"):
-        X, res, iters, breakdown = _minres_spectral(op, B, tol, cap)
+        X, res, iters, breakdown = _minres_spectral(diagonal, B, tol, cap)
         X_ref, res_ref, iters_ref, breakdown_ref = minres_direction_reference(
-            op, B, tol, cap)
+            diagonal, B, tol, cap)
     np.testing.assert_array_equal(res, res_ref)
     assert iters == iters_ref and breakdown == breakdown_ref
     scale = np.maximum(np.max(np.abs(X_ref), axis=1), 1e-300)
@@ -486,15 +498,15 @@ def test_minres_split_batches_match_the_whole_batch(p, n_x, log_cond, k, cap,
                                                     log_tol, seed, data):
     # threaded solves hand each thread a block of rows: a row's result must
     # not depend on which rows share its batch
-    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    diagonal = symmetric_correction(p, n_x, 10.0 ** log_cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
     if data.draw(st.booleans()):
         B[data.draw(st.integers(0, k - 1))] = 0.0
     cuts = sorted(data.draw(st.sets(st.integers(1, k - 1), min_size=1)))
     tol = 10.0 ** log_tol
-    X, res, _, _ = _minres_spectral(op, B, tol, cap)
+    X, res, _, _ = _minres_spectral(diagonal, B, tol, cap)
     for lo, hi in zip([0] + cuts, cuts + [k]):
-        X_part, res_part, _, _ = _minres_spectral(op, B[lo:hi], tol, cap)
+        X_part, res_part, _, _ = _minres_spectral(diagonal, B[lo:hi], tol, cap)
         np.testing.assert_array_equal(X_part, X[lo:hi])
         np.testing.assert_array_equal(res_part, res[lo:hi])
 
@@ -504,13 +516,12 @@ def test_minres_basis_storage_grows_per_iteration():
     # a (rows, cap, n) buffer allocated up front would exceed the bound
     K, n_x = 256, 1024
     D = correction_operator(3, n_x)
-    correction = CirculantOperator.identity(n_x).add(D.scale(2.0))
-    op = Stepper(correction.n_x, correction.symbol)
+    diagonal = basis_diagonal(1.0 + 2.0 * D.eigenvalues())
     B = basis_rows(np.random.default_rng(0), K, n_x)
     unit = K * (n_x // 2 + 1) * 8
     tracemalloc.start()
     try:
-        _, res, iters, _ = _minres_spectral(op, B, 1e-2, 20)
+        _, res, iters, _ = _minres_spectral(diagonal, B, 1e-2, 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -530,9 +541,9 @@ def test_minres_matches_gmres_with_caps_beyond_the_mesh(p, n_x, cond, k, extra,
     # stops the rows first on these well-conditioned corrections
     assume(n_x >= p + 2)
     cap = 1 + int(cap_fraction * (n_x + extra - 1))
-    op = symmetric_correction(p, n_x, cond)
+    diagonal = symmetric_correction(p, n_x, cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
-    assert_minres_matches_gmres(op, B, 10.0 ** log_tol, cap)
+    assert_minres_matches_gmres(diagonal, B, 10.0 ** log_tol, cap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -547,20 +558,22 @@ def test_minres_reports_its_true_residual(p, n_x, log_cond, k, cap_fraction,
     # the tolerance is within it
     assume(n_x >= p + 2)
     tol = 10.0 ** log_tol
-    op = symmetric_correction(p, n_x, 10.0 ** log_cond)
+    diagonal = symmetric_correction(p, n_x, 10.0 ** log_cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
     with np.errstate(all="raise"):
-        X, res, _, _ = _minres_spectral(op, B, tol, 1 + int(cap_fraction * n_x))
-    true = np.linalg.norm(B - op.apply(X), axis=1) / np.linalg.norm(B, axis=1)
+        X, res, _, _ = _minres_spectral(diagonal, B, tol,
+                                        1 + int(cap_fraction * n_x))
+    true = (np.linalg.norm(B - basis_multiply(diagonal, X), axis=1)
+            / np.linalg.norm(B, axis=1))
     assert np.all(true[res <= tol] <= tol * (1.0 + 1e-6))
 
 
 @pytest.mark.parametrize("n_x", [64, 65])
 def test_minres_zero_rows_among_live_rows(n_x):
-    op = symmetric_correction(3, n_x, 300.0)
+    diagonal = symmetric_correction(3, n_x, 300.0)
     B = basis_rows(np.random.default_rng(n_x), 5, n_x)
     B[[0, 3]] = 0.0
-    X, res, _, _ = assert_minres_matches_gmres(op, B, 1e-2, 20)
+    X, res, _, _ = assert_minres_matches_gmres(diagonal, B, 1e-2, 20)
     np.testing.assert_array_equal(X[[0, 3]], 0.0)
     np.testing.assert_array_equal(res[[0, 3]], 0.0)
 
@@ -569,29 +582,32 @@ def test_minres_zero_rows_among_live_rows(n_x):
 @pytest.mark.parametrize("slot", [0, 1, 10, 11])
 def test_minres_eigenvector_breaks_down_after_one_iteration(n_x, slot):
     # a head slot, or one component of an interior pair, is an eigenvector
-    op = symmetric_correction(5, n_x, 50.0)
+    diagonal = symmetric_correction(5, n_x, 50.0)
     B = np.zeros((1, n_x))
     B[0, slot] = 2.5
-    X, res, iters, breakdown = assert_minres_matches_gmres(op, B, 1e-12, 20)
+    X, res, iters, breakdown = assert_minres_matches_gmres(diagonal, B, 1e-12,
+                                                           20)
     assert iters == 1 and breakdown
     assert res[0] <= 1e-15
-    np.testing.assert_allclose(X, B / op.apply(np.ones((1, n_x))), rtol=1e-14)
+    eigenvalues = basis_multiply(diagonal, np.ones((1, n_x)))
+    np.testing.assert_allclose(X, B / eigenvalues, rtol=1e-14)
 
 
 def test_minres_single_row_and_mixed_stopping_steps():
     n_x = 128
-    op = symmetric_correction(3, n_x, 1e4)
+    diagonal = symmetric_correction(3, n_x, 1e4)
     rng = np.random.default_rng(9)
     smooth = np.exp(np.sin(2 * np.pi * np.arange(n_x) / n_x))[None, :]
     to_basis(smooth)
     eigen = np.zeros((1, n_x))
     eigen[0, 7] = 1.0
     B = np.concatenate([basis_rows(rng, 2, n_x), smooth, eigen])
-    X, res, iters, _ = assert_minres_matches_gmres(op, B, 1e-2, 20)
+    X, res, iters, _ = assert_minres_matches_gmres(diagonal, B, 1e-2, 20)
     assert iters == 20
     assert np.all(res[:2] > 1e-2) and np.all(res[2:] <= 1e-2)
     for k in range(len(B)):  # K = 1: the batch composition changes nothing
-        Xk, res_k, _, _ = assert_minres_matches_gmres(op, B[k: k + 1], 1e-2, 20)
+        Xk, res_k, _, _ = assert_minres_matches_gmres(diagonal, B[k: k + 1],
+                                                      1e-2, 20)
         np.testing.assert_array_equal(Xk[0], X[k])
         assert res_k[0] == res[k]
 
@@ -608,18 +624,13 @@ def test_breakdown_verdict_does_not_depend_on_rhs_scale(solver, big, small,
     # scales are capped there; power-of-two scales change no rounding, and
     # the two rows must then stop alike at any cap
     n_x = 16
-    D = correction_operator(3, n_x)
-    op = CirculantOperator.identity(n_x).add(D.scale(30.0))
+    diagonal = basis_diagonal(1.0 + 30.0 * correction_operator(3, n_x)
+                              .eigenvalues())
+    krylov = _gmres_batched if solver == "gmres" else _minres_spectral
     b = np.random.default_rng(0).standard_normal(n_x)
-    runs = []
-    for scale in (big, small):
-        B = scale * b[None, :]
-        if solver == "gmres":
-            runs.append(_gmres_batched(op, B, 1e-14, cap))
-        else:
-            to_basis(B)
-            runs.append(_minres_spectral(Stepper(op.n_x, op.symbol), B,
-                                         1e-14, cap))
+    to_basis(b)
+    runs = [krylov(diagonal, scale * b[None, :], 1e-14, cap)
+            for scale in (big, small)]
     (_, res_big, it_big, brk_big), (_, res_small, it_small, brk_small) = runs
     assert it_big == it_small and brk_big == brk_small
     if cap == 20:

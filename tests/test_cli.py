@@ -219,6 +219,7 @@ def test_overflow_drops_the_warnings_of_its_build(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("configuration error: c_fraction = 1e+300 overflows")
+    assert "(34," not in err[0]  # the reason, not the errno tuple
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
 
 

@@ -4,6 +4,7 @@ symbols, and MGRIT solves, which run in the basis, against the finite-grid
 mode prediction from the physical iterate and the sequential solution."""
 
 import dataclasses
+import functools
 import itertools
 import warnings
 
@@ -21,7 +22,8 @@ from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              plain_sl_coarse_stepper,
                              rediscretized_coarse_stepper, rk_error_constant,
                              sequential_solve, sl_stepper, stepping)
-from mgrit_advection.circulant import _gmres_batched, from_basis, to_basis
+from mgrit_advection.circulant import (_gmres_batched, basis_multiply,
+                                       from_basis, to_basis)
 from mgrit_advection.experiments import build_problem
 from mgrit_advection.lfa import predict_history
 from mgrit_advection.stepping import correction_operator
@@ -192,9 +194,11 @@ def test_capped_basis_step_and_correction_are_the_symbol(n_x):
     correction = CirculantOperator.identity(n_x).add(
         correction_operator(3, n_x).scale(-phi))
     basis = capped._apply_fn
-    assert_basis_apply_is_symbol(basis.step.apply, sl.symbol, n_x)
-    assert_basis_apply_is_symbol(basis.correction.apply, correction.symbol,
-                                 n_x)
+    assert_basis_apply_is_symbol(functools.partial(basis_multiply, basis.step),
+                                 sl.symbol, n_x)
+    assert_basis_apply_is_symbol(
+        functools.partial(basis_multiply, basis.correction), correction.symbol,
+        n_x)
     om = 2.0 * np.pi * np.arange(n_x) / n_x
     np.testing.assert_allclose(sl.symbol(om) / correction.symbol(om),
                                capped.symbol(om), rtol=1e-14)
@@ -209,7 +213,7 @@ def test_capped_sl_step_is_the_plain_sl_stepper(n_x):
     capped = modified_coarse_stepper(spec, 1024, solver="gmres")
     plain = plain_sl_coarse_stepper(spec, 1024)
     eye = np.eye(n_x)
-    np.testing.assert_array_equal(capped._apply_fn.step.apply(eye),
+    np.testing.assert_array_equal(basis_multiply(capped._apply_fn.step, eye),
                                   plain.apply(eye))
 
 
@@ -330,6 +334,27 @@ def test_capped_gmres_v_cycle_matches_physical_counts(monkeypatch, p, n_x):
     gmres = build()
     assert all(s._apply_fn.krylov is _gmres_batched for s in gmres.steppers[1:])
     assert MgritSolver(gmres, config).solve().iterations == report.iterations
+
+
+def test_capped_v_cycle_steps_only_its_hierarchy(monkeypatch):
+    # a capped level steps and solves with its two basis diagonals, so every
+    # Stepper.apply of an even-p (GMRES) capped V-cycle is one of its levels
+    problem = hierarchy("erk", 4, 0.85 * cfl_limit(4), "modified", "v_cycle",
+                        n_t=256)
+    calls = []
+    apply = Stepper.apply
+
+    def recording_apply(self, *args, **kwargs):
+        calls.append(self)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(Stepper, "apply", recording_apply)
+    config = MgritConfig(nu=1, cycle="v_cycle", max_iters=40, rng_seed=0)
+    report = MgritSolver(problem, config).solve()
+    assert report.converged and report.iterations == 19
+    levels = {id(s) for s in problem.steppers}
+    strays = [s for s in calls if id(s) not in levels]
+    assert calls and not strays, f"{len(strays)} applies off the hierarchy"
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
