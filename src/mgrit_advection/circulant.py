@@ -19,9 +19,10 @@ from .errors import DimensionMismatchError, NotRealOperatorError
 #: weights with magnitude below this are dropped when stencils are combined
 PRUNE_TOL = 1e-15
 
-#: rows per block of the in-place basis changes, which bounds their complex
-#: temporaries to a few MB however many rows are transformed
-_BASIS_BLOCK_ROWS = 256
+#: rows per block of the in-place basis changes and of the solver's residual
+#: norm, which bounds their temporaries to about a MB however many rows are
+#: transformed
+_BASIS_BLOCK_ROWS = 64
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -274,6 +275,37 @@ def basis_multiply(diagonal: Tuple[np.ndarray, np.ndarray], v: np.ndarray,
     np.multiply(v[..., h:].view(complex), interior,
                 out=out[..., h:].view(complex))
     return out
+
+
+def basis_forward_substitute(diagonal: Tuple[np.ndarray, np.ndarray],
+                             u: np.ndarray) -> np.ndarray:
+    """Solve e_k = D e_{k-1} + g_k, e_0 = 0, in place on the basis rows of the
+    2-D ``u`` (rows may be strided, the last axis contiguous), with D a
+    ``basis_diagonal``: ``u`` holds g_1 .. g_n on entry and e_1 .. e_n on
+    return.
+
+    Bitwise the row loop ``u[k] += basis_multiply(diagonal, u[k - 1])`` from
+    a zero row: each interior row is one complex multiply and one add on its
+    complex view, and each head slot a scalar recurrence."""
+    head, interior = diagonal
+    h = len(head)
+    if u.ndim != 2 or u.shape[-1] != h + 2 * len(interior):
+        raise DimensionMismatchError(
+            f"need a 2-D stack of rows of length {h + 2 * len(interior)}")
+    step = np.empty(len(interior), dtype=complex)
+    prev = np.zeros_like(step)  # e_0, so that e_1 = g_1 + D 0
+    for row in u[:, h:].view(complex):
+        np.multiply(prev, interior, out=step)
+        np.add(row, step, out=row)
+        prev = row
+    for j, d in enumerate(head.tolist()):
+        values = u[:, j].tolist()
+        e = 0.0
+        for k, g in enumerate(values):
+            e = g + d * e
+            values[k] = e
+        u[:, j] = values
+    return u
 
 
 def _row_blocks(u: np.ndarray):

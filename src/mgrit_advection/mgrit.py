@@ -32,26 +32,28 @@ A right-hand side ``g`` holds rows 1..n of a level's n + 1 time points, or
 is None for zero.  No kernel reads g_0: row 0 of the iterate holds the value
 at t = 0 (u0 on level 0, a zero error below).
 
-Every level cycles in its iterate plus one coarse buffer, of the next level's
-n_c + 1 rows.  The two-level cycle and the coarsest level restrict into the
-buffer's rows 1..n_c and forward-substitute there in place.  An inner
-V-cycle level restricts over its own last F-points u_{km-1} instead: the
-closing F-relaxation rewrites every F-point, so those rows are dead while
-the level waits for its correction, and they are the next level's ``g``.
-Its buffer is zeroed and cycles as the next level's error.  A V-cycle at
-factor m so holds the iterate plus about m / (m - 1) level-0 coarse
-buffers, and a capped coarse solve adds its transients, bounded by one
-block of rows (``stepping.CappedCorrection``).  The ``tracemalloc`` peaks of
-3-iteration ERK3 V-cycles on 64 x 4096 are 2.5 and 2.0 level-0 buffers at
-m = 2 and 4, numpy's ufunc buffers included.
+Every level restricts its residual over its own last F-points u_{km-1}:
+the closing F-relaxation rewrites every F-point, so those rows are dead
+while the level waits for its correction.  The two-level cycle and the
+coarsest level forward-substitute the coarse problem there in place, from
+a zero error, and add it to the C-points, so a two-level solve holds
+nothing but its iterate.  An inner V-cycle level passes those rows as the
+next level's ``g`` and cycles a buffer of the next level's n_c + 1 rows,
+zeroed, as its error.  A V-cycle at factor m so holds the iterate plus
+about m / (m - 1) level-0 coarse buffers, and a capped coarse solve adds
+its transients, bounded by one block of rows
+(``stepping.CappedCorrection``).  The ``tracemalloc`` peaks of 3-iteration
+solves on 64 x 4096, in level-0 coarse buffers, numpy's ufunc buffers
+included, are 0.4-0.5 for the SDIRK3 two-level cycle at m = 2, and 2.4 and
+2.0 for ERK3 V-cycles at m = 2 and 4.
 
-The residual norm forms its residuals in level 0's coarse buffer, which is
-dead between cycles.  With nu >= 1 it writes its propagated values
-Phi u_{km-1} over each interval's last F-point u_{km-1}, which the next
-F-relaxation overwrites anyway; with nu = 0 no C-relaxation reads them, so
-they go to the buffer and the iterate is left alone.  When the loop ends the
-last F-points are stepped once more from u_{km-2}, so the returned iterate
-is the cycle's bit for bit.
+The residual norm steps, subtracts and sums squares a block of
+``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
+With nu >= 1 it writes its propagated values Phi u_{km-1} over each
+interval's last F-point u_{km-1}, which the next F-relaxation overwrites
+anyway; with nu = 0 no C-relaxation reads them, and the iterate is left
+alone.  When the loop ends the last F-points are stepped once more from
+u_{km-2}, so the returned iterate is the cycle's bit for bit.
 
 ``solve`` runs with numpy's overflow and invalid-value warnings off, in
 every pool task too: a diverging solve stops at its first infinite residual
@@ -72,7 +74,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circulant import CirculantOperator, from_basis, to_basis
+from .circulant import (_BASIS_BLOCK_ROWS, CirculantOperator,
+                        basis_forward_substitute, from_basis, to_basis)
 from .stepping import Stepper
 
 
@@ -211,20 +214,30 @@ def restrict_residual(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
     return r
 
 
-def cpoint_residual_norm(u, g, stepper, m, out=None, work=None) -> float:
+def cpoint_residual_norm(u, g, stepper, m, out=None) -> float:
     """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km,
     with ``g`` as in ``restrict_residual``.
 
-    ``out``, when given, receives g_km + Phi u_{km-1}, what a C-relaxation of
-    ``u`` would write; it may be ``u[m-1:-1:m]``, the rows it is stepped
-    from.  ``work``, when given, receives the residuals (it may be ``out``;
-    keep it contiguous, or the norm copies it); otherwise they are formed in
-    a new array.  A norm too large for a float, or of residuals that hold
-    nan, is inf, without a warning."""
-    relaxed = _step_rows(u, g, stepper, m, m, out)
-    r = np.subtract(relaxed, u[m::m], out=work)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(r.ravel()))
+    The residuals are formed, and their squares summed, a block of
+    ``_BASIS_BLOCK_ROWS`` coarse points at a time in one block-sized array,
+    so no full-size residual is made.  ``out``, when given, receives
+    g_km + Phi u_{km-1}, what a C-relaxation of ``u`` would write; it may be
+    ``u[m-1:-1:m]``, the rows it is stepped from.  Without it ``u`` is left
+    as it is.  A norm too large for a float, or of residuals that hold nan,
+    is inf, without a warning."""
+    n_c = (u.shape[0] - 1) // m
+    r = np.empty((min(n_c, _BASIS_BLOCK_ROWS), u.shape[1]))
+    total = 0.0
+    for k0 in range(0, n_c, _BASIS_BLOCK_ROWS):
+        k1 = min(k0 + _BASIS_BLOCK_ROWS, n_c)
+        rows = u[k0 * m:k1 * m + 1]
+        res = r[:k1 - k0]
+        relaxed = _step_rows(rows, None if g is None else g[k0 * m:k1 * m],
+                             stepper, m, m, res if out is None else out[k0:k1])
+        np.subtract(relaxed, rows[m::m], out=res)
+        with np.errstate(over="ignore"):
+            total += float(np.dot(res.ravel(), res.ravel()))
+    norm = math.sqrt(total)
     return math.inf if math.isnan(norm) else norm
 
 
@@ -242,11 +255,17 @@ def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
 
 
 def _forward_substitute(stepper: Stepper, u: np.ndarray) -> np.ndarray:
-    """Solve u_n = Phi u_{n-1} + g_n, u_0 = g_0 in place on basis rows: ``u``
-    holds g on entry and the solution on return."""
+    """Solve e_k = Phi e_{k-1} + g_k, e_0 = 0, in place on basis rows: ``u``
+    holds g_1 .. g_n on entry and e_1 .. e_n on return.  A direct stepper
+    multiplies by its ``basis_diagonal`` (``basis_forward_substitute``); a
+    capped one steps each row with ``Stepper.apply``."""
+    if stepper._apply_fn is None:
+        return basis_forward_substitute(stepper.basis_diagonal(), u)
     step = np.empty(u.shape[1:])
-    for n in range(1, u.shape[0]):
-        u[n] += stepper.apply(u[n - 1], out=step)
+    prev = np.zeros(u.shape[1:])
+    for row in u:
+        row += stepper.apply(prev, out=step)
+        prev = row
     return u
 
 
@@ -299,12 +318,20 @@ class MgritSolver:
 
         list(self._pool.map(block, edges[:-1], edges[1:]))
 
+    def _has_inner_level(self, level: int) -> bool:
+        """Whether level + 1 cycles as an inner V-cycle level; otherwise
+        level + 1 is solved directly by forward substitution."""
+        return (self.config.cycle == "v_cycle"
+                and level + 1 < len(self.problem.m))
+
     def _cycle(self, level: int, u: np.ndarray, g: Optional[np.ndarray],
                coarse: Optional[np.ndarray] = None, warm: bool = False) -> None:
-        """One cycle in place on ``u``, with its coarse buffer ``coarse``
-        (n_c + 1 rows, allocated if None): the coarse problem, solved in
-        place, of a two-level or coarsest-level cycle, or the next level's
-        error, whose right-hand side goes over the last F-points of ``u``.
+        """One cycle in place on ``u``.  The level restricts its residual
+        over its own last F-points u[km-1], which the closing F-relaxation
+        rewrites: a two-level or coarsest-level cycle forward-substitutes the
+        coarse problem there, and an inner V-cycle level passes them as the
+        next level's right-hand side, with ``coarse`` (the next level's
+        n_c + 1 rows, allocated if None) as its error.
         ``warm``: the F-points of ``u`` are relaxed, so the opening
         F-relaxation is skipped; with ``nu`` >= 1 each interval's last
         F-point u[km-1] holds the C-point value Phi u_{km-1} in its place
@@ -315,8 +342,6 @@ class MgritSolver:
         stepper = steppers[level]
         m = self.problem.m[level]
         phase = self._over_intervals
-        if coarse is None:
-            coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
 
         if not warm:
             phase(f_relax, u, g, stepper, m)
@@ -329,23 +354,22 @@ class MgritSolver:
                 phase(c_relax, u, g, stepper, m)
             phase(f_relax, u, g, stepper, m)
 
-        last_level = level + 1 == len(self.problem.m)
-        if cfg.cycle == "two_level" or last_level:
-            # coarse right-hand side: zero at t = 0, the restricted residual
-            # after; forward substitution turns it into the error
-            coarse[0] = 0.0
-            phase(restrict_residual, u, g, stepper, m, coarse[1:])
-            _forward_substitute(steppers[level + 1], coarse)
+        # the last F-points are dead until the closing F-relaxation rewrites
+        # them: they hold the restricted residual, the coarse right-hand side
+        rhs = u[m - 1::m]
+        phase(restrict_residual, u, g, stepper, m, rhs)
+        if not self._has_inner_level(level):
+            # forward substitution from a zero error turns it into the error
+            error = _forward_substitute(steppers[level + 1], rhs)
         else:
-            # the last F-points are dead until the closing F-relaxation
-            # rewrites them: they hold the restricted residual, the next
-            # level's right-hand side, and the buffer its error
-            rhs = u[m - 1::m]
-            phase(restrict_residual, u, g, stepper, m, rhs)
+            if coarse is None:
+                coarse = np.empty((rhs.shape[0] + 1, u.shape[1]))
             coarse[...] = 0.0
             self._cycle(level + 1, coarse, rhs)
+            error = coarse[1:]
 
-        u[m::m] += coarse[1:]
+        # a ufunc, as in the copy above: the error may be u[m-1::m]
+        np.add(u[m::m], error, out=u[m::m])
         phase(f_relax, u, g, stepper, m)
 
     # ------------------------------------------------------------------ solve
@@ -356,7 +380,9 @@ class MgritSolver:
         contiguous last axis, checked before it is touched.  Its row 0 is
         set to the initial condition ``problem.u0``.  ``u`` is in the
         Fourier basis while the solve runs and physical again when it
-        returns or raises."""
+        returns or raises.  A two-level solve allocates no array of the
+        coarse grid's size: only a V-cycle with an inner level holds a
+        buffer, for level 1's error."""
         cfg = self.config
         problem = self.problem
         if u is None:
@@ -368,12 +394,12 @@ class MgritSolver:
                 f"the iterate must be a float64 array of shape {shape} with a "
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
-        # level 0's coarse buffer (``_cycle``); between cycles, the norm's
-        # residuals
-        coarse = np.empty((u[m::m].shape[0] + 1, u.shape[1]))
-        # the norm's C-point values: over the last F-points for the warm
-        # cycle's first C-relaxation, or in the residuals' buffer if unused
-        relaxed = u[m - 1:-1:m] if cfg.nu else coarse[1:]
+        # level 1's error, if it is an inner V-cycle level (``_cycle``)
+        coarse = (np.empty((u[m::m].shape[0] + 1, u.shape[1]))
+                  if self._has_inner_level(0) else None)
+        # the norm's C-point values, over the last F-points for the warm
+        # cycle's first C-relaxation; with nu = 0 no C-relaxation reads them
+        relaxed = u[m - 1:-1:m] if cfg.nu else None
 
         start = time.perf_counter()
         stepper = problem.steppers[0]
@@ -386,15 +412,14 @@ class MgritSolver:
         # change returns what it holds
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                norms = [cpoint_residual_norm(u, None, stepper, m, relaxed,
-                                              coarse[1:])]
+                norms = [cpoint_residual_norm(u, None, stepper, m, relaxed)]
                 converged = False
                 it = 0
                 while it < cfg.max_iters:
                     self._cycle(0, u, None, coarse, warm=it > 0)
                     it += 1
                     norms.append(cpoint_residual_norm(u, None, stepper, m,
-                                                      relaxed, coarse[1:]))
+                                                      relaxed))
                     # a cycle that leaves a zero residual has converged;
                     # the opening norm alone is never enough, as it reads
                     # only the C-points and leaves the F-points unchecked

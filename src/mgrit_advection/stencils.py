@@ -29,7 +29,8 @@ def fd_weights(derivative_order: int, offsets, eval_point: float = 0.0) -> np.nd
     off = np.asarray(offsets, dtype=float)
     if off.ndim != 1 or len(off) < d + 1:
         raise ValueError(f"need at least {d + 1} offsets for derivative order {d}")
-    if len(np.unique(off)) != len(off):
+    ordered = np.sort(off)  # np.unique would import numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("offsets must be distinct")
     n = len(off)
     # moment conditions: sum_j w_j off_j^k = (d-th derivative of z^k)(eval_point)

@@ -17,13 +17,15 @@ from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              DiscretizationSpec, MgritConfig, MgritSolver,
                              NotRealOperatorError, Stepper, StabilityWarning,
                              c_relax, cfl_limit, error_constant_fd, f_relax,
-                             ideal_coarse_stepper, modified_coarse_stepper,
-                             mol_stepper, phi_coefficient,
-                             plain_sl_coarse_stepper,
-                             rediscretized_coarse_stepper, rk_error_constant,
-                             sequential_solve, sl_stepper, stepping)
-from mgrit_advection.circulant import (_gmres_batched, basis_multiply,
-                                       from_basis, to_basis)
+                             ideal_coarse_stepper, mgrit,
+                             modified_coarse_stepper, mol_stepper,
+                             phi_coefficient, plain_sl_coarse_stepper,
+                             rediscretized_coarse_stepper, restrict_residual,
+                             rk_error_constant, sequential_solve, sl_stepper,
+                             stepping)
+from mgrit_advection.circulant import (_gmres_batched,
+                                       basis_forward_substitute,
+                                       basis_multiply, from_basis, to_basis)
 from mgrit_advection.experiments import build_problem
 from mgrit_advection.lfa import predict_history
 from mgrit_advection.stepping import correction_operator
@@ -260,6 +262,55 @@ def test_build_refuses_a_coarse_level_before_the_fine_stepper_warns():
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
 
 
+# ------------------------------------------------- coarse forward substitution
+
+def row_loop_substitute(stepper, u):
+    """e_k = Phi e_{k-1} + g_k from e_0 = 0 in place, one ``Stepper.apply``
+    per row: the coarse solve as written."""
+    prev = np.zeros(u.shape[1:])
+    for row in u:
+        row += stepper.apply(prev)
+        prev = row
+    return u
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+@pytest.mark.parametrize("kind", ["sdirk", "semi_lagrangian",
+                                  "modified_direct", "capped"])
+def test_forward_substitution_is_the_row_loop_bit_for_bit(monkeypatch, kind,
+                                                          n_x):
+    # in the last F-points of an iterate, where the coarse solve runs: a
+    # direct stepper multiplies by its diagonal and a capped one falls back
+    # to the row loop, and either matches the loop in every bit, signed
+    # zeros in g_1 included
+    if kind == "capped":
+        spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), n_x, 64)
+        stepper = modified_coarse_stepper(spec, 16, solver="gmres")
+    else:
+        stepper = stepper_of_kind(kind, n_x)
+    m = 2
+    u = np.random.default_rng(n_x).standard_normal((33, n_x))
+    u[m - 1, ::2] = -0.0
+    ref = u.copy()
+    row_loop_substitute(stepper, ref[m - 1::m])
+    kernel_calls = []
+
+    def recording(diagonal, rows):
+        kernel_calls.append(len(rows))
+        return basis_forward_substitute(diagonal, rows)
+
+    monkeypatch.setattr(mgrit, "basis_forward_substitute", recording)
+    mgrit._forward_substitute(stepper, u[m - 1::m])
+    assert u.tobytes() == ref.tobytes()
+    assert kernel_calls == ([] if kind == "capped" else [16])
+
+
+
+def test_forward_substitution_rejects_rows_of_another_length():
+    diagonal = sl_stepper(3, 2.3, 16).basis_diagonal()
+    with pytest.raises(DimensionMismatchError):
+        basis_forward_substitute(diagonal, np.zeros((4, 15)))
+
 # ------------------------------------------------------------------ solves
 
 def hierarchy(family, p, c, kind, cycle, n_x=64, n_t=64, m=4):
@@ -413,31 +464,42 @@ def test_capped_v_cycle_histories_do_not_depend_on_threads(
     assert threaded.residual_norms == serial.residual_norms
 
 
-def raising_after(n_calls):
-    """A Stepper.apply that fails on call number ``n_calls`` (from 0)."""
-    original = Stepper.apply
+def fail_at_step(monkeypatch, n_calls):
+    """Make step call number ``n_calls`` (from 0) fail.  A ``Stepper.apply``
+    is one call; the coarse forward substitution counts one call per row it
+    steps, as the per-row applies it replaces did, and fails at its entry
+    when one of them is the failing call."""
+    apply, substitute = Stepper.apply, mgrit.basis_forward_substitute
     calls = itertools.count()
 
-    def apply(self, u, out=None):
+    def failing_apply(self, u, out=None):
         if next(calls) == n_calls:
             raise RuntimeError("stepper failed")
-        return original(self, u, out)
+        return apply(self, u, out)
 
-    return apply
+    def failing_substitute(diagonal, u):
+        steps = [next(calls) for _ in range(len(u))]
+        if n_calls in steps:
+            raise RuntimeError("stepper failed")
+        return substitute(diagonal, u)
+
+    monkeypatch.setattr(Stepper, "apply", failing_apply)
+    monkeypatch.setattr(mgrit, "basis_forward_substitute", failing_substitute)
 
 
 @pytest.mark.parametrize("n_calls", [0, 40])
 def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
-    # the first residual norm and cycle make 28 applies, the next norm 1,
+    # the first residual norm and cycle make 28 step calls, the next norm 1,
     # and the second cycle's F-relaxation and restriction 4 before its
-    # 16-step coarse solve, so call 40 fails inside that coarse solve; the
+    # 16-row coarse forward substitution, so call 40 fails at its entry; the
     # iterate must come back physical, as the second cycle's relaxation (its
-    # first C-relaxation and an F-relaxation) left it
+    # first C-relaxation and an F-relaxation) and restriction (over the last
+    # F-points) left it
     problem = hierarchy("sdirk", 3, 5.0, "modified", "two_level")
     config = MgritConfig(nu=1, max_iters=5, rng_seed=2)
     solver = MgritSolver(problem, config)
     u = solver.initial_state()
-    monkeypatch.setattr(Stepper, "apply", raising_after(n_calls))
+    fail_at_step(monkeypatch, n_calls)
     with pytest.raises(RuntimeError, match="stepper failed"):
         solver.solve(u)
     monkeypatch.undo()
@@ -450,6 +512,7 @@ def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
         to_basis(ref)
         c_relax(ref, None, stepper, m)
         f_relax(ref, None, stepper, m)
+        restrict_residual(ref, None, stepper, m, ref[m - 1::m])
         from_basis(ref)
     np.testing.assert_allclose(u, ref, atol=1e-12)
     np.testing.assert_allclose(u[0], problem.u0, atol=1e-14)

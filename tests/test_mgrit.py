@@ -174,6 +174,46 @@ def test_restriction_first_interval_hand_unrolled():
     np.testing.assert_allclose(r[0], expected, atol=1e-12)
 
 
+# --------------------------------------------------------------- residual norm
+
+BLOCK = mgrit._BASIS_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_c", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("with_g", [False, True])
+@pytest.mark.parametrize("with_out", [False, True])
+def test_row_blocked_norm_is_the_full_residual_norm(n_c, with_g, with_out):
+    # the norm steps, subtracts and sums squares a block of coarse points at
+    # a time, which changes only the order of the sum; its C-point values
+    # are the full step's bit for bit
+    n_x, m = 15, 3
+    stepper = sl_stepper(3, 2.3, n_x)
+    rng = np.random.default_rng(n_c)
+    u = rng.standard_normal((n_c * m + 1, n_x))
+    g = rng.standard_normal((n_c * m, n_x)) if with_g else None
+    relaxed = stepper.apply(u[m - 1:-1:m])
+    if with_g:
+        relaxed += g[m - 1::m]
+    expected = np.linalg.norm(relaxed - u[m::m])
+    after = u.copy()
+    if with_out:
+        after[m - 1:-1:m] = relaxed
+    out = u[m - 1:-1:m] if with_out else None
+    norm = cpoint_residual_norm(u, g, stepper, m, out)
+    assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
+    np.testing.assert_array_equal(u, after)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [1e200, np.nan])
+def test_row_blocked_norm_reads_overflow_and_nan_as_inf(bad):
+    # one residual in the last block overflows its square or is nan
+    n_x, m = 15, 2
+    u = np.ones((2 * BLOCK * m + 3, n_x))
+    u[-1, 4] = bad
+    assert cpoint_residual_norm(u, None, identity_stepper(n_x), m) == math.inf
+
+
 # ------------------------------------------------------------ ideal exactness
 
 @pytest.mark.parametrize("nu", [0, 1])
@@ -355,23 +395,41 @@ def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
         assert len(rhs) > 0 and all(g is None for g in rhs)
 
 
-@pytest.mark.parametrize("nu", [0, 1, 2])
-def test_solve_holds_the_iterate_and_one_coarse_buffer(nu):
-    # level 0 cycles in the iterate plus its coarse problem; the rest of the
-    # traced peak is numpy's ufunc buffers and the basis change's row blocks
-    n_x, n_t, m = 64, 4096, 2
-    problem = build_problem(DiscretizationSpec("sdirk", 3, 5.0, n_x, n_t), m,
-                            "two_level", "modified")
-    solver = MgritSolver(problem, MgritConfig(nu=nu, max_iters=3))
+def traced_peak_in_coarse_buffers(problem, config):
+    """The ``tracemalloc`` peak of a solve from the seeded iterate, in units
+    of level 0's coarse buffer, (n_t / m + 1) x n_x values."""
+    solver = MgritSolver(problem, config)
     u = solver.initial_state()
-    coarse_bytes = (n_t // m + 1) * n_x * u.itemsize
+    coarse_bytes = (problem.n_t // problem.m[0] + 1) * problem.n_x * u.itemsize
     tracemalloc.start()
     try:
         solver.solve(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * coarse_bytes
+    return peak / coarse_bytes
+
+
+def two_level_sdirk3(nu):
+    problem = build_problem(DiscretizationSpec("sdirk", 3, 5.0, 64, 4096), 2,
+                            "two_level", "modified")
+    return problem, MgritConfig(nu=nu, max_iters=3)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_solve_holds_the_iterate_and_one_coarse_buffer(nu):
+    # level 0 cycles in the iterate plus at most one coarse buffer's worth
+    # of numpy's ufunc buffers and the row blocks
+    assert traced_peak_in_coarse_buffers(*two_level_sdirk3(nu)) <= 1.6
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_two_level_solve_holds_no_coarse_buffer(nu):
+    # the coarse problem is forward-substituted in the iterate's dead last
+    # F-points and the residual norm is summed in row blocks, so what is
+    # traced is numpy's ufunc buffers and the row blocks: about 0.4-0.5 of
+    # the level-0 coarse buffer the solve no longer allocates
+    assert traced_peak_in_coarse_buffers(*two_level_sdirk3(nu)) <= 0.6
 
 
 @pytest.mark.parametrize("family,m,bound", [
@@ -381,34 +439,43 @@ def test_v_cycle_holds_one_coarse_buffer_per_level(family, m, bound):
     # size, about m / (m - 1) level-0 coarse buffers in all: an inner level
     # restricts over its own dead last F-points, and the capped correction
     # solves of the ERK3 levels hold one block of rows at a time
-    n_x, n_t = 64, 4096
     c = 5.0 if family == "sdirk" else 0.85 * cfl_limit(3)
-    problem = build_problem(DiscretizationSpec(family, 3, c, n_x, n_t), m,
+    problem = build_problem(DiscretizationSpec(family, 3, c, 64, 4096), m,
                             "v_cycle", "modified")
-    solver = MgritSolver(problem, MgritConfig(nu=1, cycle="v_cycle",
-                                              max_iters=3))
-    u = solver.initial_state()
-    coarse_bytes = (n_t // m + 1) * n_x * u.itemsize
-    tracemalloc.start()
-    try:
-        solver.solve(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * coarse_bytes
+    config = MgritConfig(nu=1, cycle="v_cycle", max_iters=3)
+    assert traced_peak_in_coarse_buffers(problem, config) <= bound
+
+
+def run_in_fresh_process(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(pathlib.Path(mgrit.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def test_package_import_leaves_the_thread_pool_unloaded():
     # importing concurrent.futures costs milliseconds in every process;
     # only a threaded solve or sweep loads it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(pathlib.Path(mgrit.__file__).parents[1]),
-                      env.get("PYTHONPATH")]))
-    code = ("import sys, mgrit_advection, mgrit_advection.experiments; "
-            "sys.exit('concurrent.futures' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_in_fresh_process(
+        "import sys, mgrit_advection, mgrit_advection.experiments; "
+        "sys.exit('concurrent.futures' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+
+
+def test_setup_leaves_numpy_ma_unloaded():
+    # importing numpy.ma (which np.unique does) costs about 10 ms in every
+    # process; the import, a CFL limit and a hierarchy build need none of it
+    done = run_in_fresh_process(
+        "import sys\n"
+        "from mgrit_advection import DiscretizationSpec, cfl_limit\n"
+        "from mgrit_advection.experiments import build_problem\n"
+        "spec = DiscretizationSpec('erk', 3, 0.85 * cfl_limit(3), 64, 256)\n"
+        "build_problem(spec, 4, 'v_cycle', 'modified')\n"
+        "spec = DiscretizationSpec('sdirk', 3, 5.0, 64, 256)\n"
+        "build_problem(spec, 2, 'two_level', 'modified')\n"
+        "sys.exit('numpy.ma' in sys.modules)")
     assert done.returncode == 0, done.stderr
 
 
