@@ -249,7 +249,9 @@ def basis_diagonal(eigenvalues: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # to 1e-8: a symbol evaluated at rounded frequencies carries phase
     # errors that grow with its offsets (a semi-Lagrangian shift)
     mirror = np.conj(lam[-np.arange(n) % n])
-    if np.max(np.abs(lam - mirror)) > 1e-8 * np.max(np.abs(lam)):
+    with np.errstate(invalid="ignore"):  # an overflowed spectrum: inf - inf
+        asymmetry = np.max(np.abs(lam - mirror))
+    if asymmetry > 1e-8 * np.max(np.abs(lam)):
         raise NotRealOperatorError(
             "the real Fourier basis needs a real operator (a "
             "conjugate-symmetric spectrum)")

@@ -77,20 +77,22 @@ def rho_two_level(fine_symbol: Callable[[np.ndarray], np.ndarray],
 
     Evaluates |lambda|^(m nu) |lambda^m - mu| / (1 - |mu|) on the retained
     frequency samples.  Samples with |mu| >= 1 are recorded as +inf and mark
-    the sweep divergent rather than being clipped.
+    the sweep divergent rather than being clipped.  A factor too large for
+    a float, of a fine stepper far past its stability limit, is +inf too,
+    without a warning, and does not mark the sweep.
     """
     om = sample_frequencies(n_samples, n_excluded)
     if om.size == 0:
         raise ValueError("all frequency samples were excluded")
     lam = np.asarray(fine_symbol(om), dtype=complex)
     mu = np.asarray(coarse_symbol(om), dtype=complex)
-    amp = np.abs(lam) ** (m * nu)
-    numer = np.abs(lam ** m - mu)
     denom = 1.0 - np.abs(mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(denom > DENOM_TOL, amp * numer / denom, np.inf)
+    unstable = ~(denom > DENOM_TOL)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rho = np.abs(lam) ** (m * nu) * np.abs(lam ** m - mu) / denom
+    rho[unstable | np.isnan(rho)] = np.inf  # nan: inf - inf in lambda^m
     return LfaSweep(om, lam, mu, rho, float(np.max(rho)),
-                    bool(np.any(~np.isfinite(rho))))
+                    bool(np.any(unstable)))
 
 
 def predict_history(fine_symbol: Callable[[np.ndarray], np.ndarray],

@@ -32,20 +32,21 @@ A right-hand side ``g`` holds rows 1..n of a level's n + 1 time points, or
 is None for zero.  No kernel reads g_0: row 0 of the iterate holds the value
 at t = 0 (u0 on level 0, a zero error below).
 
-Every level restricts its residual over its own last F-points u_{km-1}:
-the closing F-relaxation rewrites every F-point, so those rows are dead
-while the level waits for its correction.  The two-level cycle and the
-coarsest level forward-substitute the coarse problem there in place, from
-a zero error, and add it to the C-points, so a two-level solve holds
-nothing but its iterate.  An inner V-cycle level passes those rows as the
-next level's ``g`` and cycles a buffer of the next level's n_c + 1 rows,
-zeroed, as its error.  A V-cycle at factor m so holds the iterate plus
-about m / (m - 1) level-0 coarse buffers, and a capped coarse solve adds
-its transients, bounded by one block of rows
-(``stepping.CappedCorrection``).  The ``tracemalloc`` peaks of 3-iteration
-solves on 64 x 4096, in level-0 coarse buffers, numpy's ufunc buffers
-included, are 0.4-0.5 for the SDIRK3 two-level cycle at m = 2, and 2.4 and
-2.0 for ERK3 V-cycles at m = 2 and 4.
+The solver reaches a level only through its ``Stepper``, so it does not
+know whether a coarse solve is direct or capped.  Every level restricts its
+residual over its own last F-points u_{km-1}, which the closing
+F-relaxation rewrites, so they are dead while the level waits for its
+correction.  Level 0 holds the iterate for the whole solve.  The coarsest
+level holds nothing: the level above it forward-substitutes the coarse
+problem in its own last F-points from a zero error
+(``Stepper.forward_substitute``), so a two-level solve holds only its
+iterate.  An inner V-cycle level l cycles on its error, n_l + 1 zeroed rows
+that level l - 1 allocates when it recurses, with its last F-points as
+``g``, and drops once they have corrected its C-points.  A V-cycle at
+factor m so holds about m / (m - 1) times level 1's rows beyond its
+iterate, and a capped coarse solve adds its transients, bounded by one
+block of rows (``stepping.CappedCorrection``).  The README gives measured
+peaks.
 
 The residual norm steps, subtracts and sums squares a block of
 ``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
@@ -74,8 +75,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circulant import (_BASIS_BLOCK_ROWS, CirculantOperator,
-                        basis_forward_substitute, from_basis, to_basis)
+from .circulant import (_BASIS_BLOCK_ROWS, CirculantOperator, from_basis,
+                        to_basis)
 from .stepping import Stepper
 
 
@@ -254,21 +255,6 @@ def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
     return u
 
 
-def _forward_substitute(stepper: Stepper, u: np.ndarray) -> np.ndarray:
-    """Solve e_k = Phi e_{k-1} + g_k, e_0 = 0, in place on basis rows: ``u``
-    holds g_1 .. g_n on entry and e_1 .. e_n on return.  A direct stepper
-    multiplies by its ``basis_diagonal`` (``basis_forward_substitute``); a
-    capped one steps each row with ``Stepper.apply``."""
-    if stepper._apply_fn is None:
-        return basis_forward_substitute(stepper.basis_diagonal(), u)
-    step = np.empty(u.shape[1:])
-    prev = np.zeros(u.shape[1:])
-    for row in u:
-        row += stepper.apply(prev, out=step)
-        prev = row
-    return u
-
-
 class MgritSolver:
     """Driver object holding the level hierarchy and the iteration state.
 
@@ -318,28 +304,22 @@ class MgritSolver:
 
         list(self._pool.map(block, edges[:-1], edges[1:]))
 
-    def _has_inner_level(self, level: int) -> bool:
-        """Whether level + 1 cycles as an inner V-cycle level; otherwise
-        level + 1 is solved directly by forward substitution."""
-        return (self.config.cycle == "v_cycle"
-                and level + 1 < len(self.problem.m))
-
     def _cycle(self, level: int, u: np.ndarray, g: Optional[np.ndarray],
-               coarse: Optional[np.ndarray] = None, warm: bool = False) -> None:
+               warm: bool = False) -> None:
         """One cycle in place on ``u``.  The level restricts its residual
         over its own last F-points u[km-1], which the closing F-relaxation
-        rewrites: a two-level or coarsest-level cycle forward-substitutes the
-        coarse problem there, and an inner V-cycle level passes them as the
-        next level's right-hand side, with ``coarse`` (the next level's
-        n_c + 1 rows, allocated if None) as its error.
+        rewrites.  If level + 1 is the coarsest, its stepper's
+        ``forward_substitute`` solves the coarse problem there; otherwise
+        they are the right-hand side of level + 1's cycle, whose error, its
+        n_c + 1 rows zeroed, is allocated here and dropped once it has
+        corrected the C-points.
         ``warm``: the F-points of ``u`` are relaxed, so the opening
         F-relaxation is skipped; with ``nu`` >= 1 each interval's last
         F-point u[km-1] holds the C-point value Phi u_{km-1} in its place
         (``cpoint_residual_norm``'s ``out``), and the first C-relaxation
         copies it rather than stepping."""
         cfg = self.config
-        steppers = self.problem.steppers
-        stepper = steppers[level]
+        stepper, coarser = self.problem.steppers[level:level + 2]
         m = self.problem.m[level]
         phase = self._over_intervals
 
@@ -358,15 +338,13 @@ class MgritSolver:
         # them: they hold the restricted residual, the coarse right-hand side
         rhs = u[m - 1::m]
         phase(restrict_residual, u, g, stepper, m, rhs)
-        if not self._has_inner_level(level):
-            # forward substitution from a zero error turns it into the error
-            error = _forward_substitute(steppers[level + 1], rhs)
+        if cfg.cycle == "v_cycle" and level + 1 < len(self.problem.m):
+            error = np.zeros((rhs.shape[0] + 1, u.shape[1]))
+            self._cycle(level + 1, error, rhs)
+            error = error[1:]
         else:
-            if coarse is None:
-                coarse = np.empty((rhs.shape[0] + 1, u.shape[1]))
-            coarse[...] = 0.0
-            self._cycle(level + 1, coarse, rhs)
-            error = coarse[1:]
+            # forward substitution from a zero error turns it into the error
+            error = coarser.forward_substitute(rhs)
 
         # a ufunc, as in the copy above: the error may be u[m-1::m]
         np.add(u[m::m], error, out=u[m::m])
@@ -381,8 +359,8 @@ class MgritSolver:
         set to the initial condition ``problem.u0``.  ``u`` is in the
         Fourier basis while the solve runs and physical again when it
         returns or raises.  A two-level solve allocates no array of the
-        coarse grid's size: only a V-cycle with an inner level holds a
-        buffer, for level 1's error."""
+        coarse grid's size; a V-cycle's inner levels hold their errors only
+        while a cycle visits them (``_cycle``)."""
         cfg = self.config
         problem = self.problem
         if u is None:
@@ -394,9 +372,6 @@ class MgritSolver:
                 f"the iterate must be a float64 array of shape {shape} with a "
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
-        # level 1's error, if it is an inner V-cycle level (``_cycle``)
-        coarse = (np.empty((u[m::m].shape[0] + 1, u.shape[1]))
-                  if self._has_inner_level(0) else None)
         # the norm's C-point values, over the last F-points for the warm
         # cycle's first C-relaxation; with nu = 0 no C-relaxation reads them
         relaxed = u[m - 1:-1:m] if cfg.nu else None
@@ -416,7 +391,7 @@ class MgritSolver:
                 converged = False
                 it = 0
                 while it < cfg.max_iters:
-                    self._cycle(0, u, None, coarse, warm=it > 0)
+                    self._cycle(0, u, None, warm=it > 0)
                     it += 1
                     norms.append(cpoint_residual_norm(u, None, stepper, m,
                                                       relaxed))
@@ -438,8 +413,6 @@ class MgritSolver:
                 if self._pool is not None:
                     self._pool.shutdown()
                     self._pool = None
-                # free the coarse buffer before the basis change's temporaries
-                del coarse, relaxed
                 from_basis(u)
         wall = time.perf_counter() - start
 

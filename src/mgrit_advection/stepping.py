@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .circulant import (CirculantOperator, _gmres_batched, _minres_spectral,
-                        basis_diagonal, basis_multiply, stencil_symbol)
+                        basis_diagonal, basis_forward_substitute,
+                        basis_multiply, stencil_symbol)
 from .errors import SingularOperatorError, StabilityWarning, TableauError
 from .lfa import _mesh_order, default_exclusion_count
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
@@ -289,6 +290,19 @@ class Stepper:
             return self._apply_fn(u, out)
         return basis_multiply(self.basis_diagonal(), u, out)
 
+    def forward_substitute(self, u: np.ndarray) -> np.ndarray:
+        """Solve e_k = Phi e_{k-1} + g_k, e_0 = 0, in place on the basis rows
+        of the 2-D ``u``, which holds g_1 .. g_n on entry: bitwise the loop
+        stepping each row with ``apply`` from zero, which a capped one runs."""
+        if self._apply_fn is None:
+            return basis_forward_substitute(self.basis_diagonal(), u)
+        step = np.empty(u.shape[1:])
+        prev = np.zeros(u.shape[1:])
+        for row in u:
+            row += self.apply(prev, out=step)
+            prev = row
+        return u
+
     def basis_diagonal(self) -> Tuple[np.ndarray, np.ndarray]:
         """``circulant.basis_diagonal`` of the eigenvalues, built once."""
         if self._diagonal is None:
@@ -296,7 +310,10 @@ class Stepper:
         return self._diagonal
 
     def symbol(self, omega) -> np.ndarray:
-        return self._symbol_fn(np.asarray(omega, dtype=float))
+        """The symbol at ``omega``; values too large for a float, far past a
+        stability limit, read inf or nan without a warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._symbol_fn(np.asarray(omega, dtype=float))
 
     def eigenvalues(self) -> np.ndarray:
         """Symbol at the mesh frequencies 2*pi*k/n_x (FFT order), cached."""

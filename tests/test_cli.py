@@ -1,6 +1,9 @@
 """Command-line interface: config round-trips, CSV output, exit codes."""
 
 import argparse
+import contextlib
+import io
+import math
 import os
 import pathlib
 import shlex
@@ -10,10 +13,13 @@ import textwrap
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mgrit_advection import StabilityWarning, mgrit
+from mgrit_advection import StabilityWarning, cfl_limit, mgrit
 from mgrit_advection.cli import (ConfigError, ExperimentConfig, build_parser,
                                  main, write_csv)
+from mgrit_advection.experiments import COARSE_KINDS
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -591,6 +597,125 @@ def test_failed_validation_is_exit_code_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(
         "FAILED global_order [erk p=3]: observed ")
     assert text.splitlines()[-1].endswith(",false")
+
+
+# ------------------------------------------------------- exit-code contract
+
+#: CFL numbers and fractions: values near the stability limit c_max, as a
+#: CFL number (cfl_limit(p) times a factor near one) or as a fraction of it,
+#: 1e-300 to 1e300, zero, subnormals, negatives and non-finite values
+CFL_VALUES = st.one_of(
+    st.builds(lambda p, f: cfl_limit(p) * f, st.integers(1, 5),
+              st.sampled_from([1 - 1e-9, 1.0, 1 + 1e-9, 0.999, 1.001])),
+    st.sampled_from([0.85, 1 - 1e-9, 1 + 1e-9, 1.2]),
+    st.floats(1e-300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -5e-324, -1.0, math.nan,
+                     math.inf, -math.inf]),
+    st.floats(-1e300, -1e-300))
+
+
+@st.composite
+def cli_runs(draw):
+    """argv for ``solve``, ``iters`` or ``sweep`` on a grid of at most
+    33 x 64, every value given as ``--flag=value``.  Valid choices come
+    first in each list and are drawn more often, so that runs get past
+    validation and solve."""
+    command = draw(st.sampled_from(["solve", "iters", "sweep"]))
+    m = [draw(st.sampled_from([2, 4, 3, 8, 1]))
+         for _ in range(draw(st.sampled_from([1, 2, 3, 0])))]
+    n_x = draw(st.one_of(st.sampled_from([32, 16, 33]), st.integers(1, 33)))
+    n_t = draw(st.one_of(st.sampled_from([64, 32, 48]), st.integers(1, 64)))
+    flags = {
+        "family": draw(st.sampled_from(["erk", "sdirk"])),
+        "p": draw(st.sampled_from([1, 2, 3, 4, 5, 0, 6])),
+        "coarse": draw(st.sampled_from(COARSE_KINDS)),
+        "cycle": draw(st.sampled_from(["two-level", "v"])),
+        "m": ",".join(map(str, m)),
+        "nu": draw(st.sampled_from([1, 0, 2, 3, -1])),
+        "threads": draw(st.integers(0, 2)),
+        "grid": f"{n_x},{n_t}",
+        "max-iters": draw(st.integers(1, 12)),
+    }
+    for name in draw(st.sampled_from([["c"], ["c-fraction"],
+                                      ["c", "c-fraction"], []])):
+        flags[name] = repr(draw(CFL_VALUES))
+    if command == "sweep":
+        flags["c-range"] = (f"{draw(CFL_VALUES)!r},{draw(CFL_VALUES)!r},"
+                            f"{draw(st.integers(0, 3))}")
+    argv = [command] + [f"--{name}={value}" for name, value in flags.items()]
+    if command == "sweep" and draw(st.booleans()):
+        argv.append("--measure")
+    return argv
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr, warnings) of ``main(argv)``; warnings are
+    recorded, not raised, so pytest's error filters do not turn an expected
+    StabilityWarning into an exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def check_exit_contract(argv):
+    code, out, err, caught = run_in_process(argv)
+    assert code in (0, 1, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 1:
+        # the configuration error is the whole report: no warning line
+        assert len(err.splitlines()) == 1
+        assert err.startswith("configuration error:")
+        assert not [w for w in caught
+                    if issubclass(w.category, StabilityWarning)]
+    if code == 0:
+        lines = out.splitlines()
+        meta = [line for line in lines if line.startswith("#")]
+        assert meta and lines[:len(meta)] == meta
+        assert f"# command: {argv[0]}" in meta
+        header, *rows = lines[len(meta):]
+        assert all(len(row.split(",")) == len(header.split(","))
+                   for row in rows)
+        assert rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cli_runs())
+def test_solve_iters_and_sweep_keep_the_exit_code_contract(argv):
+    check_exit_contract(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # the mode analysis of a fine stepper far past its limit overflows
+    # |lambda|^(m nu) |lambda^m - mu|, in a pool thread
+    ["sweep", "--family=erk", "--p=1", "--coarse=plain_sl", "--m=2,8",
+     "--nu=2", "--threads=2", "--grid=23,48",
+     "--c-range=1e-300,6.430874900577597e+16,3", "--measure"],
+    # an ideal coarse stepper's symbol, the fine one's to the power F,
+    # overflows at the mesh frequencies, and so does a fine symbol at 1e300
+    ["solve", "--family=erk", "--p=5", "--coarse=ideal", "--cycle=v",
+     "--m=4,8,8", "--nu=3", "--threads=2", "--grid=15,64", "--max-iters=2",
+     "--c-fraction=3.402823466e+38"],
+    ["sweep", "--family=erk", "--p=3", "--coarse=ideal", "--m=8", "--nu=0",
+     "--c-range=4.924756571473249e+299,4.924756571473249e+299,2"],
+], ids=["lfa_overflow", "ideal_symbol_overflow", "fine_symbol_overflow"])
+def test_overflowing_symbols_keep_the_exit_code_contract(argv):
+    check_exit_contract(argv)
+
+
+def test_overflowing_factor_is_divergent_but_not_coarse_unstable():
+    # past c_max the factor overflows to inf while every coarse eigenvalue
+    # has |mu| < 1; an overflow that makes nan reads inf too
+    code, out, _, caught = run_in_process(
+        ["sweep", "--family=erk", "--p=3", "--coarse=modified", "--m=8",
+         "--nu=2", "--c-range=1e5,1e16,2"])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _, rows = parse_csv(out)
+    assert [(r["rho_lfa"], r["divergent"], r["coarse_unstable"])
+            for r in rows] == [("inf", "true", "false")] * 2
 
 
 # --------------------------------------------------------------- CI workflow

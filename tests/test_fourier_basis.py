@@ -17,9 +17,9 @@ from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              DiscretizationSpec, MgritConfig, MgritSolver,
                              NotRealOperatorError, Stepper, StabilityWarning,
                              c_relax, cfl_limit, error_constant_fd, f_relax,
-                             ideal_coarse_stepper, mgrit,
-                             modified_coarse_stepper, mol_stepper,
-                             phi_coefficient, plain_sl_coarse_stepper,
+                             ideal_coarse_stepper, modified_coarse_stepper,
+                             mol_stepper, phi_coefficient,
+                             plain_sl_coarse_stepper,
                              rediscretized_coarse_stepper, restrict_residual,
                              rk_error_constant, sequential_solve, sl_stepper,
                              stepping)
@@ -299,8 +299,8 @@ def test_forward_substitution_is_the_row_loop_bit_for_bit(monkeypatch, kind,
         kernel_calls.append(len(rows))
         return basis_forward_substitute(diagonal, rows)
 
-    monkeypatch.setattr(mgrit, "basis_forward_substitute", recording)
-    mgrit._forward_substitute(stepper, u[m - 1::m])
+    monkeypatch.setattr(stepping, "basis_forward_substitute", recording)
+    stepper.forward_substitute(u[m - 1::m])
     assert u.tobytes() == ref.tobytes()
     assert kernel_calls == ([] if kind == "capped" else [16])
 
@@ -469,7 +469,7 @@ def fail_at_step(monkeypatch, n_calls):
     is one call; the coarse forward substitution counts one call per row it
     steps, as the per-row applies it replaces did, and fails at its entry
     when one of them is the failing call."""
-    apply, substitute = Stepper.apply, mgrit.basis_forward_substitute
+    apply, substitute = Stepper.apply, stepping.basis_forward_substitute
     calls = itertools.count()
 
     def failing_apply(self, u, out=None):
@@ -484,7 +484,8 @@ def fail_at_step(monkeypatch, n_calls):
         return substitute(diagonal, u)
 
     monkeypatch.setattr(Stepper, "apply", failing_apply)
-    monkeypatch.setattr(mgrit, "basis_forward_substitute", failing_substitute)
+    monkeypatch.setattr(stepping, "basis_forward_substitute",
+                        failing_substitute)
 
 
 @pytest.mark.parametrize("n_calls", [0, 40])
