@@ -138,10 +138,7 @@ class ExperimentConfig:
         """Report an overflow while operators are built from a CFL number as
         a bad value of ``name``, by default the setting ``resolve_c`` reads,
         and so a semi-Lagrangian shift too long for its symbol's phases to
-        stay conjugate-symmetric in floating point.  A build that fails so
-        has warned of nothing: ``build_problem`` builds the coarse levels of
-        any kind, where it fails, before the fine stepper, the only one that
-        warns."""
+        stay conjugate-symmetric in floating point."""
         name = name or ("c_fraction" if self.c_fraction > 0.0 else "c")
         try:
             yield

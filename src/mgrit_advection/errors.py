@@ -20,4 +20,5 @@ class TableauError(ValueError):
 
 
 class StabilityWarning(UserWarning):
-    """An explicit stepper was constructed beyond its stability limit."""
+    """A hierarchy was built on an explicit fine grid beyond its stability
+    limit."""

@@ -60,9 +60,8 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     MINRES for odd p, whose correction is symmetric.
 
     Coarse levels are built first, with the diagonals they step by (a capped
-    level builds its two itself).  Only a fine stepper warns (level 0, or
-    inside an ideal coarse stepper; rediscretized ones are SDIRK-only), so a
-    coarse level that overflows or is not real fails before any warning.
+    level builds its two itself).  Once every level is built, an explicit
+    fine grid beyond its stability limit warns, once (``StabilityWarning``).
     """
     m_list = [m] if np.isscalar(m) else list(m)
     if not m_list or any(mf < 2 for mf in m_list):
@@ -96,7 +95,13 @@ def build_problem(spec: DiscretizationSpec, m, cycle: str,
     fine = fine_stepper(spec)
     fine.basis_diagonal()
     u0 = mgrit.initial_condition(spec.n_x)
-    return mgrit.TimeGridProblem([fine] + coarse, factors, spec.n_t, u0)
+    problem = mgrit.TimeGridProblem([fine] + coarse, factors, spec.n_t, u0)
+    limit = cfl_limit(spec.p) if spec.family == "erk" else np.inf
+    if spec.c > limit * (1.0 + 1e-9):
+        warnings.warn(f"CFL number {spec.c:.6g} exceeds the stability limit "
+                      f"{limit:.6g} for {spec.tableau().name}+U{spec.p}",
+                      StabilityWarning)
+    return problem
 
 
 # ------------------------------------------------------------------ constants
@@ -152,10 +157,10 @@ def lfa_sweep(family: str, p: int, coarse_kind: str, c_values: Sequence[float],
     With ``threads`` > 1 the points run on a thread pool, each solve
     serially, and come back in sweep order.
 
-    A sweep may cross the stability limit, so ``StabilityWarning`` is
-    silenced for the whole sweep, measured solves included.  The filter is
-    set once in the calling thread: ``catch_warnings`` is not thread-safe,
-    so worker threads never touch the filters.
+    Only a measured solve past the stability limit can warn
+    (``build_problem``), so ``StabilityWarning`` is silenced for the whole
+    sweep.  The filter is set once in the calling thread: ``catch_warnings``
+    is not thread-safe, so worker threads never touch the filters.
     """
     k_excl = lfa.default_exclusion_count(p) if n_excluded is None else n_excluded
     cfg = replace(config or mgrit.MgritConfig(), cycle="two_level")
@@ -223,7 +228,7 @@ def iteration_table(family: str, p: int, c: float, grid: tuple,
     ``MgritConfig(max_iters=40)``: a drop by ten orders within 40 cycles)
     holds the iteration controls; each column runs it under its own cycle.
     Every hierarchy is built before the first solve, the V-cycles first, so a
-    coarse level that cannot be built fails before a fine stepper warns."""
+    hierarchy that cannot be built fails before any other has warned."""
     config = config or mgrit.MgritConfig(max_iters=40)
     spec = DiscretizationSpec(family, p, c, *grid)
     problems = {cycle: [build_problem(spec, m, cycle, coarse_kind)
@@ -324,10 +329,7 @@ def validation_rows() -> List[ValidationRow]:
             m = 4
 
             fine = mol_stepper(DiscretizationSpec(family, p, c, 64, 64))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", StabilityWarning)
-                coarse = mol_stepper(
-                    DiscretizationSpec(family, p, m * c, 64, 64))
+            coarse = mol_stepper(DiscretizationSpec(family, p, m * c, 64, 64))
             report = lfa.validate_eigenvalue_estimates(
                 p, c, m, error_constant_fd(p), rk_error_constant(tab),
                 fine.symbol, coarse.symbol, n_x_list=estimate_meshes)

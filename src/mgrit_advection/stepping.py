@@ -13,7 +13,6 @@ the oracle ``mgrit.sequential_solve``, builds its stencil from those values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -22,7 +21,7 @@ import numpy as np
 from .circulant import (CirculantOperator, _gmres_batched, _minres_spectral,
                         basis_diagonal, basis_forward_substitute,
                         basis_multiply, stencil_symbol)
-from .errors import SingularOperatorError, StabilityWarning, TableauError
+from .errors import SingularOperatorError, TableauError
 from .lfa import _mesh_order, default_exclusion_count
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
@@ -324,6 +323,9 @@ class Stepper:
         return self._eig
 
     def max_amplification(self) -> float:
+        """Maximum |symbol| on the 4096 samples of [-pi, pi) that
+        ``cfl_limit`` scans: the stepper is stable when it is at most
+        1 + STABILITY_TOL."""
         om = -np.pi + 2.0 * np.pi * np.arange(4096) / 4096
         return float(np.max(np.abs(self.symbol(om))))
 
@@ -403,9 +405,7 @@ def mol_stepper(spec: DiscretizationSpec) -> Stepper:
     """Method-of-lines stepper R_q(-c L_p) for the given discretization, with
     the shipped tableau ``spec.tableau()``.
 
-    Its symbol is the stability function at -c times the upwind symbol.  An
-    explicit spec beyond its stability limit is constructed but flagged with
-    a StabilityWarning.
+    Its symbol is the stability function at -c times the upwind symbol.
     """
     tab = spec.tableau()
     L = upwind_derivative(spec.p, spec.n_x)
@@ -413,13 +413,6 @@ def mol_stepper(spec: DiscretizationSpec) -> Stepper:
 
     def symbol_fn(om):
         return stability_function(tab, -c * L.symbol(om))
-
-    if spec.family == "erk":
-        limit = cfl_limit(spec.p, tab)
-        if c > limit * (1.0 + 1e-9):
-            warnings.warn(
-                f"CFL number {c:.6g} exceeds the stability limit "
-                f"{limit:.6g} for {tab.name}+U{spec.p}", StabilityWarning)
 
     return Stepper(spec.n_x, symbol_fn,
                    description=f"{tab.name}+U{spec.p}, c={c:.6g}")
@@ -472,7 +465,7 @@ def cfl_limit(p: int, tab: Optional[ButcherTableau] = None) -> float:
 
     Located by bisection over c, to an interval of width 1e-6, with
     ``stability_function`` scanned on 4096 uniform samples of [-pi, pi).
-    Results are memoized (steppers consult the limit on construction).
+    Results are memoized (``build_problem`` consults the limit).
     """
     if tab is None:
         tab = erk_tableau(p)
@@ -664,9 +657,7 @@ def truncation_residual(family: str, p: int, c: float,
 
     fitted, res_norms, rem_norms = [], [], []
     for n_x in n_x_list:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, 1))
+        stepper = fine_stepper(DiscretizationSpec(family, p, c, n_x, 1))
         om = 2.0 * np.pi / n_x
         exact = np.exp(-1j * c * om)
         a = exact - complex(stepper.symbol(om))
@@ -712,10 +703,8 @@ def modified_ideal_consistency(spec: DiscretizationSpec, m: int,
     diffs = []
     for n_x in n_x_list:
         spec_n = DiscretizationSpec(spec.family, spec.p, spec.c, n_x, spec.n_t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            fine = mol_stepper(spec_n)
-            coarse = modified_coarse_stepper(spec_n, m)
+        fine = mol_stepper(spec_n)
+        coarse = modified_coarse_stepper(spec_n, m)
         om = 2.0 * np.pi * j_min / n_x
         diffs.append(float(abs(coarse.symbol(om) - fine.symbol(om) ** m)))
     return _mesh_order(n_x_list, diffs), diffs

@@ -7,12 +7,11 @@ real solves on grids up to 1024 x 4096 and take a few minutes.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
 
-from mgrit_advection import (DiscretizationSpec, MgritConfig, StabilityWarning,
+from mgrit_advection import (DiscretizationSpec, MgritConfig,
                              cfl_limit, erk_tableau, error_constant_fd,
                              ideal_coarse_stepper, mol_stepper,
                              rediscretized_coarse_stepper,
@@ -162,10 +161,8 @@ def test_criterion_05_lfa_matches_measured_factors():
     for family, p, kind, c_raw, m in MEASURED_POINTS:
         c = c_raw * cfl_limit(p) if family == "erk" else c_raw
         spec = DiscretizationSpec(family, p, c, n_x, n_t)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            fine = experiments.fine_stepper(spec)
-            coarse = experiments.coarse_stepper(kind, spec, m)
+        fine = experiments.fine_stepper(spec)
+        coarse = experiments.coarse_stepper(kind, spec, m)
         sweep = rho_two_level(fine.symbol, coarse.symbol, m, 1,
                               n_excluded=lfa.default_exclusion_count(p))
         rep = experiments.measured_point(

@@ -216,8 +216,8 @@ ERK3_OVER_LIMIT = ["solve", "--family", "erk", "--p", "3", "--m", "2",
 
 
 def test_overflow_drops_the_warnings_of_its_build(tmp_path, capsys):
-    # the fine stepper warns that it is over the limit before the coarse
-    # build overflows; the configuration error is then the whole report
+    # the build overflows before its hierarchy is built, so nothing has
+    # warned; the configuration error is the whole report
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1e300"], tmp_path)
@@ -233,7 +233,7 @@ def test_shift_too_long_for_its_phases_is_a_configuration_error(tmp_path,
                                                                 capsys):
     # the capped V-cycle's coarse levels shift by 2e9 cells and more, whose
     # rounded phases leave their spectra conjugate-symmetric only past the
-    # real Fourier basis's 1e-8; the build stops before the fine stepper warns
+    # real Fourier basis's 1e-8; the build stops before its hierarchy warns
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, _ = run_cli(ERK3_OVER_LIMIT + ["--c", "1e9", "--cycle", "v"],
@@ -273,12 +273,12 @@ def test_over_limit_run_still_warns(tmp_path):
 
 
 def test_held_warnings_keep_their_module(tmp_path):
-    # the over-limit fine stepper's warning reaches the caller as raised,
-    # so filters that name the module that raised it still apply
+    # the over-limit build's warning reaches the caller as raised, so
+    # filters that name the module that raised it still apply
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         warnings.filterwarnings("ignore", category=StabilityWarning,
-                                module="mgrit_advection.stepping")
+                                module="mgrit_advection.experiments")
         code, _ = run_cli(ERK3_OVER_LIMIT + ["--c-fraction", "1.2"], tmp_path)
     assert code == 0
     assert not [w for w in caught if issubclass(w.category, StabilityWarning)]
@@ -286,7 +286,7 @@ def test_held_warnings_keep_their_module(tmp_path):
 
 def test_singular_correction_is_exit_code_2(tmp_path, capsys):
     # at this c, phi = -1/4 and 1 - phi D vanishes at omega = pi on an even
-    # mesh; the coarse level is built first, so nothing warns before it fails
+    # mesh; the build fails before its hierarchy can warn
     code, _ = run_cli(["solve", "--family", "erk", "--p", "1",
                        "--c", "1.1339745962155612", "--m", "2",
                        "--grid", "32,64"], tmp_path)

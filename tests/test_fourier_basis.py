@@ -252,8 +252,8 @@ def test_basis_operator_rejects_complex_and_wrong_length():
 
 def test_build_refuses_a_coarse_level_before_the_fine_stepper_warns():
     # the plain semi-Lagrangian V-cycle levels shift by 2e12 cells and more;
-    # their diagonals are built with the hierarchy, before the over-limit
-    # ERK3 fine stepper is, so the refusal comes first and nothing warns
+    # their diagonals are built with the hierarchy, which warns of the
+    # over-limit ERK3 fine grid only once built, so nothing warns
     spec = DiscretizationSpec("erk", 3, 1e12, 32, 64)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -225,9 +225,7 @@ def test_divergent_region_third_order_rediscretized():
 def _mol_symbol(family, p, c):
     def fn(om):
         spec = DiscretizationSpec(family, p, c, 64, 64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", StabilityWarning)
-            return mol_stepper(spec).symbol(om)
+        return mol_stepper(spec).symbol(om)
     return fn
 
 

@@ -2,6 +2,7 @@
 stability limits, correction coefficients, and truncation-error fits."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
 from mgrit_advection.circulant import (_gmres_batched, _minres_spectral,
                                        basis_multiply, from_basis, to_basis)
 from mgrit_advection import stepping
-from mgrit_advection.experiments import _measured_fd_constant
+from mgrit_advection.experiments import _measured_fd_constant, build_problem
 from mgrit_advection.stencils import fd_weights, lagrange_weights
 from mgrit_advection.stepping import (correction_operator, f_poly,
                                       fine_stepper, global_error_order,
@@ -227,10 +228,41 @@ def test_spec_rejects_a_cfl_number_that_is_not_finite():
 
 
 def test_cfl_violation_warns_but_constructs():
+    # the stepper constructs silently (pyproject makes a StabilityWarning an
+    # error); a hierarchy built on it warns
     spec = DiscretizationSpec("erk", 1, 1.5, 32, 8)
+    assert mol_stepper(spec).max_amplification() > 1.0 + 1e-6
     with pytest.warns(StabilityWarning):
-        st = mol_stepper(spec)
-    assert st.max_amplification() > 1.0 + 1e-6
+        build_problem(spec, 2, "two_level")
+
+
+def test_steppers_and_fits_past_the_limit_do_not_warn():
+    spec = DiscretizationSpec("erk", 3, 1.2 * cfl_limit(3), 64, 64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fine = mol_stepper(spec)
+        assert fine_stepper(spec).max_amplification() > 1.0 + 1e-6
+        ideal_coarse_stepper(fine, 4).eigenvalues()
+        truncation_residual("erk", 3, spec.c, [24, 32, 48])
+        stepping.modified_ideal_consistency(spec, 2, [64, 128])
+    assert caught == []
+
+
+@pytest.mark.parametrize("cycle", ["two_level", "v_cycle"])
+@pytest.mark.parametrize("kind", ["modified", "plain_sl", "ideal"])
+def test_an_over_limit_build_warns_once_from_experiments(kind, cycle):
+    c = 1.2 * cfl_limit(3)
+    spec = DiscretizationSpec("erk", 3, c, 64, 64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_problem(spec, 2, cycle, kind)
+    assert len(caught) == 1
+    assert caught[0].category is StabilityWarning
+    assert str(caught[0].message) == (
+        f"CFL number {c:.6g} exceeds the stability limit "
+        f"{cfl_limit(3):.6g} for ERK3+U3")
+    assert caught[0].filename.endswith(
+        os.path.join("mgrit_advection", "experiments.py"))
 
 
 @pytest.mark.parametrize("family", ["erk", "sdirk"])
@@ -635,9 +667,7 @@ def physical_truncation_fit(family, p, c, n_x):
     """(K, residual norm, remainder norm) of one step of the sampled
     profile with the stencil of the stepper's eigenvalues, K fitted by
     least squares."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", StabilityWarning)
-        op = stencil(fine_stepper(DiscretizationSpec(family, p, c, n_x, 1)))
+    op = stencil(fine_stepper(DiscretizationSpec(family, p, c, n_x, 1)))
     u_new = profile(n_x, c * 2.0 / n_x)
     tau = u_new - op.apply(profile(n_x))
     basis = correction_operator(p, n_x).apply(u_new)
