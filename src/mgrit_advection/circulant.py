@@ -457,21 +457,22 @@ def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
     c = np.empty((K, len(lam)))
     np.abs(B[:, :h], out=c[:, :h])
     np.abs(B[:, h:].view(complex), out=c[:, h:])
-    work = np.empty_like(c)  # the squares of the row norms
+    # the squares of the row norms, and the products the Lanczos step
+    # subtracts
+    work = np.empty_like(c)
     beta1 = _row_norms(c, work)
     rows = np.flatnonzero(beta1 > 0.0)
     res = np.where(beta1 > 0.0, 1.0, 0.0)
     breakdown = False
 
-    # per live row: Lanczos vectors v and v_prev with coupling beta, the last
-    # two Givens rotations (cs1, sn1) and (cs2, sn2) and the residual
-    # estimate phibar; per iteration: the live rows, their Lanczos vectors,
-    # their column (eps, delta, gamma) of the triangular factor with tau, and
-    # which of them stay live (a slice when all do)
+    # per live row: Lanczos vectors v and (after the first step) v_prev with
+    # coupling beta, the last two Givens rotations (cs1, sn1) and (cs2, sn2)
+    # and the residual estimate phibar; per iteration: the live rows, their
+    # Lanczos vectors, their column (eps, delta, gamma) of the triangular
+    # factor with tau, and which of them stay live (a slice when all do)
     started = rows
     b1 = beta1[rows]
-    v = c[rows] / b1[:, None]
-    v_prev = np.zeros_like(v)
+    v = (c if len(rows) == K else c[rows]) / b1[:, None]
     beta = np.zeros(len(rows))
     cs1, sn1 = np.ones(len(rows)), np.zeros(len(rows))
     cs2, sn2 = np.ones(len(rows)), np.zeros(len(rows))
@@ -481,9 +482,12 @@ def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
     j = 0
     while j < max_iters and len(rows):
         w = lam * v
-        w -= beta[:, None] * v_prev
+        scratch = work[:len(rows)]
+        if j:  # beta v_prev is zero on the first step, and w - 0 is w
+            np.subtract(w, np.multiply(beta[:, None], v_prev, out=scratch),
+                        out=w)
         alpha = np.einsum("kn,kn->k", w, v)
-        w -= alpha[:, None] * v
+        np.subtract(w, np.multiply(alpha[:, None], v, out=scratch), out=w)
         beta_next = _row_norms(w, work)
         # rotate the new tridiagonal column [beta, alpha, beta_next]
         eps = sn2 * beta
@@ -515,7 +519,7 @@ def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
                                            cs1[keep], sn1[keep])
             phibar = phibar[keep]
         kept.append(keep)
-        v_prev, v = v, w / beta_next[:, None]
+        v_prev, v = v, np.divide(w, beta_next[:, None], out=w)
         beta = beta_next
         cs2, sn2, cs1, sn1 = cs1, sn1, cs, sn
 
@@ -540,8 +544,11 @@ def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
         v[kept[i]] += xs
         xs = v
 
-    xc = np.zeros_like(c)
-    xc[started] = xs
+    if len(started) == K:
+        xc = xs
+    else:
+        xc = np.zeros_like(c)
+        xc[started] = xs
     scale = np.divide(xc, c, out=np.zeros_like(c), where=c > 0.0)
     X = np.empty_like(B)
     np.multiply(B[:, :h], scale[:, :h], out=X[:, :h])

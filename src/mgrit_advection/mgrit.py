@@ -40,13 +40,17 @@ correction.  Level 0 holds the iterate for the whole solve.  The coarsest
 level holds nothing: the level above it forward-substitutes the coarse
 problem in its own last F-points from a zero error
 (``Stepper.forward_substitute``), so a two-level solve holds only its
-iterate.  An inner V-cycle level l cycles on its error, n_l + 1 zeroed rows
-that level l - 1 allocates when it recurses, with its last F-points as
-``g``, and drops once they have corrected its C-points.  A V-cycle at
-factor m so holds about m / (m - 1) times level 1's rows beyond its
-iterate, and a capped coarse solve adds its transients, bounded by one
-block of rows (``stepping.CappedCorrection``).  The README gives measured
-peaks.
+iterate.  An inner V-cycle level l + 1 cycles on its error in the C-points
+u[::m] of level l, zeroed: the only n_{l+1} + 1 rows of level l at one
+stride.  Its ``g`` is level l's last F-points.  Level l parks its C-point
+values in its first F-points u[km+1], as dead as the last ones, and adds
+them to the error there once the cycle below returns, or puts them back if
+it raises; row 0 is copied aside and restored.  At m >= 3 a V-cycle so
+holds nothing but its iterate, and a capped coarse solve adds its
+transients, bounded by one block of rows (``stepping.CappedCorrection``).
+At m = 2 the first F-points are the last ones, so each recursing level
+parks its n_c C-point values in a buffer of n_c rows, about m / (m - 1) = 2
+times level 1's rows in all.  The README gives measured peaks.
 
 The residual norm steps, subtracts and sums squares a block of
 ``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
@@ -310,9 +314,12 @@ class MgritSolver:
         over its own last F-points u[km-1], which the closing F-relaxation
         rewrites.  If level + 1 is the coarsest, its stepper's
         ``forward_substitute`` solves the coarse problem there; otherwise
-        they are the right-hand side of level + 1's cycle, whose error, its
-        n_c + 1 rows zeroed, is allocated here and dropped once it has
-        corrected the C-points.
+        they are the right-hand side of level + 1's cycle on its error,
+        which it runs in the C-points u[::m], zeroed.  Their values wait in
+        the first F-points u[km+1] (at m = 2 in an n_c-row buffer, since
+        those are the last F-points), row 0 in a copy; the C-points get
+        them back plus the error when the cycle returns, and without it if
+        it raises.
         ``warm``: the F-points of ``u`` are relaxed, so the opening
         F-relaxation is skipped; with ``nu`` >= 1 each interval's last
         F-point u[km-1] holds the C-point value Phi u_{km-1} in its place
@@ -339,15 +346,28 @@ class MgritSolver:
         rhs = u[m - 1::m]
         phase(restrict_residual, u, g, stepper, m, rhs)
         if cfg.cycle == "v_cycle" and level + 1 < len(self.problem.m):
-            error = np.zeros((rhs.shape[0] + 1, u.shape[1]))
-            self._cycle(level + 1, error, rhs)
-            error = error[1:]
+            # level + 1 cycles on its error in the C-points, the only n_c + 1
+            # rows at one stride; their values wait in the dead first
+            # F-points, which at m = 2 are the last ones, the rhs
+            parked = u[1::m] if m > 2 else np.empty(rhs.shape)
+            np.positive(u[m::m], out=parked)
+            row0 = u[0].copy()
+            error = u[::m]
+            try:
+                error.fill(0.0)
+                self._cycle(level + 1, error, rhs)
+                # addition commutes: bitwise the C-point values plus the error
+                np.add(parked, error[1:], out=error[1:])
+            except BaseException:
+                np.positive(parked, out=error[1:])
+                raise
+            finally:
+                u[0] = row0
         else:
-            # forward substitution from a zero error turns it into the error
+            # forward substitution from a zero error turns it into the error;
+            # a ufunc, as in the copy above: the error is u[m-1::m]
             error = coarser.forward_substitute(rhs)
-
-        # a ufunc, as in the copy above: the error may be u[m-1::m]
-        np.add(u[m::m], error, out=u[m::m])
+            np.add(u[m::m], error, out=u[m::m])
         phase(f_relax, u, g, stepper, m)
 
     # ------------------------------------------------------------------ solve
@@ -358,9 +378,11 @@ class MgritSolver:
         contiguous last axis, checked before it is touched.  Its row 0 is
         set to the initial condition ``problem.u0``.  ``u`` is in the
         Fourier basis while the solve runs and physical again when it
-        returns or raises.  A two-level solve allocates no array of the
-        coarse grid's size; a V-cycle's inner levels hold their errors only
-        while a cycle visits them (``_cycle``)."""
+        returns or raises.  A two-level solve, and a V-cycle at m >= 3,
+        allocates no array of the coarse grid's size: each inner level
+        cycles in the C-points of the level above (``_cycle``).  At m = 2 a
+        recursing level parks its C-point values in n_c rows while the
+        cycle below visits it."""
         cfg = self.config
         problem = self.problem
         if u is None:

@@ -437,6 +437,9 @@ THREAD_CASES = {
     "erk2_v_cycle_gmres": ("erk", 2, 0.85, "v_cycle", 4, 64, 256),
     "sdirk3_two_level": ("sdirk", 3, 5.0, "two_level", 2, 64, 256),
     "sdirk3_v_cycle_4_2": ("sdirk", 3, 5.0, "v_cycle", [4, 2], 64, 256),
+    # m = 3: each inner level's error is strided C-point rows of the level
+    # above, whose values are parked in place in its first F-points
+    "erk3_v_cycle_3": ("erk", 3, 0.85, "v_cycle", 3, 64, 243),
     # 3 coarse intervals, fewer than two per thread: the serial fallback
     "sdirk1_serial_fallback": ("sdirk", 1, 2.0, "two_level", 16, 32, 48),
 }
@@ -488,16 +491,24 @@ def fail_at_step(monkeypatch, n_calls):
                         failing_substitute)
 
 
-@pytest.mark.parametrize("n_calls", [0, 40])
-def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
-    # the first residual norm and cycle make 28 step calls, the next norm 1,
-    # and the second cycle's F-relaxation and restriction 4 before its
-    # 16-row coarse forward substitution, so call 40 fails at its entry; the
-    # iterate must come back physical, as the second cycle's relaxation (its
-    # first C-relaxation and an F-relaxation) and restriction (over the last
-    # F-points) left it
-    problem = hierarchy("sdirk", 3, 5.0, "modified", "two_level")
-    config = MgritConfig(nu=1, max_iters=5, rng_seed=2)
+@pytest.mark.parametrize("cycle,n_calls", [
+    pytest.param("two_level", 0, id="0"), pytest.param("two_level", 40, id="40"),
+    pytest.param("v_cycle", 48, id="v_cycle-48")])
+def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, cycle,
+                                                          n_calls):
+    # two-level: the first residual norm and cycle make 28 step calls, the
+    # next norm 1, and the second cycle's F-relaxation and restriction 4
+    # before its 16-row coarse forward substitution, so call 40 fails at its
+    # entry; the iterate must come back physical, as the second cycle's
+    # relaxation (its first C-relaxation and an F-relaxation) and restriction
+    # (over the last F-points) left it.  V-cycle (m = 4 on levels of 64, 16,
+    # 4 and 1 steps): the first norm and cycle make 35 calls, the next norm
+    # 1, and the second cycle 4 on level 0 and 8 on level 1, so call 48 is
+    # level 2's first F-relaxation step; level 1's error has then replaced
+    # the C-points and a zero error row 0, and both must be restored, to the
+    # values level 0's relaxation left there and to u0
+    problem = hierarchy("sdirk", 3, 5.0, "modified", cycle)
+    config = MgritConfig(nu=1, cycle=cycle, max_iters=5, rng_seed=2)
     solver = MgritSolver(problem, config)
     u = solver.initial_state()
     fail_at_step(monkeypatch, n_calls)
@@ -506,14 +517,17 @@ def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, n_calls):
     monkeypatch.undo()
 
     ref = solver.initial_state()
+    stepper, m = problem.steppers[0], problem.m[0]
     if n_calls:
         one_cycle = dataclasses.replace(config, max_iters=1)
         MgritSolver(problem, one_cycle).solve(ref)
-        stepper, m = problem.steppers[0], problem.m[0]
         to_basis(ref)
         c_relax(ref, None, stepper, m)
         f_relax(ref, None, stepper, m)
         restrict_residual(ref, None, stepper, m, ref[m - 1::m])
         from_basis(ref)
+    if cycle == "v_cycle":
+        # the dead first F-points hold the C-point values they parked
+        ref[1::m] = ref[m::m]
     np.testing.assert_allclose(u, ref, atol=1e-12)
     np.testing.assert_allclose(u[0], problem.u0, atol=1e-14)

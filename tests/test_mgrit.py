@@ -433,14 +433,20 @@ def test_two_level_solve_holds_no_coarse_buffer(nu):
 
 
 @pytest.mark.parametrize("family,m,bound", [
-    ("sdirk", 2, 2.6), ("erk", 2, 2.6), ("sdirk", 4, 2.3), ("erk", 4, 2.3)])
+    ("sdirk", 2, 2.6), ("erk", 2, 2.6), ("sdirk", 3, 0.8), ("erk", 3, 0.8),
+    ("sdirk", 4, 1.0), ("erk", 4, 1.0)])
 def test_v_cycle_holds_one_coarse_buffer_per_level(family, m, bound):
-    # each level cycles in its iterate plus one buffer of the next level's
-    # size, about m / (m - 1) level-0 coarse buffers in all: an inner level
-    # restricts over its own dead last F-points, and the capped correction
-    # solves of the ERK3 levels hold one block of rows at a time
+    # an inner level cycles on its error in the C-points of the level above,
+    # whose values wait in that level's dead first F-points, and restricts
+    # over its own dead last F-points; the capped correction solves of the
+    # ERK3 levels hold one block of rows at a time.  At m >= 3 what is
+    # traced is numpy's ufunc buffers and the row blocks (about 0.5-0.8 of
+    # level 0's coarse buffer); at m = 2 the first F-points are the last
+    # ones, so each recursing level parks its n_c C-point rows in a buffer,
+    # about m / (m - 1) = 2 level-0 coarse buffers in all beyond those
     c = 5.0 if family == "sdirk" else 0.85 * cfl_limit(3)
-    problem = build_problem(DiscretizationSpec(family, 3, c, 64, 4096), m,
+    n_t = 4374 if m == 3 else 4096  # 4374 = 2 x 3^7
+    problem = build_problem(DiscretizationSpec(family, 3, c, 64, n_t), m,
                             "v_cycle", "modified")
     config = MgritConfig(nu=1, cycle="v_cycle", max_iters=3)
     assert traced_peak_in_coarse_buffers(problem, config) <= bound
