@@ -14,8 +14,9 @@ from .lfa import (LfaSweep, default_exclusion_count, predict_history,
                   rho_check, rho_mode, rho_two_level,
                   validate_eigenvalue_estimates)
 from .mgrit import (MgritConfig, MgritSolver, SolveReport, TimeGridProblem,
-                    c_relax, cpoint_residual_norm, f_relax, initial_condition,
-                    restrict_residual, sequential_solve, solve)
+                    c_relax, class_views, cpoint_residual_norm, f_relax,
+                    initial_condition, restrict_residual, sequential_solve,
+                    solve)
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
                        high_derivative_operator, lagrange_weights,
                        upwind_derivative)

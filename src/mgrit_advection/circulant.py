@@ -240,7 +240,21 @@ def from_basis(u: np.ndarray) -> None:
         blk[...] = np.fft.irfft(X, n=n, axis=-1, norm="ortho")
 
 
-def basis_diagonal(eigenvalues: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+class BasisDiagonal(tuple):
+    """A ``basis_diagonal``: the pair (head, interior) of the head slots' real
+    and the interior pairs' complex values, with ``row``, the diagonal of a
+    whole even-length row read as n_x / 2 complex pairs, built once with it:
+    a placeholder 1 for the head pair, then ``interior``.  ``row`` is None
+    for odd n_x, whose single head slot leaves no pair."""
+
+    def __new__(cls, head: np.ndarray, interior: np.ndarray):
+        self = super().__new__(cls, (head, interior))
+        self.row = (np.concatenate(([1.0], interior)).astype(complex)
+                    if len(head) == 2 else None)
+        return self
+
+
+def basis_diagonal(eigenvalues: np.ndarray) -> BasisDiagonal:
     """The diagonal of a real circulant on basis rows: the head slots' real
     and the interior pairs' complex values of its ``eigenvalues`` (FFT
     order).  ``NotRealOperatorError`` if they are not conjugate-symmetric."""
@@ -258,13 +272,24 @@ def basis_diagonal(eigenvalues: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     lam = lam[: n // 2 + 1]
     # eigenvalues of the real modes are real up to rounding; the physical
     # rfft/irfft round trip discards the same imaginary parts
-    return lam[[0, -1][: 2 - n % 2]].real, lam[1: 1 + (n - 1) // 2]
+    return BasisDiagonal(lam[[0, -1][: 2 - n % 2]].real,
+                         lam[1: 1 + (n - 1) // 2])
 
 
-def basis_multiply(diagonal: Tuple[np.ndarray, np.ndarray], v: np.ndarray,
+def basis_multiply(diagonal: BasisDiagonal, v: np.ndarray,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Basis rows ``v`` of shape (..., n_x) times a ``basis_diagonal``, into
-    ``out`` when given (last axis contiguous; it may be ``v`` itself)."""
+    ``out`` when given (last axis contiguous; it may be ``v`` itself).
+
+    An even-length row is multiplied as one complex view over the whole row
+    by the diagonal's ``row``, which numpy runs as one loop over contiguous
+    rows.  The head pair's product there is a placeholder: the head slots'
+    products are formed first, into a (rows, 2) array, and written over it,
+    so the result is bitwise the sliced multiply (the head slots by
+    ``head``, the pairs through the interior complex view), which odd n_x
+    keeps.  Outside ``np.errstate``, an infinite head slot can raise an
+    invalid-value warning from its placeholder product (inf * 0) where the
+    sliced multiply would not."""
     head, interior = diagonal
     v = np.asarray(v, dtype=float)
     h = len(head)
@@ -273,9 +298,15 @@ def basis_multiply(diagonal: Tuple[np.ndarray, np.ndarray], v: np.ndarray,
             f"vector length {v.shape[-1]} != n_x {h + 2 * len(interior)}")
     if out is None:
         out = np.empty(v.shape)
-    np.multiply(v[..., :h], head, out=out[..., :h])
-    np.multiply(v[..., h:].view(complex), interior,
-                out=out[..., h:].view(complex))
+    row = diagonal.row
+    if row is None:
+        np.multiply(v[..., :h], head, out=out[..., :h])
+        np.multiply(v[..., h:].view(complex), interior,
+                    out=out[..., h:].view(complex))
+    else:
+        heads = np.multiply(v[..., :2], head)
+        np.multiply(v.view(complex), row, out=out.view(complex))
+        out[..., :2] = heads
     return out
 
 

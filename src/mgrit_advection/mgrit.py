@@ -22,35 +22,47 @@ two-level residual histories with a direct coarse solve are predicted mode
 by mode by ``lfa.predict_history``, and ``sequential_solve`` steps the fine
 stepper's physical stencil for the exact solution.
 
+The phase kernels reach a level through its class views [C, F_1, ...,
+F_{m-1}] (``class_views``): its C-points u_{km}, then for each j its
+F-points u_{km+j}, each class in time order.  After the change of basis
+``solve`` permutes the iterate's rows in place (``block_rows``, one row of
+scratch), so that level 0 holds its C-points in rows 0 .. n_c and each
+F-class j in one contiguous block of n_c rows after them; it puts them back
+in time order before the basis changes back, when it returns or raises.
+Every level-0 pass is then one numpy sweep over whole contiguous rows.  The
+inner V-cycle levels cycle in level 0's C-block, which stays in time order,
+through strided views, so only level 0 changes layout.
+
 ``solve`` does each fine-level sweep once, bit for bit the cycle as written:
 level 0 passes ``g = None`` (its right-hand side is u0 at t = 0, which row 0
 of the iterate holds, and zero elsewhere); after the first cycle it skips the
 opening F-relaxation, which the closing one already did, and its first
 C-relaxation copies the values the residual norm propagated.
 
-A right-hand side ``g`` holds rows 1..n of a level's n + 1 time points, or
-is None for zero.  No kernel reads g_0: row 0 of the iterate holds the value
-at t = 0 (u0 on level 0, a zero error below).
+A right-hand side ``g`` holds rows 1..n of a level's n + 1 time points in
+time order, or is None for zero.  No kernel reads g_0: row 0 of the iterate
+holds the value at t = 0 (u0 on level 0, a zero error below).
 
 The solver reaches a level only through its ``Stepper``, so it does not
 know whether a coarse solve is direct or capped.  Every level restricts its
-residual over its own last F-points u_{km-1}, which the closing
-F-relaxation rewrites, so they are dead while the level waits for its
-correction.  Level 0 holds the iterate for the whole solve.  The coarsest
-level holds nothing: the level above it forward-substitutes the coarse
-problem in its own last F-points from a zero error
-(``Stepper.forward_substitute``), so a two-level solve holds only its
+residual over its own last F-points u_{km-1} (the class F_{m-1}, on level
+0 its last block), which the closing F-relaxation rewrites, so they are
+dead while the level waits for its correction.  Level 0 holds the iterate
+for the whole solve.  The coarsest level holds nothing: the level above it
+forward-substitutes the coarse problem in its own last F-points from a zero
+error (``Stepper.forward_substitute``), so a two-level solve holds only its
 iterate.  An inner V-cycle level l + 1 cycles on its error in the C-points
-u[::m] of level l, zeroed: the only n_{l+1} + 1 rows of level l at one
-stride.  Its ``g`` is level l's last F-points.  Level l parks its C-point
-values in its first F-points u[km+1], as dead as the last ones, and adds
-them to the error there once the cycle below returns, or puts them back if
-it raises; row 0 is copied aside and restored.  At m >= 3 a V-cycle so
-holds nothing but its iterate, and a capped coarse solve adds its
-transients, bounded by one block of rows (``stepping.CappedCorrection``).
-At m = 2 the first F-points are the last ones, so each recursing level
-parks its n_c C-point values in a buffer of n_c rows, about m / (m - 1) = 2
-times level 1's rows in all.  The README gives measured peaks.
+of level l, zeroed: level 0's C-block, or a deeper level's C-points u[::m],
+the only n_{l+1} + 1 rows of level l at one stride.  Its ``g`` is level l's
+last F-points.  Level l parks its C-point values in its first F-points
+u_{km+1}, as dead as the last ones, and adds them to the error there once
+the cycle below returns, or puts them back if it raises; row 0 is copied
+aside and restored.  At m >= 3 a V-cycle so holds nothing but its iterate,
+and a capped coarse solve adds its transients, bounded by one block of rows
+(``stepping.CappedCorrection``).  At m = 2 the first F-points are the last
+ones, so each recursing level parks its n_c C-point values in a buffer of
+n_c rows, about m / (m - 1) = 2 times level 1's rows in all.  The README
+gives measured peaks.
 
 The residual norm steps, subtracts and sums squares a block of
 ``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
@@ -175,71 +187,143 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def _step_rows(u, g, stepper, m, j, out) -> np.ndarray:
-    """Phi u_{km+j-1} + g_{km+j} for every interval k, with ``g`` None read
-    as zero; written to ``out`` when given.  ``g`` holds rows 1..n, so
-    g_{km+j} is its row km+j-1."""
-    out = stepper.apply(u[j - 1:-1:m], out=out)
+def class_views(u: np.ndarray, m: int,
+                blocked: bool = False) -> List[np.ndarray]:
+    """A level's n_c m + 1 time points as its class views [C, F_1, ...,
+    F_{m-1}]: the n_c + 1 C-points u_{km}, then for each j the n_c F-points
+    u_{km+j}, each class in time order.  The phase kernels reach a level only
+    through these views.  ``u`` holds the points in time order (C = u[::m],
+    F_j = u[j::m]) or, with ``blocked``, in ``block_rows``'s layout, where
+    every class is one contiguous block of rows."""
+    if not blocked:
+        return [u[j::m] for j in range(m)]
+    n_c = (u.shape[0] - 1) // m
+    return [u[:n_c + 1]] + [u[n_c + 1 + (j - 1) * n_c:n_c + 1 + j * n_c]
+                            for j in range(1, m)]
+
+
+def _permute_rows(u: np.ndarray, source) -> None:
+    """Move row ``source(i)`` of ``u`` to row i, for every i, in place: each
+    cycle of the permutation is followed with one row of scratch, and a bit
+    per row marks the rows already placed."""
+    n = u.shape[0]
+    placed = bytearray((n + 7) // 8)
+    scratch = np.empty(u.shape[1:])
+    for start in range(n):
+        if placed[start >> 3] >> (start & 7) & 1:
+            continue
+        dst, src = start, source(start)
+        if src != start:
+            scratch[...] = u[start]
+            while src != start:
+                u[dst] = u[src]
+                placed[dst >> 3] |= 1 << (dst & 7)
+                dst, src = src, source(src)
+            u[dst] = scratch
+        placed[dst >> 3] |= 1 << (dst & 7)
+
+
+def block_rows(u: np.ndarray, m: int) -> None:
+    """Permute a level's n_c m + 1 rows in place from time order to the
+    blocked layout: the C-points first, rows 0 .. n_c, then one block of n_c
+    rows per F-class j = 1 .. m - 1, each in time order."""
+    n_c = (u.shape[0] - 1) // m
+
+    def source(q):
+        if q <= n_c:
+            return q * m
+        j, k = divmod(q - n_c - 1, n_c)
+        return k * m + j + 1
+
+    _permute_rows(u, source)
+
+
+def unblock_rows(u: np.ndarray, m: int) -> None:
+    """Undo ``block_rows`` in place: the rows back in time order."""
+    n_c = (u.shape[0] - 1) // m
+
+    def source(r):
+        k, j = divmod(r, m)
+        return k if j == 0 else n_c + 1 + (j - 1) * n_c + k
+
+    _permute_rows(u, source)
+
+
+def _intervals(level: List[np.ndarray], k0: int, k1: int) -> List[np.ndarray]:
+    """The class views of coarse intervals k0 <= k < k1: C-points k0 .. k1
+    and the F-points between them."""
+    return [level[0][k0:k1 + 1]] + [f[k0:k1] for f in level[1:]]
+
+
+def _step_rows(level, g, stepper, j, out=None) -> np.ndarray:
+    """Phi u_{km+j-1} + g_{km+j} for every interval k, 1 <= j <= m, of the
+    class views ``level``, with ``g`` None read as zero; written to ``out``
+    when given.  ``g`` holds rows 1..n in time order, so g_{km+j} is its
+    row km+j-1."""
+    out = stepper.apply(level[j - 1] if j > 1 else level[0][:-1], out=out)
     if g is not None:
-        out += g[j - 1::m]
+        out += g[j - 1::len(level)]
     return out
 
 
-def f_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
-            m: int) -> None:
-    """Zero the residual at the m-1 points after each coarse point.
+def f_relax(level: List[np.ndarray], g: Optional[np.ndarray],
+            stepper: Stepper) -> None:
+    """Zero the residual at the m-1 points after each coarse point of the
+    class views ``level``.
 
     Sequential inside an interval, batched across intervals, each step
-    written straight into ``u``.  ``g`` holds time points 1..n, or is None
-    for zero.
+    written straight into its class.  ``g`` holds time points 1..n, or is
+    None for zero.
     """
-    for j in range(1, m):
-        _step_rows(u, g, stepper, m, j, u[j::m])
+    for j in range(1, len(level)):
+        _step_rows(level, g, stepper, j, level[j])
 
 
-def c_relax(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
-            m: int) -> None:
+def c_relax(level: List[np.ndarray], g: Optional[np.ndarray],
+            stepper: Stepper) -> None:
     """Zero the residual at every coarse point after the first, writing
-    straight into ``u``; ``g`` holds time points 1..n, or is None for
-    zero."""
-    _step_rows(u, g, stepper, m, m, u[m::m])
+    straight into the C-points of the class views ``level``; ``g`` holds
+    time points 1..n, or is None for zero."""
+    _step_rows(level, g, stepper, len(level), level[0][1:])
 
 
-def restrict_residual(u: np.ndarray, g: Optional[np.ndarray], stepper: Stepper,
-                      m: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Coarse-point residuals g_km + Phi u_{km-1} - u_km for k >= 1.
+def restrict_residual(level: List[np.ndarray], g: Optional[np.ndarray],
+                      stepper: Stepper,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Coarse-point residuals g_km + Phi u_{km-1} - u_km for k >= 1 of the
+    class views ``level``.
 
     Injected to the coarse grid; valid as the full residual once the interior
     points have been F-relaxed.  ``g`` holds time points 1..n, or is None
-    for zero.  Written to ``out`` when given; it may be ``u[m-1::m]``, the
-    rows stepped from.
+    for zero.  Written to ``out`` when given; it may be the last F-class
+    ``level[-1]``, the rows stepped from.
     """
-    r = _step_rows(u, g, stepper, m, m, out)
-    r -= u[m::m]
+    r = _step_rows(level, g, stepper, len(level), out)
+    r -= level[0][1:]
     return r
 
 
-def cpoint_residual_norm(u, g, stepper, m, out=None) -> float:
-    """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km,
-    with ``g`` as in ``restrict_residual``.
+def cpoint_residual_norm(level, g, stepper, out=None) -> float:
+    """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km
+    of the class views ``level``, with ``g`` as in ``restrict_residual``.
 
     The residuals are formed, and their squares summed, a block of
     ``_BASIS_BLOCK_ROWS`` coarse points at a time in one block-sized array,
     so no full-size residual is made.  ``out``, when given, receives
-    g_km + Phi u_{km-1}, what a C-relaxation of ``u`` would write; it may be
-    ``u[m-1:-1:m]``, the rows it is stepped from.  Without it ``u`` is left
-    as it is.  A norm too large for a float, or of residuals that hold nan,
-    is inf, without a warning."""
-    n_c = (u.shape[0] - 1) // m
-    r = np.empty((min(n_c, _BASIS_BLOCK_ROWS), u.shape[1]))
+    g_km + Phi u_{km-1}, what a C-relaxation would write; it may be the last
+    F-class ``level[-1]``, the rows it is stepped from.  Without it the
+    level is left as it is.  A norm too large for a float, or of residuals
+    that hold nan, is inf, without a warning."""
+    m, n_c = len(level), len(level[0]) - 1
+    r = np.empty((min(n_c, _BASIS_BLOCK_ROWS), level[0].shape[1]))
     total = 0.0
     for k0 in range(0, n_c, _BASIS_BLOCK_ROWS):
         k1 = min(k0 + _BASIS_BLOCK_ROWS, n_c)
-        rows = u[k0 * m:k1 * m + 1]
+        block = _intervals(level, k0, k1)
         res = r[:k1 - k0]
-        relaxed = _step_rows(rows, None if g is None else g[k0 * m:k1 * m],
-                             stepper, m, m, res if out is None else out[k0:k1])
-        np.subtract(relaxed, rows[m::m], out=res)
+        relaxed = _step_rows(block, None if g is None else g[k0 * m:k1 * m],
+                             stepper, m, res if out is None else out[k0:k1])
+        np.subtract(relaxed, block[0][1:], out=res)
         with np.errstate(over="ignore"):
             total += float(np.dot(res.ravel(), res.ravel()))
     norm = math.sqrt(total)
@@ -282,93 +366,100 @@ class MgritSolver:
         u[0] = self.problem.u0
         return u
 
-    def _over_intervals(self, kernel, u: np.ndarray, g: Optional[np.ndarray],
-                        stepper: Stepper, m: int, *out: np.ndarray) -> None:
-        """Run ``kernel(u, g, stepper, m, *out)`` over the level's coarse
+    def _over_intervals(self, kernel, level: List[np.ndarray],
+                        g: Optional[np.ndarray], stepper: Stepper,
+                        *out: np.ndarray) -> None:
+        """Run ``kernel(level, g, stepper, *out)`` over the level's coarse
         intervals: serially, or with at least two intervals per thread as one
-        pool task per contiguous block k0 <= k < k1, on rows k0*m .. k1*m of
-        ``u`` (rows k0*m .. k1*m-1 of ``g``, which starts at time point 1)
-        and rows k0 .. k1-1 of ``out``.  Adjacent blocks share only their
-        boundary C-point, which only the left block's C-relaxation writes
-        and the right block's kernels never read.
+        pool task per contiguous block k0 <= k < k1, on those intervals'
+        class views (C-points k0 .. k1), rows k0*m .. k1*m-1 of ``g`` (which
+        starts at time point 1) and rows k0 .. k1-1 of ``out``.  Adjacent
+        blocks share only their boundary C-point, which only the left
+        block's C-relaxation writes and the right block's never reads.
         """
-        n_intervals = (u.shape[0] - 1) // m
+        n_intervals = len(level[0]) - 1
         if self._pool is None or n_intervals < 2 * self.threads:
-            kernel(u, g, stepper, m, *out)
+            kernel(level, g, stepper, *out)
             return
+        m = len(level)
         edges = [n_intervals * i // self.threads
                  for i in range(self.threads + 1)]
 
         def block(k0, k1):
             # a pool thread starts from numpy's default error state
             with np.errstate(over="ignore", invalid="ignore"):
-                kernel(u[k0 * m:k1 * m + 1],
-                       None if g is None else g[k0 * m:k1 * m], stepper, m,
+                kernel(_intervals(level, k0, k1),
+                       None if g is None else g[k0 * m:k1 * m], stepper,
                        *(o[k0:k1] for o in out))
 
         list(self._pool.map(block, edges[:-1], edges[1:]))
 
-    def _cycle(self, level: int, u: np.ndarray, g: Optional[np.ndarray],
-               warm: bool = False) -> None:
-        """One cycle in place on ``u``.  The level restricts its residual
-        over its own last F-points u[km-1], which the closing F-relaxation
-        rewrites.  If level + 1 is the coarsest, its stepper's
-        ``forward_substitute`` solves the coarse problem there; otherwise
-        they are the right-hand side of level + 1's cycle on its error,
-        which it runs in the C-points u[::m], zeroed.  Their values wait in
-        the first F-points u[km+1] (at m = 2 in an n_c-row buffer, since
-        those are the last F-points), row 0 in a copy; the C-points get
-        them back plus the error when the cycle returns, and without it if
-        it raises.
-        ``warm``: the F-points of ``u`` are relaxed, so the opening
-        F-relaxation is skipped; with ``nu`` >= 1 each interval's last
-        F-point u[km-1] holds the C-point value Phi u_{km-1} in its place
-        (``cpoint_residual_norm``'s ``out``), and the first C-relaxation
-        copies it rather than stepping."""
+    def _cycle(self, depth: int, level: List[np.ndarray],
+               g: Optional[np.ndarray], warm: bool = False) -> None:
+        """One cycle in place on the class views ``level`` of hierarchy
+        level ``depth`` (``class_views``): level 0's are the blocks of
+        ``block_rows``, an inner level's the strided views of its rows in
+        time order.  The level restricts its residual over its own last
+        F-points ``level[-1]``, which the closing F-relaxation rewrites.  If
+        depth + 1 is the coarsest, its stepper's ``forward_substitute``
+        solves the coarse problem there; otherwise they are the right-hand
+        side of depth + 1's cycle on its error, which it runs in this
+        level's C-points ``level[0]``, zeroed, at their own stride.  Their
+        values wait in the first F-points ``level[1]`` (at m = 2 in an
+        n_c-row buffer, since those are the last F-points), row 0 in a
+        copy; the C-points get them back plus the error when the cycle
+        returns, and without it if it raises.
+        ``warm``: the F-points are relaxed, so the opening F-relaxation is
+        skipped; with ``nu`` >= 1 each interval's last F-point holds the
+        C-point value Phi u_{km-1} in its place (``cpoint_residual_norm``'s
+        ``out``), and the first C-relaxation copies it rather than
+        stepping."""
         cfg = self.config
-        stepper, coarser = self.problem.steppers[level:level + 2]
-        m = self.problem.m[level]
+        stepper, coarser = self.problem.steppers[depth:depth + 2]
+        cpoints, rhs = level[0], level[-1]
         phase = self._over_intervals
 
         if not warm:
-            phase(f_relax, u, g, stepper, m)
+            phase(f_relax, level, g, stepper)
         for sweep in range(cfg.nu):
             if warm and sweep == 0:
-                # a ufunc copies between the overlapping views through a
-                # small buffer; u[m::m] = u[m-1:-1:m] would copy all rows first
-                np.positive(u[m - 1:-1:m], out=u[m::m])
+                # only level 0 cycles warm, and its classes are disjoint
+                # blocks of rows
+                np.copyto(cpoints[1:], rhs)
             else:
-                phase(c_relax, u, g, stepper, m)
-            phase(f_relax, u, g, stepper, m)
+                phase(c_relax, level, g, stepper)
+            phase(f_relax, level, g, stepper)
 
         # the last F-points are dead until the closing F-relaxation rewrites
         # them: they hold the restricted residual, the coarse right-hand side
-        rhs = u[m - 1::m]
-        phase(restrict_residual, u, g, stepper, m, rhs)
-        if cfg.cycle == "v_cycle" and level + 1 < len(self.problem.m):
-            # level + 1 cycles on its error in the C-points, the only n_c + 1
-            # rows at one stride; their values wait in the dead first
-            # F-points, which at m = 2 are the last ones, the rhs
-            parked = u[1::m] if m > 2 else np.empty(rhs.shape)
-            np.positive(u[m::m], out=parked)
-            row0 = u[0].copy()
-            error = u[::m]
+        phase(restrict_residual, level, g, stepper, rhs)
+        if cfg.cycle == "v_cycle" and depth + 1 < len(self.problem.m):
+            # depth + 1 cycles on its error in the C-points; their values
+            # wait in the dead first F-points, which at m = 2 are the last
+            # ones, the rhs.  A copy between views of an inner level, which
+            # interleave, is a ufunc: it goes through a small buffer, where
+            # an assignment would copy all rows first
+            parked = level[1] if len(level) > 2 else np.empty(rhs.shape)
+            np.positive(cpoints[1:], out=parked)
+            row0 = cpoints[0].copy()
             try:
-                error.fill(0.0)
-                self._cycle(level + 1, error, rhs)
+                cpoints.fill(0.0)
+                self._cycle(depth + 1,
+                            class_views(cpoints, self.problem.m[depth + 1]),
+                            rhs)
                 # addition commutes: bitwise the C-point values plus the error
-                np.add(parked, error[1:], out=error[1:])
+                np.add(parked, cpoints[1:], out=cpoints[1:])
             except BaseException:
-                np.positive(parked, out=error[1:])
+                np.positive(parked, out=cpoints[1:])
                 raise
             finally:
-                u[0] = row0
+                cpoints[0] = row0
         else:
             # forward substitution from a zero error turns it into the error;
-            # a ufunc, as in the copy above: the error is u[m-1::m]
+            # a ufunc adds it, as in the copies above
             error = coarser.forward_substitute(rhs)
-            np.add(u[m::m], error, out=u[m::m])
-        phase(f_relax, u, g, stepper, m)
+            np.add(cpoints[1:], error, out=cpoints[1:])
+        phase(f_relax, level, g, stepper)
 
     # ------------------------------------------------------------------ solve
 
@@ -376,13 +467,15 @@ class MgritSolver:
         """Iterate to the halting rule, in place on ``u`` (the seeded random
         state if None): a float64 array of shape (n_t + 1, n_x) with a
         contiguous last axis, checked before it is touched.  Its row 0 is
-        set to the initial condition ``problem.u0``.  ``u`` is in the
-        Fourier basis while the solve runs and physical again when it
-        returns or raises.  A two-level solve, and a V-cycle at m >= 3,
-        allocates no array of the coarse grid's size: each inner level
-        cycles in the C-points of the level above (``_cycle``).  At m = 2 a
-        recursing level parks its C-point values in n_c rows while the
-        cycle below visits it."""
+        set to the initial condition ``problem.u0``.  While the solve runs,
+        ``u`` is in the Fourier basis with its rows permuted in place by
+        ``block_rows``, so each of level 0's classes is one contiguous
+        block; it is physical and in time order again when the solve returns
+        or raises.  A two-level solve, and a V-cycle at m >= 3, allocates no
+        array of the coarse grid's size: each inner level cycles in the
+        C-points of the level above (``_cycle``).  At m = 2 a recursing
+        level parks its C-point values in n_c rows while the cycle below
+        visits it."""
         cfg = self.config
         problem = self.problem
         if u is None:
@@ -394,14 +487,16 @@ class MgritSolver:
                 f"the iterate must be a float64 array of shape {shape} with a "
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
+        level = class_views(u, m, blocked=True)
         # the norm's C-point values, over the last F-points for the warm
         # cycle's first C-relaxation; with nu = 0 no C-relaxation reads them
-        relaxed = u[m - 1:-1:m] if cfg.nu else None
+        relaxed = level[-1] if cfg.nu else None
 
         start = time.perf_counter()
         stepper = problem.steppers[0]
         u[0] = problem.u0
         to_basis(u)
+        block_rows(u, m)
         if self.threads > 1:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
@@ -409,13 +504,13 @@ class MgritSolver:
         # change returns what it holds
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                norms = [cpoint_residual_norm(u, None, stepper, m, relaxed)]
+                norms = [cpoint_residual_norm(level, None, stepper, relaxed)]
                 converged = False
                 it = 0
                 while it < cfg.max_iters:
-                    self._cycle(0, u, None, warm=it > 0)
+                    self._cycle(0, level, None, warm=it > 0)
                     it += 1
-                    norms.append(cpoint_residual_norm(u, None, stepper, m,
+                    norms.append(cpoint_residual_norm(level, None, stepper,
                                                       relaxed))
                     # a cycle that leaves a zero residual has converged;
                     # the opening norm alone is never enough, as it reads
@@ -430,11 +525,12 @@ class MgritSolver:
                         break
                 if cfg.nu:
                     # the closing F-relaxation's values at the last F-points
-                    _step_rows(u, None, stepper, m, m - 1, u[m - 1::m])
+                    _step_rows(level, None, stepper, m - 1, level[-1])
             finally:
                 if self._pool is not None:
                     self._pool.shutdown()
                     self._pool = None
+                unblock_rows(u, m)
                 from_basis(u)
         wall = time.perf_counter() - start
 

@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 from mgrit_advection import (CirculantOperator, DimensionMismatchError,
                              DiscretizationSpec, MgritConfig, MgritSolver,
                              NotRealOperatorError, Stepper, StabilityWarning,
-                             c_relax, cfl_limit, error_constant_fd, f_relax,
+                             c_relax, cfl_limit, class_views,
+                             error_constant_fd, f_relax,
                              ideal_coarse_stepper, modified_coarse_stepper,
                              mol_stepper, phi_coefficient,
                              plain_sl_coarse_stepper,
                              rediscretized_coarse_stepper, restrict_residual,
                              rk_error_constant, sequential_solve, sl_stepper,
                              stepping)
-from mgrit_advection.circulant import (_gmres_batched,
+from mgrit_advection.circulant import (_gmres_batched, basis_diagonal,
                                        basis_forward_substitute,
                                        basis_multiply, from_basis, to_basis)
 from mgrit_advection.experiments import build_problem
@@ -248,6 +249,67 @@ def test_basis_operator_rejects_complex_and_wrong_length():
         Stepper(8, lambda om: 1j * np.exp(1j * om)).basis_diagonal()
     with pytest.raises(DimensionMismatchError):
         Stepper(8, CirculantOperator.identity(8).symbol).apply(np.ones(7))
+
+
+#: float64 values a basis row or diagonal may hold beyond the drawn ones:
+#: signed zeros, subnormals, magnitudes near overflow, infinities and nan
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.7e308,
+               -1.7e308, 8.9e307, np.inf, -np.inf, np.nan]
+
+
+def sliced_multiply(diagonal, v, out):
+    """The reference multiply: the head slots by ``head``, the pairs through
+    the interior complex view."""
+    head, interior = diagonal
+    h = len(head)
+    np.multiply(v[..., :h], head, out=out[..., :h])
+    np.multiply(v[..., h:].view(complex), interior,
+                out=out[..., h:].view(complex))
+    return out
+
+
+@st.composite
+def diagonal_rows_and_layout(draw):
+    n_x = draw(st.sampled_from([1, 2, 3, 8, 15, 16, 63, 64]))
+    values = st.one_of(st.floats(width=64), st.sampled_from(EDGE_VALUES))
+    n_pairs = (n_x - 1) // 2
+    lam = np.empty(n_x, dtype=complex)
+    lam[0] = draw(values)
+    for k in range(1, n_pairs + 1):
+        lam[k] = complex(draw(values), draw(values))
+        lam[n_x - k] = np.conj(lam[k])
+    if n_x % 2 == 0:
+        lam[n_x // 2] = draw(values)
+    rows = draw(st.integers(0, 5))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    data = draw(st.lists(values, min_size=rows * stride * n_x,
+                         max_size=rows * stride * n_x))
+    v = np.array(data, dtype=float).reshape(rows * stride, n_x)[::stride]
+    out_stride = draw(st.sampled_from([0, 1, 2]))  # 0: in place
+    return lam, v, out_stride
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonal_rows_and_layout())
+def test_whole_row_multiply_is_the_sliced_multiply_bit_for_bit(case):
+    # an even-length row is multiplied as one complex view over the whole row
+    # and its head slots written after; every slot's bits must be those of
+    # the sliced multiply, in place or not, on contiguous or strided rows
+    lam, v, out_stride = case
+    n_x = v.shape[-1]
+    with np.errstate(all="ignore"):
+        diagonal = basis_diagonal(lam)
+        assert (diagonal.row is None) == (n_x % 2 == 1)
+        want = sliced_multiply(diagonal, v, np.empty(v.shape))
+        if out_stride:
+            got = np.full((out_stride * len(v), n_x), np.pi)[::out_stride]
+        else:
+            got = v
+        basis_multiply(diagonal, v, out=got)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    bits = ~np.isnan(want)
+    np.testing.assert_array_equal(got.view(np.int64)[bits],
+                                  want.view(np.int64)[bits])
 
 
 def test_build_refuses_a_coarse_level_before_the_fine_stepper_warns():
@@ -491,11 +553,13 @@ def fail_at_step(monkeypatch, n_calls):
                         failing_substitute)
 
 
-@pytest.mark.parametrize("cycle,n_calls", [
-    pytest.param("two_level", 0, id="0"), pytest.param("two_level", 40, id="40"),
-    pytest.param("v_cycle", 48, id="v_cycle-48")])
+@pytest.mark.parametrize("cycle,m,n_calls", [
+    pytest.param("two_level", 4, 0, id="0"),
+    pytest.param("two_level", 4, 40, id="40"),
+    pytest.param("v_cycle", 4, 48, id="v_cycle-48"),
+    pytest.param("two_level", 3, 27, id="m3-27")])
 def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, cycle,
-                                                          n_calls):
+                                                          m, n_calls):
     # two-level: the first residual norm and cycle make 28 step calls, the
     # next norm 1, and the second cycle's F-relaxation and restriction 4
     # before its 16-row coarse forward substitution, so call 40 fails at its
@@ -506,8 +570,14 @@ def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, cycle,
     # 1, and the second cycle 4 on level 0 and 8 on level 1, so call 48 is
     # level 2's first F-relaxation step; level 1's error has then replaced
     # the C-points and a zero error row 0, and both must be restored, to the
-    # values level 0's relaxation left there and to u0
-    problem = hierarchy("sdirk", 3, 5.0, "modified", cycle)
+    # values level 0's relaxation left there and to u0.  Two-level at m = 3
+    # on 48 steps: the first norm and cycle make 25 calls and the next norm
+    # 1, so call 27 is the second step of level 0's F-relaxation in its
+    # second cycle, with the solve's rows in their blocked layout; they
+    # must come back in time order, the last F-points still holding the
+    # norm's C-point values
+    problem = hierarchy("sdirk", 3, 5.0, "modified", cycle,
+                        n_t=16 * m, m=m)
     config = MgritConfig(nu=1, cycle=cycle, max_iters=5, rng_seed=2)
     solver = MgritSolver(problem, config)
     u = solver.initial_state()
@@ -517,14 +587,18 @@ def test_failing_stepper_leaves_initial_iterate_physical(monkeypatch, cycle,
     monkeypatch.undo()
 
     ref = solver.initial_state()
-    stepper, m = problem.steppers[0], problem.m[0]
+    stepper = problem.steppers[0]
     if n_calls:
         one_cycle = dataclasses.replace(config, max_iters=1)
         MgritSolver(problem, one_cycle).solve(ref)
         to_basis(ref)
-        c_relax(ref, None, stepper, m)
-        f_relax(ref, None, stepper, m)
-        restrict_residual(ref, None, stepper, m, ref[m - 1::m])
+        level = class_views(ref, m)
+        c_relax(level, None, stepper)
+        f_relax(level, None, stepper)
+        if m == 3:
+            np.copyto(level[-1], level[0][1:])
+        else:
+            restrict_residual(level, None, stepper, level[-1])
         from_basis(ref)
     if cycle == "v_cycle":
         # the dead first F-points hold the C-point values they parked

@@ -16,7 +16,7 @@ import pytest
 from mgrit_advection import (CirculantOperator, DiscretizationSpec,
                              MgritConfig, MgritSolver, StabilityWarning,
                              Stepper, TimeGridProblem, c_relax, cfl_limit,
-                             cpoint_residual_norm, f_relax,
+                             class_views, cpoint_residual_norm, f_relax,
                              ideal_coarse_stepper, initial_condition,
                              modified_coarse_stepper, mol_stepper,
                              rediscretized_coarse_stepper,
@@ -96,7 +96,7 @@ def test_f_relax_zeroes_f_point_residuals():
     problem = fine_problem()
     u, g = basis_state(problem, 1)
     stepper, m = problem.steppers[0], problem.m[0]
-    f_relax(u, g[1:], stepper, m)
+    f_relax(class_views(u, m), g[1:], stepper)
     for n in range(1, problem.n_t + 1):
         if n % m != 0:
             resid = g[n] + stepper.apply(u[n - 1]) - u[n]
@@ -107,9 +107,9 @@ def test_f_relax_is_idempotent():
     problem = fine_problem()
     u, g = basis_state(problem, 2)
     stepper, m = problem.steppers[0], problem.m[0]
-    f_relax(u, g[1:], stepper, m)
+    f_relax(class_views(u, m), g[1:], stepper)
     once = u.copy()
-    f_relax(u, g[1:], stepper, m)
+    f_relax(class_views(u, m), g[1:], stepper)
     np.testing.assert_array_equal(u, once)
 
 
@@ -117,7 +117,7 @@ def test_c_relax_zeroes_c_point_residuals():
     problem = fine_problem()
     u, g = basis_state(problem, 4)
     stepper, m = problem.steppers[0], problem.m[0]
-    c_relax(u, g[1:], stepper, m)
+    c_relax(class_views(u, m), g[1:], stepper)
     for n in range(m, problem.n_t + 1, m):
         resid = g[n] + stepper.apply(u[n - 1]) - u[n]
         assert np.linalg.norm(resid) <= 1e-13
@@ -131,9 +131,9 @@ def test_relaxation_composition_reproduces_sequential_on_one_interval():
     u, g = basis_state(problem, 5)
     stepper = problem.steppers[0]
     for _ in range(m):
-        f_relax(u, g[1:], stepper, m)
-        c_relax(u, g[1:], stepper, m)
-    f_relax(u, g[1:], stepper, m)
+        f_relax(class_views(u, m), g[1:], stepper)
+        c_relax(class_views(u, m), g[1:], stepper)
+    f_relax(class_views(u, m), g[1:], stepper)
     from_basis(u)
     np.testing.assert_allclose(u, sequential_solve(problem), atol=1e-11)
 
@@ -147,7 +147,8 @@ def test_restriction_vanishes_on_exact_solution():
     g[0] = problem.u0
     to_basis(u)
     to_basis(g)
-    r = restrict_residual(u, g[1:], problem.steppers[0], problem.m[0])
+    r = restrict_residual(class_views(u, problem.m[0]), g[1:],
+                          problem.steppers[0])
     assert np.linalg.norm(r.ravel()) <= 1e-12
 
 
@@ -164,14 +165,49 @@ def test_restriction_first_interval_hand_unrolled():
     g[0] = problem.u0
     to_basis(u)
     to_basis(g)
-    f_relax(u, g[1:], stepper, m)
-    r = restrict_residual(u, g[1:], stepper, m)
+    f_relax(class_views(u, m), g[1:], stepper)
+    r = restrict_residual(class_views(u, m), g[1:], stepper)
     from_basis(r)
     op = CirculantOperator.from_eigenvalues(stepper.n_x, stepper.eigenvalues())
     expected = problem.u0.copy()
     for _ in range(m):
         expected = op.apply(expected)
     np.testing.assert_allclose(r[0], expected, atol=1e-12)
+
+
+# -------------------------------------------------------------- blocked layout
+
+def traced_peak(fn, *args):
+    """The ``tracemalloc`` peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_blocked_layout_round_trips_every_row_in_one_row_of_scratch(m):
+    # the permutation follows its cycles in place with one row of scratch;
+    # about a kilobyte of Python objects (row views, a bit per row placed)
+    # comes on top of it.  Arbitrary bit patterns, nan payloads included,
+    # must come back bit for bit
+    n_x = 256
+    row_bytes = 8 * n_x
+    rng = np.random.default_rng(m)
+    for n_c in range(1, 65):
+        n = n_c * m + 1
+        u = np.frombuffer(rng.bytes(8 * n * n_x), dtype=np.float64)
+        u = u.reshape(n, n_x).copy()
+        orig = u.copy()
+        assert traced_peak(mgrit.block_rows, u, m) <= row_bytes + 1024
+        for blocked, natural in zip(class_views(u, m, blocked=True),
+                                    class_views(orig, m)):
+            assert blocked.base is u and blocked.flags.c_contiguous
+            assert blocked.tobytes() == natural.tobytes()
+        assert traced_peak(mgrit.unblock_rows, u, m) <= row_bytes + 1024
+        assert u.tobytes() == orig.tobytes()
 
 
 # --------------------------------------------------------------- residual norm
@@ -199,7 +235,7 @@ def test_row_blocked_norm_is_the_full_residual_norm(n_c, with_g, with_out):
     if with_out:
         after[m - 1:-1:m] = relaxed
     out = u[m - 1:-1:m] if with_out else None
-    norm = cpoint_residual_norm(u, g, stepper, m, out)
+    norm = cpoint_residual_norm(class_views(u, m), g, stepper, out)
     assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
     np.testing.assert_array_equal(u, after)
 
@@ -211,7 +247,8 @@ def test_row_blocked_norm_reads_overflow_and_nan_as_inf(bad):
     n_x, m = 15, 2
     u = np.ones((2 * BLOCK * m + 3, n_x))
     u[-1, 4] = bad
-    assert cpoint_residual_norm(u, None, identity_stepper(n_x), m) == math.inf
+    assert cpoint_residual_norm(class_views(u, m), None,
+                                identity_stepper(n_x)) == math.inf
 
 
 # ------------------------------------------------------------ ideal exactness
@@ -275,12 +312,12 @@ def unreduced_basis_solve(problem, config, u):
 
     def cycle(level, u, g):
         stepper, m = steppers[level], problem.m[level]
-        f_relax(u, g[1:], stepper, m)
+        f_relax(class_views(u, m), g[1:], stepper)
         for _ in range(config.nu):
-            c_relax(u, g[1:], stepper, m)
-            f_relax(u, g[1:], stepper, m)
+            c_relax(class_views(u, m), g[1:], stepper)
+            f_relax(class_views(u, m), g[1:], stepper)
         g_coarse = np.zeros((u[m::m].shape[0] + 1, u.shape[1]))
-        restrict_residual(u, g[1:], stepper, m, g_coarse[1:])
+        restrict_residual(class_views(u, m), g[1:], stepper, g_coarse[1:])
         if config.cycle == "two_level" or level + 2 == len(steppers):
             e = g_coarse
             for n in range(1, len(e)):
@@ -289,13 +326,14 @@ def unreduced_basis_solve(problem, config, u):
             e = np.zeros_like(g_coarse)
             cycle(level + 1, e, g_coarse)
         u[m::m] += e[1:]
-        f_relax(u, g[1:], stepper, m)
+        f_relax(class_views(u, m), g[1:], stepper)
 
     m = problem.m[0]
-    norms = [cpoint_residual_norm(u, g[1:], steppers[0], m)]
+    norms = [cpoint_residual_norm(class_views(u, m), g[1:], steppers[0])]
     for _ in range(config.max_iters):
         cycle(0, u, g)
-        norms.append(cpoint_residual_norm(u, g[1:], steppers[0], m))
+        norms.append(cpoint_residual_norm(class_views(u, m), g[1:],
+                                          steppers[0]))
         if norms[0] > 0 and norms[-1] / norms[0] <= config.tol:
             break
     from_basis(u)
@@ -366,10 +404,10 @@ def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
     rhs, marks = [], []
 
     def recording(kernel):
-        def wrapped(u, g, stepper, m, *out):
+        def wrapped(level, g, stepper, *out):
             if stepper.level == 0:
                 rhs.append(g)
-            return kernel(u, g, stepper, m, *out)
+            return kernel(level, g, stepper, *out)
         return wrapped
 
     for name in ("f_relax", "c_relax", "restrict_residual"):
@@ -395,10 +433,13 @@ def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
         assert len(rhs) > 0 and all(g is None for g in rhs)
 
 
-def traced_peak_in_coarse_buffers(problem, config):
+def traced_peak_in_coarse_buffers(problem, config, threads=1):
     """The ``tracemalloc`` peak of a solve from the seeded iterate, in units
-    of level 0's coarse buffer, (n_t / m + 1) x n_x values."""
-    solver = MgritSolver(problem, config)
+    of level 0's coarse buffer, (n_t / m + 1) x n_x values.  The thread
+    pool's module is imported first, so a threaded solve's peak does not
+    hold the import."""
+    import concurrent.futures  # noqa: F401
+    solver = MgritSolver(problem, config, threads)
     u = solver.initial_state()
     coarse_bytes = (problem.n_t // problem.m[0] + 1) * problem.n_x * u.itemsize
     tracemalloc.start()
@@ -423,13 +464,18 @@ def test_solve_holds_the_iterate_and_one_coarse_buffer(nu):
     assert traced_peak_in_coarse_buffers(*two_level_sdirk3(nu)) <= 1.6
 
 
-@pytest.mark.parametrize("nu", [0, 1, 2])
-def test_two_level_solve_holds_no_coarse_buffer(nu):
+@pytest.mark.parametrize("nu,threads", [
+    pytest.param(nu, threads,
+                 id=str(nu) if threads == 1 else f"{nu}-threads{threads}")
+    for threads in (1, 2, 3) for nu in (0, 1, 2)])
+def test_two_level_solve_holds_no_coarse_buffer(nu, threads):
     # the coarse problem is forward-substituted in the iterate's dead last
     # F-points and the residual norm is summed in row blocks, so what is
-    # traced is numpy's ufunc buffers and the row blocks: about 0.4-0.5 of
-    # the level-0 coarse buffer the solve no longer allocates
-    assert traced_peak_in_coarse_buffers(*two_level_sdirk3(nu)) <= 0.6
+    # traced is the row blocks and what numpy allocates per multiply: about
+    # 0.16-0.18 of the level-0 coarse buffer the solve no longer allocates,
+    # at every thread count, now that level 0's classes are contiguous
+    assert traced_peak_in_coarse_buffers(*two_level_sdirk3(nu),
+                                         threads) <= 0.6
 
 
 @pytest.mark.parametrize("family,m,bound", [
