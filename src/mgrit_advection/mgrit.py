@@ -23,15 +23,14 @@ by mode by ``lfa.predict_history``, and ``sequential_solve`` steps the fine
 stepper's physical stencil for the exact solution.
 
 The phase kernels reach a level through its class views [C, F_1, ...,
-F_{m-1}] (``class_views``): its C-points u_{km}, then for each j its
-F-points u_{km+j}, each class in time order.  After the change of basis
-``solve`` permutes the iterate's rows in place (``block_rows``, one row of
-scratch), so that level 0 holds its C-points in rows 0 .. n_c and each
-F-class j in one contiguous block of n_c rows after them; it puts them back
-in time order before the basis changes back, when it returns or raises.
-Every level-0 pass is then one numpy sweep over whole contiguous rows.  The
-inner V-cycle levels cycle in level 0's C-block, which stays in time order,
-through strided views, so only level 0 changes layout.
+F_{m-1}] (``class_views``): its C-points u_{km} in rows 0 .. n_c, then for
+each j its F-points u_{km+j} in one contiguous block of n_c rows, each class
+in time order.  After the change of basis ``solve`` permutes the iterate's
+rows in place into this layout (``block_rows``, one row of scratch), and
+puts them back in time order before the basis changes back, when it returns
+or raises.  An inner V-cycle level starts from a zero error, so it is laid
+out in its class blocks for free.  Every class a phase steps, on every
+level, is then one block of whole contiguous rows.
 
 ``solve`` does each fine-level sweep once, bit for bit the cycle as written:
 level 0 passes ``g = None`` (its right-hand side is u0 at t = 0, which row 0
@@ -52,17 +51,17 @@ for the whole solve.  The coarsest level holds nothing: the level above it
 forward-substitutes the coarse problem in its own last F-points from a zero
 error (``Stepper.forward_substitute``), so a two-level solve holds only its
 iterate.  An inner V-cycle level l + 1 cycles on its error in the C-points
-of level l, zeroed: level 0's C-block, or a deeper level's C-points u[::m],
-the only n_{l+1} + 1 rows of level l at one stride.  Its ``g`` is level l's
-last F-points.  Level l parks its C-point values in its first F-points
-u_{km+1}, as dead as the last ones, and adds them to the error there once
-the cycle below returns, or puts them back if it raises; row 0 is copied
-aside and restored.  At m >= 3 a V-cycle so holds nothing but its iterate,
-and a capped coarse solve adds its transients, bounded by one block of rows
-(``stepping.CappedCorrection``).  At m = 2 the first F-points are the last
-ones, so each recursing level parks its n_c C-point values in a buffer of
-n_c rows, about m / (m - 1) = 2 times level 1's rows in all.  The README
-gives measured peaks.
+of level l, zeroed and laid out in level l + 1's class blocks.  Its ``g``
+is level l's last F-points.  Level l parks its C-point values in its first
+F-points u_{km+1}, as dead as the last ones.  Once the cycle below returns,
+it adds each class of the error to the parked values it belongs to and
+copies them back; if the cycle raises, it copies them back unchanged.  Row
+0 is copied aside and restored.  At m >= 3 a V-cycle so holds nothing but
+its iterate, and a capped coarse solve adds its transients, bounded by one
+block of rows (``stepping.CappedCorrection``).  At m = 2 the first F-points
+are the last ones, so each recursing level parks its n_c C-point values in
+a buffer of n_c rows, about m / (m - 1) = 2 times level 1's rows in all.
+The README gives measured peaks.
 
 The residual norm steps, subtracts and sums squares a block of
 ``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
@@ -187,16 +186,12 @@ class SolveReport:
     wall_time: float = 0.0
 
 
-def class_views(u: np.ndarray, m: int,
-                blocked: bool = False) -> List[np.ndarray]:
+def class_views(u: np.ndarray, m: int) -> List[np.ndarray]:
     """A level's n_c m + 1 time points as its class views [C, F_1, ...,
-    F_{m-1}]: the n_c + 1 C-points u_{km}, then for each j the n_c F-points
-    u_{km+j}, each class in time order.  The phase kernels reach a level only
-    through these views.  ``u`` holds the points in time order (C = u[::m],
-    F_j = u[j::m]) or, with ``blocked``, in ``block_rows``'s layout, where
-    every class is one contiguous block of rows."""
-    if not blocked:
-        return [u[j::m] for j in range(m)]
+    F_{m-1}], in ``block_rows``'s layout: the n_c + 1 C-points u_{km} in rows
+    0 .. n_c, then for each j the n_c F-points u_{km+j} in one contiguous
+    block of rows, each class in time order.  The phase kernels reach a
+    level only through these views."""
     n_c = (u.shape[0] - 1) // m
     return [u[:n_c + 1]] + [u[n_c + 1 + (j - 1) * n_c:n_c + 1 + j * n_c]
                             for j in range(1, m)]
@@ -397,18 +392,17 @@ class MgritSolver:
     def _cycle(self, depth: int, level: List[np.ndarray],
                g: Optional[np.ndarray], warm: bool = False) -> None:
         """One cycle in place on the class views ``level`` of hierarchy
-        level ``depth`` (``class_views``): level 0's are the blocks of
-        ``block_rows``, an inner level's the strided views of its rows in
-        time order.  The level restricts its residual over its own last
-        F-points ``level[-1]``, which the closing F-relaxation rewrites.  If
-        depth + 1 is the coarsest, its stepper's ``forward_substitute``
-        solves the coarse problem there; otherwise they are the right-hand
-        side of depth + 1's cycle on its error, which it runs in this
-        level's C-points ``level[0]``, zeroed, at their own stride.  Their
-        values wait in the first F-points ``level[1]`` (at m = 2 in an
-        n_c-row buffer, since those are the last F-points), row 0 in a
-        copy; the C-points get them back plus the error when the cycle
-        returns, and without it if it raises.
+        level ``depth`` (``class_views``).  The level restricts its residual
+        over its own last F-points ``level[-1]``, which the closing
+        F-relaxation rewrites.  If depth + 1 is the coarsest, its stepper's
+        ``forward_substitute`` solves the coarse problem there; otherwise
+        they are the right-hand side of depth + 1's cycle on its error,
+        which it runs in the class views of this level's C-points
+        ``level[0]``, zeroed.  Their values wait in the first F-points
+        ``level[1]`` (at m = 2 in an n_c-row buffer, since those are the
+        last F-points), row 0 in a copy; the C-points get them back plus
+        the error, added class by class, when the cycle returns, and
+        without it if it raises.
         ``warm``: the F-points are relaxed, so the opening F-relaxation is
         skipped; with ``nu`` >= 1 each interval's last F-point holds the
         C-point value Phi u_{km-1} in its place (``cpoint_residual_norm``'s
@@ -423,9 +417,7 @@ class MgritSolver:
             phase(f_relax, level, g, stepper)
         for sweep in range(cfg.nu):
             if warm and sweep == 0:
-                # only level 0 cycles warm, and its classes are disjoint
-                # blocks of rows
-                np.copyto(cpoints[1:], rhs)
+                cpoints[1:] = rhs
             else:
                 phase(c_relax, level, g, stepper)
             phase(f_relax, level, g, stepper)
@@ -434,31 +426,27 @@ class MgritSolver:
         # them: they hold the restricted residual, the coarse right-hand side
         phase(restrict_residual, level, g, stepper, rhs)
         if cfg.cycle == "v_cycle" and depth + 1 < len(self.problem.m):
-            # depth + 1 cycles on its error in the C-points; their values
-            # wait in the dead first F-points, which at m = 2 are the last
-            # ones, the rhs.  A copy between views of an inner level, which
-            # interleave, is a ufunc: it goes through a small buffer, where
-            # an assignment would copy all rows first
+            # depth + 1 cycles on its error in the C-points, in its own class
+            # blocks; their values wait in the dead first F-points, which at
+            # m = 2 are the last ones, the rhs
+            m_next = self.problem.m[depth + 1]
             parked = level[1] if len(level) > 2 else np.empty(rhs.shape)
-            np.positive(cpoints[1:], out=parked)
+            parked[...] = cpoints[1:]
             row0 = cpoints[0].copy()
             try:
                 cpoints.fill(0.0)
-                self._cycle(depth + 1,
-                            class_views(cpoints, self.problem.m[depth + 1]),
-                            rhs)
-                # addition commutes: bitwise the C-point values plus the error
-                np.add(parked, cpoints[1:], out=cpoints[1:])
-            except BaseException:
-                np.positive(parked, out=cpoints[1:])
-                raise
+                error = class_views(cpoints, m_next)
+                self._cycle(depth + 1, error, rhs)
+                # parked row i - 1 takes coarse point i of the error, which
+                # is in class i % m_next
+                for j, values in enumerate(error[1:] + [error[0][1:]]):
+                    parked[j::m_next] += values
             finally:
+                cpoints[1:] = parked
                 cpoints[0] = row0
         else:
-            # forward substitution from a zero error turns it into the error;
-            # a ufunc adds it, as in the copies above
-            error = coarser.forward_substitute(rhs)
-            np.add(cpoints[1:], error, out=cpoints[1:])
+            # forward substitution from a zero error turns it into the error
+            cpoints[1:] += coarser.forward_substitute(rhs)
         phase(f_relax, level, g, stepper)
 
     # ------------------------------------------------------------------ solve
@@ -473,9 +461,9 @@ class MgritSolver:
         block; it is physical and in time order again when the solve returns
         or raises.  A two-level solve, and a V-cycle at m >= 3, allocates no
         array of the coarse grid's size: each inner level cycles in the
-        C-points of the level above (``_cycle``).  At m = 2 a recursing
-        level parks its C-point values in n_c rows while the cycle below
-        visits it."""
+        C-points of the level above, in its own class blocks (``_cycle``).
+        At m = 2 a recursing level parks its C-point values in n_c rows
+        while the cycle below visits it."""
         cfg = self.config
         problem = self.problem
         if u is None:
@@ -487,7 +475,7 @@ class MgritSolver:
                 f"the iterate must be a float64 array of shape {shape} with a "
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
-        level = class_views(u, m, blocked=True)
+        level = class_views(u, m)
         # the norm's C-point values, over the last F-points for the warm
         # cycle's first C-relaxation; with nu = 0 no C-relaxation reads them
         relaxed = level[-1] if cfg.nu else None

@@ -50,6 +50,12 @@ def fine_problem(n_x=32, n_t=32, m=4, c=0.8, family="sdirk", p=1,
     return TimeGridProblem([fine, psi], [m], n_t, initial_condition(n_x))
 
 
+def time_order_views(u, m):
+    """The class views [C, F_1, ..., F_{m-1}] of rows in time order: the
+    strided views u[j::m]."""
+    return [u[j::m] for j in range(m)]
+
+
 def basis_state(problem, seed):
     """A seeded random iterate and the right-hand side (u0 at t = 0, zero
     elsewhere), both in the Fourier basis that ``Stepper.apply`` steps."""
@@ -96,7 +102,7 @@ def test_f_relax_zeroes_f_point_residuals():
     problem = fine_problem()
     u, g = basis_state(problem, 1)
     stepper, m = problem.steppers[0], problem.m[0]
-    f_relax(class_views(u, m), g[1:], stepper)
+    f_relax(time_order_views(u, m), g[1:], stepper)
     for n in range(1, problem.n_t + 1):
         if n % m != 0:
             resid = g[n] + stepper.apply(u[n - 1]) - u[n]
@@ -107,9 +113,9 @@ def test_f_relax_is_idempotent():
     problem = fine_problem()
     u, g = basis_state(problem, 2)
     stepper, m = problem.steppers[0], problem.m[0]
-    f_relax(class_views(u, m), g[1:], stepper)
+    f_relax(time_order_views(u, m), g[1:], stepper)
     once = u.copy()
-    f_relax(class_views(u, m), g[1:], stepper)
+    f_relax(time_order_views(u, m), g[1:], stepper)
     np.testing.assert_array_equal(u, once)
 
 
@@ -117,7 +123,7 @@ def test_c_relax_zeroes_c_point_residuals():
     problem = fine_problem()
     u, g = basis_state(problem, 4)
     stepper, m = problem.steppers[0], problem.m[0]
-    c_relax(class_views(u, m), g[1:], stepper)
+    c_relax(time_order_views(u, m), g[1:], stepper)
     for n in range(m, problem.n_t + 1, m):
         resid = g[n] + stepper.apply(u[n - 1]) - u[n]
         assert np.linalg.norm(resid) <= 1e-13
@@ -131,9 +137,9 @@ def test_relaxation_composition_reproduces_sequential_on_one_interval():
     u, g = basis_state(problem, 5)
     stepper = problem.steppers[0]
     for _ in range(m):
-        f_relax(class_views(u, m), g[1:], stepper)
-        c_relax(class_views(u, m), g[1:], stepper)
-    f_relax(class_views(u, m), g[1:], stepper)
+        f_relax(time_order_views(u, m), g[1:], stepper)
+        c_relax(time_order_views(u, m), g[1:], stepper)
+    f_relax(time_order_views(u, m), g[1:], stepper)
     from_basis(u)
     np.testing.assert_allclose(u, sequential_solve(problem), atol=1e-11)
 
@@ -147,7 +153,7 @@ def test_restriction_vanishes_on_exact_solution():
     g[0] = problem.u0
     to_basis(u)
     to_basis(g)
-    r = restrict_residual(class_views(u, problem.m[0]), g[1:],
+    r = restrict_residual(time_order_views(u, problem.m[0]), g[1:],
                           problem.steppers[0])
     assert np.linalg.norm(r.ravel()) <= 1e-12
 
@@ -165,8 +171,8 @@ def test_restriction_first_interval_hand_unrolled():
     g[0] = problem.u0
     to_basis(u)
     to_basis(g)
-    f_relax(class_views(u, m), g[1:], stepper)
-    r = restrict_residual(class_views(u, m), g[1:], stepper)
+    f_relax(time_order_views(u, m), g[1:], stepper)
+    r = restrict_residual(time_order_views(u, m), g[1:], stepper)
     from_basis(r)
     op = CirculantOperator.from_eigenvalues(stepper.n_x, stepper.eigenvalues())
     expected = problem.u0.copy()
@@ -202,8 +208,8 @@ def test_blocked_layout_round_trips_every_row_in_one_row_of_scratch(m):
         u = u.reshape(n, n_x).copy()
         orig = u.copy()
         assert traced_peak(mgrit.block_rows, u, m) <= row_bytes + 1024
-        for blocked, natural in zip(class_views(u, m, blocked=True),
-                                    class_views(orig, m)):
+        for blocked, natural in zip(class_views(u, m),
+                                    time_order_views(orig, m)):
             assert blocked.base is u and blocked.flags.c_contiguous
             assert blocked.tobytes() == natural.tobytes()
         assert traced_peak(mgrit.unblock_rows, u, m) <= row_bytes + 1024
@@ -235,7 +241,7 @@ def test_row_blocked_norm_is_the_full_residual_norm(n_c, with_g, with_out):
     if with_out:
         after[m - 1:-1:m] = relaxed
     out = u[m - 1:-1:m] if with_out else None
-    norm = cpoint_residual_norm(class_views(u, m), g, stepper, out)
+    norm = cpoint_residual_norm(time_order_views(u, m), g, stepper, out)
     assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
     np.testing.assert_array_equal(u, after)
 
@@ -247,7 +253,7 @@ def test_row_blocked_norm_reads_overflow_and_nan_as_inf(bad):
     n_x, m = 15, 2
     u = np.ones((2 * BLOCK * m + 3, n_x))
     u[-1, 4] = bad
-    assert cpoint_residual_norm(class_views(u, m), None,
+    assert cpoint_residual_norm(time_order_views(u, m), None,
                                 identity_stepper(n_x)) == math.inf
 
 
@@ -312,12 +318,12 @@ def unreduced_basis_solve(problem, config, u):
 
     def cycle(level, u, g):
         stepper, m = steppers[level], problem.m[level]
-        f_relax(class_views(u, m), g[1:], stepper)
+        f_relax(time_order_views(u, m), g[1:], stepper)
         for _ in range(config.nu):
-            c_relax(class_views(u, m), g[1:], stepper)
-            f_relax(class_views(u, m), g[1:], stepper)
+            c_relax(time_order_views(u, m), g[1:], stepper)
+            f_relax(time_order_views(u, m), g[1:], stepper)
         g_coarse = np.zeros((u[m::m].shape[0] + 1, u.shape[1]))
-        restrict_residual(class_views(u, m), g[1:], stepper, g_coarse[1:])
+        restrict_residual(time_order_views(u, m), g[1:], stepper, g_coarse[1:])
         if config.cycle == "two_level" or level + 2 == len(steppers):
             e = g_coarse
             for n in range(1, len(e)):
@@ -326,13 +332,13 @@ def unreduced_basis_solve(problem, config, u):
             e = np.zeros_like(g_coarse)
             cycle(level + 1, e, g_coarse)
         u[m::m] += e[1:]
-        f_relax(class_views(u, m), g[1:], stepper)
+        f_relax(time_order_views(u, m), g[1:], stepper)
 
     m = problem.m[0]
-    norms = [cpoint_residual_norm(class_views(u, m), g[1:], steppers[0])]
+    norms = [cpoint_residual_norm(time_order_views(u, m), g[1:], steppers[0])]
     for _ in range(config.max_iters):
         cycle(0, u, g)
-        norms.append(cpoint_residual_norm(class_views(u, m), g[1:],
+        norms.append(cpoint_residual_norm(time_order_views(u, m), g[1:],
                                           steppers[0]))
         if norms[0] > 0 and norms[-1] / norms[0] <= config.tol:
             break
@@ -341,7 +347,7 @@ def unreduced_basis_solve(problem, config, u):
 
 
 REDUCED_CASES = [
-    pytest.param("sdirk", 3, 5.0, cycle, m, nu, n_x, threads,
+    pytest.param("sdirk", 3, 5.0, cycle, m, nu, n_x, 64, threads,
                  id=f"{cycle}-m{m}-nu{nu}-nx{n_x}-threads{threads}")
     for cycle in ("two_level", "v_cycle")
     for m in (2, 4, [4, 2])
@@ -349,21 +355,33 @@ REDUCED_CASES = [
     for n_x in (63, 64)
     for threads in (1, 2, 3)
 ] + [
-    pytest.param("erk", 3, 0.85, "v_cycle", 4, 1, 64, threads,
+    # odd factors below level 0, where the error's classes scatter back to
+    # the parked C-points at stride 3, and factors that change from level to
+    # level, at 54 = 2 x 3^3 and 72 = 2^3 x 3^2 steps
+    pytest.param("sdirk", 3, 5.0, "v_cycle", m, nu, n_x, n_t, threads,
+                 id=f"v_cycle-m{m}-nu{nu}-nx{n_x}-nt{n_t}-threads{threads}")
+    for m, n_t in ((3, 54), ([3, 2], 72), ([2, 3], 72))
+    for nu in (0, 1, 2)
+    for n_x in (63, 64)
+    for threads in (1, 2, 3)
+] + [
+    pytest.param("erk", 3, 0.85, "v_cycle", 4, 1, 64, 64, threads,
                  id=f"erk3_capped_v_cycle-threads{threads}")
     for threads in (1, 2, 3)
 ]
 
 
-@pytest.mark.parametrize("family,p,c,cycle,m,nu,n_x,threads", REDUCED_CASES)
+@pytest.mark.parametrize("family,p,c,cycle,m,nu,n_x,n_t,threads",
+                         REDUCED_CASES)
 def test_solve_is_the_unreduced_cycle_bit_for_bit(family, p, c, cycle, m, nu,
-                                                  n_x, threads):
+                                                  n_x, n_t, threads):
     # solve skips the opening F-relaxation after the first cycle, copies the
     # residual norm's propagation as the first C-relaxation and reads no
-    # fine right-hand side; none of it may change a single bit
+    # fine right-hand side, and each inner level cycles in its own class
+    # blocks; none of it may change a single bit
     if family == "erk":
         c *= cfl_limit(p)
-    problem = build_problem(DiscretizationSpec(family, p, c, n_x, 64), m,
+    problem = build_problem(DiscretizationSpec(family, p, c, n_x, n_t), m,
                             cycle, "modified")
     config = MgritConfig(nu=nu, cycle=cycle, max_iters=10, rng_seed=5)
     solver = MgritSolver(problem, config, threads=threads)
@@ -479,15 +497,17 @@ def test_two_level_solve_holds_no_coarse_buffer(nu, threads):
 
 
 @pytest.mark.parametrize("family,m,bound", [
-    ("sdirk", 2, 2.6), ("erk", 2, 2.6), ("sdirk", 3, 0.8), ("erk", 3, 0.8),
-    ("sdirk", 4, 1.0), ("erk", 4, 1.0)])
+    ("sdirk", 2, 2.6), ("erk", 2, 2.6), ("sdirk", 3, 0.4), ("erk", 3, 0.8),
+    ("sdirk", 4, 0.4), ("erk", 4, 1.0)])
 def test_v_cycle_holds_one_coarse_buffer_per_level(family, m, bound):
     # an inner level cycles on its error in the C-points of the level above,
-    # whose values wait in that level's dead first F-points, and restricts
-    # over its own dead last F-points; the capped correction solves of the
-    # ERK3 levels hold one block of rows at a time.  At m >= 3 what is
-    # traced is numpy's ufunc buffers and the row blocks (about 0.5-0.8 of
-    # level 0's coarse buffer); at m = 2 the first F-points are the last
+    # in its own contiguous class blocks, while their values wait in that
+    # level's dead first F-points, and restricts over its own dead last
+    # F-points; the capped correction solves of the ERK3 levels hold one
+    # block of rows at a time.  At m >= 3 what is traced is the row blocks
+    # and what numpy allocates per multiply (about 0.2-0.3 of level 0's
+    # coarse buffer), and on the ERK3 levels the capped solves' block
+    # storage (about 0.6-0.7); at m = 2 the first F-points are the last
     # ones, so each recursing level parks its n_c C-point rows in a buffer,
     # about m / (m - 1) = 2 level-0 coarse buffers in all beyond those
     c = 5.0 if family == "sdirk" else 0.85 * cfl_limit(3)
