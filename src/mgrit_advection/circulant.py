@@ -19,9 +19,9 @@ from .errors import DimensionMismatchError, NotRealOperatorError
 #: weights with magnitude below this are dropped when stencils are combined
 PRUNE_TOL = 1e-15
 
-#: rows per block of the in-place basis changes and of the solver's residual
-#: norm, which bounds their temporaries to about a MB however many rows are
-#: transformed
+#: rows per block of the in-place basis changes, the solver's residual norm
+#: and the capped correction solve (``stepping.CappedCorrection``), which
+#: bounds their temporaries to one block however many rows they take
 _BASIS_BLOCK_ROWS = 64
 
 _SQRT2 = np.sqrt(2.0)

@@ -57,11 +57,10 @@ F-points u_{km+1}, as dead as the last ones.  Once the cycle below returns,
 it adds each class of the error to the parked values it belongs to and
 copies them back; if the cycle raises, it copies them back unchanged.  Row
 0 is copied aside and restored.  At m >= 3 a V-cycle so holds nothing but
-its iterate, and a capped coarse solve adds its transients, bounded by one
-block of rows (``stepping.CappedCorrection``).  At m = 2 the first F-points
-are the last ones, so each recursing level parks its n_c C-point values in
-a buffer of n_c rows, about m / (m - 1) = 2 times level 1's rows in all.
-The README gives measured peaks.
+its iterate and, at any ``threads``, one block of rows' Krylov storage of a
+capped coarse solve (``stepping.CappedCorrection``).  At m = 2 each level
+that recurses parks its n_c C-point values in a buffer (its first F-points
+are its last), about twice level 1's rows.  The README gives the peaks.
 
 The residual norm steps, subtracts and sums squares a block of
 ``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
@@ -77,8 +76,9 @@ norm, and no warning escapes.
 
 ``threads`` splits each F- and C-relaxation sweep and each residual
 restriction into one task per block of whole coarse intervals, on levels with
-at least two intervals per thread; every row keeps its serial arithmetic, so
-residual histories are bitwise independent of ``threads``.
+at least two intervals per thread; tasks that reach a capped level step and
+solve one block of rows at a time between them.  Every row keeps its serial
+arithmetic, so residual histories are bitwise independent of ``threads``.
 """
 
 from __future__ import annotations

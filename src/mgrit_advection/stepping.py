@@ -13,14 +13,15 @@ the oracle ``mgrit.sequential_solve``, builds its stencil from those values.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circulant import (CirculantOperator, _gmres_batched, _minres_spectral,
-                        basis_diagonal, basis_forward_substitute,
-                        basis_multiply, stencil_symbol)
+from .circulant import (_BASIS_BLOCK_ROWS, CirculantOperator, _gmres_batched,
+                        _minres_spectral, basis_diagonal, basis_multiply,
+                        basis_forward_substitute, stencil_symbol)
 from .errors import SingularOperatorError, TableauError
 from .lfa import _mesh_order, default_exclusion_count
 from .stencils import (StencilWindow, error_constant_fd, f_poly, fd_weights,
@@ -349,12 +350,12 @@ class CappedCorrection(NamedTuple):
     the last iteration; ``_minres_spectral`` stores one array per iteration
     of the rows still live, so its storage grows with the iterations run.
 
-    The rows are stepped and solved in blocks of ``_CAPPED_BLOCK_ROWS``, each
-    block's iterate written straight into ``out``, so the step output and
-    the Krylov storage are those of one block however many rows are
-    stepped.  Both kernels solve each row on its own, so the result does
-    not depend on the blocking.  ``out`` may be ``u`` itself, or rows that
-    do not overlap it.
+    Rows are stepped and solved in blocks of ``circulant._BASIS_BLOCK_ROWS``,
+    one block at a time whatever ``threads`` a solve runs (a module lock):
+    a block's step is formed in its rows of ``out``, which its iterate then
+    overwrites, so the Krylov storage is the only block-sized array.  Each
+    row is solved on its own, so the result depends neither on the blocking
+    nor on the threads.  ``out`` may be ``u`` itself, or rows apart from it.
 
     A batch that is all zeros steps to zeros with neither the step nor the
     solve: every coarse cycle's first F-relaxation steps the zero error.
@@ -376,10 +377,10 @@ class CappedCorrection(NamedTuple):
         rows = np.reshape(u, (-1, out.shape[-1]))
         dest = out.reshape(rows.shape)
         # rows of a diverging solve overflow; the residual norm reads inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(rows), _CAPPED_BLOCK_ROWS):
-                block = slice(start, start + _CAPPED_BLOCK_ROWS)
-                rhs = basis_multiply(self.step, rows[block])
+        with _CAPPED_LOCK, np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(rows), _BASIS_BLOCK_ROWS):
+                block = slice(start, start + _BASIS_BLOCK_ROWS)
+                rhs = basis_multiply(self.step, rows[block], out=dest[block])
                 x, _, _, _ = self.krylov(self.correction, rhs, self.tol,
                                          self.max_iters)
                 dest[block] = x
@@ -391,9 +392,8 @@ class CappedCorrection(NamedTuple):
 #: relative residual at which the capped correction solve stops a row
 CAPPED_TOL = 1e-2
 
-#: rows per block of the capped correction solve, which bounds its step
-#: output and Krylov storage to one block however many rows are stepped
-_CAPPED_BLOCK_ROWS = 64
+#: one capped correction block is stepped and solved at a time per process
+_CAPPED_LOCK = threading.Lock()
 
 
 def capped_max_iters(p: int) -> int:

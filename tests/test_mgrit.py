@@ -496,26 +496,32 @@ def test_two_level_solve_holds_no_coarse_buffer(nu, threads):
                                          threads) <= 0.6
 
 
-@pytest.mark.parametrize("family,m,bound", [
-    ("sdirk", 2, 2.6), ("erk", 2, 2.6), ("sdirk", 3, 0.4), ("erk", 3, 0.8),
-    ("sdirk", 4, 0.4), ("erk", 4, 1.0)])
-def test_v_cycle_holds_one_coarse_buffer_per_level(family, m, bound):
+@pytest.mark.parametrize("family,m,bound,threads", [
+    pytest.param(family, m, bound, threads, id=f"{family}-{m}-{bound}"
+                 + ("" if threads == 1 else f"-threads{threads}"))
+    for family, m, bound in [
+        ("sdirk", 2, 2.6), ("erk", 2, 2.6), ("sdirk", 3, 0.4),
+        ("erk", 3, 0.8), ("sdirk", 4, 0.4), ("erk", 4, 1.0)]
+    for threads in ((1, 2, 3) if family == "erk" else (1,))])
+def test_v_cycle_holds_one_coarse_buffer_per_level(family, m, bound,
+                                                   threads):
     # an inner level cycles on its error in the C-points of the level above,
     # in its own contiguous class blocks, while their values wait in that
     # level's dead first F-points, and restricts over its own dead last
     # F-points; the capped correction solves of the ERK3 levels hold one
-    # block of rows at a time.  At m >= 3 what is traced is the row blocks
-    # and what numpy allocates per multiply (about 0.2-0.3 of level 0's
-    # coarse buffer), and on the ERK3 levels the capped solves' block
-    # storage (about 0.6-0.7); at m = 2 the first F-points are the last
-    # ones, so each recursing level parks its n_c C-point rows in a buffer,
-    # about m / (m - 1) = 2 level-0 coarse buffers in all beyond those
+    # block of rows at a time, also when pool tasks reach them together.
+    # At m >= 3 what is traced is the row blocks and what numpy allocates
+    # per multiply (about 0.2-0.3 of level 0's coarse buffer), and on the
+    # ERK3 levels the capped solves' one block of storage (about 0.3-0.4); at
+    # m = 2 the first F-points are the last ones, so each recursing level
+    # parks its n_c C-point rows in a buffer, about m / (m - 1) = 2 level-0
+    # coarse buffers in all beyond those
     c = 5.0 if family == "sdirk" else 0.85 * cfl_limit(3)
     n_t = 4374 if m == 3 else 4096  # 4374 = 2 x 3^7
     problem = build_problem(DiscretizationSpec(family, 3, c, 64, n_t), m,
                             "v_cycle", "modified")
     config = MgritConfig(nu=1, cycle="v_cycle", max_iters=3)
-    assert traced_peak_in_coarse_buffers(problem, config) <= bound
+    assert traced_peak_in_coarse_buffers(problem, config, threads) <= bound
 
 
 def run_in_fresh_process(code):

@@ -3,6 +3,8 @@ stability limits, correction coefficients, and truncation-error fits."""
 
 import math
 import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +22,7 @@ from mgrit_advection import (ButcherTableau, CirculantOperator,
                              truncation_residual, upwind_derivative)
 from mgrit_advection.circulant import (_gmres_batched, _minres_spectral,
                                        basis_multiply, from_basis, to_basis)
-from mgrit_advection import stepping
+from mgrit_advection import circulant, stepping
 from mgrit_advection.experiments import _measured_fd_constant, build_problem
 from mgrit_advection.stencils import fd_weights, lagrange_weights
 from mgrit_advection.stepping import (correction_operator, f_poly,
@@ -541,7 +543,7 @@ def test_modified_gmres_batched_rows_match_single():
 def test_capped_correction_steps_a_zero_batch_without_solving(monkeypatch):
     # a coarse cycle's first F-relaxation steps the zero error: neither the
     # semi-Lagrangian step nor the Krylov solve runs
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a zero batch reached the step or the solve")
 
     spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), 64, 16)
@@ -565,7 +567,7 @@ def test_capped_correction_in_row_blocks_is_one_kernel_call(p):
     spec = DiscretizationSpec("erk", p, 0.85 * cfl_limit(p), 64, 16)
     capped = modified_coarse_stepper(spec, 16, solver="gmres")._apply_fn
     assert capped.krylov is (_minres_spectral if p == 3 else _gmres_batched)
-    rows = 3 * stepping._CAPPED_BLOCK_ROWS + 5
+    rows = 3 * circulant._BASIS_BLOCK_ROWS + 5
     u = np.random.default_rng(p).standard_normal((rows, 64))
     to_basis(u)
     whole, _, _, _ = capped.krylov(capped.correction,
@@ -577,6 +579,47 @@ def test_capped_correction_in_row_blocks_is_one_kernel_call(p):
     assert out.tobytes() == whole.tobytes()
     assert capped(u, u) is u
     assert u.tobytes() == whole.tobytes()
+
+
+def test_capped_correction_from_threads_holds_one_block():
+    # pool tasks of a threaded solve that reach a capped level step and
+    # solve one block at a time between them: three concurrent applies to
+    # disjoint 130-row groups, which straddle the block edges, give the
+    # serial rows bit for bit and trace about the peak of one serial apply,
+    # not one block of Krylov storage per thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    spec = DiscretizationSpec("erk", 3, 0.85 * cfl_limit(3), 256, 16)
+    capped = modified_coarse_stepper(spec, 16, solver="gmres")._apply_fn
+    u = np.random.default_rng(3).standard_normal((390, 256))
+    to_basis(u)
+    groups = [slice(k, k + 130) for k in range(0, 390, 130)]
+    serial = [capped(u[group]) for group in groups]
+    out = np.full_like(u, np.nan)
+    tracemalloc.start()
+    try:
+        capped(u[groups[0]], out[groups[0]])
+        serial_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    out = np.full_like(u, np.nan)
+    start = threading.Barrier(len(groups))
+
+    def apply(group):
+        start.wait()
+        capped(u[group], out[group])
+
+    with ThreadPoolExecutor(len(groups)) as pool:
+        tracemalloc.start()
+        try:
+            list(pool.map(apply, groups))
+            threaded_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for group, rows in zip(groups, serial):
+        assert out[group].tobytes() == rows.tobytes()
+    assert threaded_peak <= 1.25 * serial_peak
 
 
 # ------------------------------------------------- rediscretized coarse grids
