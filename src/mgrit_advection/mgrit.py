@@ -74,11 +74,10 @@ u_{km-2}, so the returned iterate is the cycle's bit for bit.
 every pool task too: a diverging solve stops at its first infinite residual
 norm, and no warning escapes.
 
-``threads`` splits each F- and C-relaxation sweep and each residual
-restriction into one task per block of whole coarse intervals, on levels with
-at least two intervals per thread; tasks that reach a capped level step and
-solve one block of rows at a time between them.  Every row keeps its serial
-arithmetic, so residual histories are bitwise independent of ``threads``.
+Each relaxation sweep and residual restriction runs in min(``threads``, row
+blocks) tasks of whole blocks of ``_BASIS_BLOCK_ROWS`` coarse intervals, and a
+capped level solves one block at a time, so every row keeps its serial
+arithmetic and Krylov calls: histories are bitwise independent of ``threads``.
 """
 
 from __future__ import annotations
@@ -342,7 +341,7 @@ class MgritSolver:
     """Driver object holding the level hierarchy and the iteration state.
 
     ``threads`` > 1 runs ``solve``'s relaxation and restriction phases on a
-    pool, one block of coarse intervals per thread; histories do not change.
+    pool, in tasks of whole row blocks; histories do not change.
     """
 
     def __init__(self, problem: TimeGridProblem, config: MgritConfig,
@@ -365,20 +364,20 @@ class MgritSolver:
                         g: Optional[np.ndarray], stepper: Stepper,
                         *out: np.ndarray) -> None:
         """Run ``kernel(level, g, stepper, *out)`` over the level's coarse
-        intervals: serially, or with at least two intervals per thread as one
-        pool task per contiguous block k0 <= k < k1, on those intervals'
-        class views (C-points k0 .. k1), rows k0*m .. k1*m-1 of ``g`` (which
-        starts at time point 1) and rows k0 .. k1-1 of ``out``.  Adjacent
-        blocks share only their boundary C-point, which only the left
-        block's C-relaxation writes and the right block's never reads.
+        intervals in min(``threads``, row blocks) tasks k0 <= k < k1 of whole
+        blocks of ``_BASIS_BLOCK_ROWS`` intervals (one in the calling thread,
+        more on the pool): on their class views (C-points k0 .. k1), rows
+        k0*m .. k1*m-1 of ``g`` (which starts at time point 1) and rows
+        k0 .. k1-1 of ``out``.  A capped level's tasks so make the serial
+        run's Krylov calls.  Adjacent tasks share only their boundary
+        C-point, which only the left task's C-relaxation writes and the
+        right task's never reads.
         """
-        n_intervals = len(level[0]) - 1
-        if self._pool is None or n_intervals < 2 * self.threads:
-            kernel(level, g, stepper, *out)
-            return
-        m = len(level)
-        edges = [n_intervals * i // self.threads
-                 for i in range(self.threads + 1)]
+        n_intervals, m = len(level[0]) - 1, len(level)
+        n_blocks = -(-n_intervals // _BASIS_BLOCK_ROWS)
+        tasks = min(self.threads, n_blocks)
+        edges = [min(n_blocks * i // tasks * _BASIS_BLOCK_ROWS, n_intervals)
+                 for i in range(tasks + 1)]
 
         def block(k0, k1):
             # a pool thread starts from numpy's default error state
@@ -387,7 +386,8 @@ class MgritSolver:
                        None if g is None else g[k0 * m:k1 * m], stepper,
                        *(o[k0:k1] for o in out))
 
-        list(self._pool.map(block, edges[:-1], edges[1:]))
+        run = map if tasks == 1 else self._pool.map
+        list(run(block, edges[:-1], edges[1:]))
 
     def _cycle(self, depth: int, level: List[np.ndarray],
                g: Optional[np.ndarray], warm: bool = False) -> None:

@@ -6,6 +6,7 @@ mode prediction from the physical iterate and the sequential solution."""
 import dataclasses
 import functools
 import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -502,7 +503,7 @@ THREAD_CASES = {
     # m = 3: each inner level's error is the class blocks of the C-points
     # of the level above, whose values are parked in its first F-points
     "erk3_v_cycle_3": ("erk", 3, 0.85, "v_cycle", 3, 64, 243),
-    # 3 coarse intervals, fewer than two per thread: the serial fallback
+    # 3 coarse intervals, one row block: a single task in the calling thread
     "sdirk1_serial_fallback": ("sdirk", 1, 2.0, "two_level", 16, 32, 48),
 }
 
@@ -514,10 +515,11 @@ THREAD_CASES = {
        for name, case in THREAD_CASES.items()])
 def test_capped_v_cycle_histories_do_not_depend_on_threads(
         family, p, c, cycle, m, n_x, n_t, threads):
-    # threads split each phase into blocks of whole coarse intervals (with 3
-    # threads the block edges do not divide the intervals evenly), and every
-    # row keeps its serial arithmetic, Krylov solves included, so every
-    # residual norm is bitwise unchanged
+    # threads split each phase into tasks of whole 64-interval row blocks
+    # (here only level 0 of the m = 2 two-level and m = 3 V-cycle cases has
+    # two of them; every other level is one task), and every row keeps its
+    # serial arithmetic, Krylov solves included, so every residual norm is
+    # bitwise unchanged
     if family == "erk":
         c *= cfl_limit(p)
     problem = hierarchy(family, p, c, "modified", cycle, n_x=n_x, n_t=n_t,
@@ -527,6 +529,50 @@ def test_capped_v_cycle_histories_do_not_depend_on_threads(
     threaded = MgritSolver(problem, config, threads=threads).solve()
     assert serial.converged
     assert threaded.residual_norms == serial.residual_norms
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_capped_v_cycle_splits_and_makes_the_serial_krylov_calls(
+        monkeypatch, threads):
+    # 32 x 4096 at m = 4: level 0 has 16 row blocks of 64 coarse intervals
+    # and the capped level 1 has 4, so both split over the threads; every
+    # task holds whole blocks, so the capped level makes the serial run's
+    # Krylov calls, one per block, and the history and iterate are bitwise
+    problem = hierarchy("erk", 3, 0.85 * cfl_limit(3), "modified", "v_cycle",
+                        n_x=32, n_t=4096, m=4)
+    krylov_calls, ran_on = [0], set()
+
+    def counting(krylov):
+        def wrapped(*args):
+            krylov_calls[0] += 1
+            return krylov(*args)
+        return wrapped
+
+    for stepper in problem.steppers[1:]:
+        capped = stepper._apply_fn
+        assert capped.krylov is stepping._minres_spectral
+        stepper._apply_fn = capped._replace(krylov=counting(capped.krylov))
+    apply = Stepper.apply
+
+    def recording_apply(self, u, out=None):
+        ran_on.add((self.level, threading.get_ident()))
+        return apply(self, u, out)
+
+    monkeypatch.setattr(Stepper, "apply", recording_apply)
+    config = MgritConfig(nu=1, cycle="v_cycle", max_iters=3, rng_seed=0)
+
+    def run(n_threads):
+        krylov_calls[0] = 0
+        ran_on.clear()
+        solver = MgritSolver(problem, config, threads=n_threads)
+        u = solver.initial_state()
+        report = solver.solve(u)
+        return report.residual_norms, u.tobytes(), krylov_calls[0]
+
+    serial = run(1)
+    assert run(threads) == serial and serial[2] > 0
+    for level in (0, 1):
+        assert len({ident for lvl, ident in ran_on if lvl == level}) >= 2
 
 
 def fail_at_step(monkeypatch, n_calls):
