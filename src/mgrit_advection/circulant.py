@@ -10,7 +10,7 @@ symbols exact.  The solver runs in the real orthonormal Fourier basis
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,12 +19,20 @@ from .errors import DimensionMismatchError, NotRealOperatorError
 #: weights with magnitude below this are dropped when stencils are combined
 PRUNE_TOL = 1e-15
 
-#: rows per block of the in-place basis changes, the solver's residual norm
-#: and the capped correction solve (``stepping.CappedCorrection``), which
-#: bounds their temporaries to one block however many rows they take
+#: rows per block of every block walk, which ``_block_edges`` alone splits,
+#: bounding a walk's temporaries to one block however many rows it takes
 _BASIS_BLOCK_ROWS = 64
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def _block_edges(n: int, parts: int) -> List[int]:
+    """Edges 0 .. n of min(``parts``, ceil(n / ``_BASIS_BLOCK_ROWS``)) runs
+    of whole blocks over n rows, as even as whole blocks allow (none at 0)."""
+    n_blocks = -(-n // _BASIS_BLOCK_ROWS)
+    runs = min(parts, n_blocks)
+    return [0] + [min(n_blocks * i // runs * _BASIS_BLOCK_ROWS, n)
+                  for i in range(1, runs + 1)]
 
 
 def _canonical(n_x: int, offsets, weights):
@@ -350,8 +358,9 @@ def _row_blocks(u: np.ndarray):
     rows = u[np.newaxis] if u.ndim == 1 else u
     n = rows.shape[-1]
     h, q = 2 - n % 2, (n - 1) // 2  # head slots, interior pairs
-    for start in range(0, rows.shape[0], _BASIS_BLOCK_ROWS):
-        yield rows[start: start + _BASIS_BLOCK_ROWS], h, q
+    edges = _block_edges(len(rows), len(rows))
+    for block in map(slice, edges, edges[1:]):
+        yield rows[block], h, q
 
 
 def _gmres_batched(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,

@@ -62,22 +62,21 @@ capped coarse solve (``stepping.CappedCorrection``).  At m = 2 each level
 that recurses parks its n_c C-point values in a buffer (its first F-points
 are its last), about twice level 1's rows.  The README gives the peaks.
 
-The residual norm steps, subtracts and sums squares a block of
-``_BASIS_BLOCK_ROWS`` coarse points at a time, in one block-sized array.
-With nu >= 1 it writes its propagated values Phi u_{km-1} over each
-interval's last F-point u_{km-1}, which the next F-relaxation overwrites
-anyway; with nu = 0 no C-relaxation reads them, and the iterate is left
-alone.  When the loop ends the last F-points are stepped once more from
-u_{km-2}, so the returned iterate is the cycle's bit for bit.
+With nu >= 1 the residual norm writes its propagated values Phi u_{km-1}
+over each interval's last F-point u_{km-1}, which the next F-relaxation
+overwrites anyway; with nu = 0 no C-relaxation reads them, and the iterate
+is left alone.  When the loop ends the last F-points are stepped once more
+from u_{km-2}, so the returned iterate is the cycle's bit for bit.
 
 ``solve`` runs with numpy's overflow and invalid-value warnings off, in
 every pool task too: a diverging solve stops at its first infinite residual
 norm, and no warning escapes.
 
-Each relaxation sweep and residual restriction runs in min(``threads``, row
-blocks) tasks of whole blocks of ``_BASIS_BLOCK_ROWS`` coarse intervals, and a
-capped level solves one block at a time, so every row keeps its serial
-arithmetic and Krylov calls: histories are bitwise independent of ``threads``.
+Every block walk takes its row blocks from ``circulant._block_edges``:
+relaxation and restriction run in at most ``threads`` tasks of whole blocks
+of coarse intervals, the residual norm, the basis changes and a capped
+solve one block at a time, so every row keeps its serial arithmetic and
+Krylov calls: histories are bitwise independent of ``threads``.
 """
 
 from __future__ import annotations
@@ -89,8 +88,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .circulant import (_BASIS_BLOCK_ROWS, CirculantOperator, from_basis,
-                        to_basis)
+from .circulant import CirculantOperator, _block_edges, from_basis, to_basis
 from .stepping import Stepper
 
 
@@ -243,10 +241,12 @@ def unblock_rows(u: np.ndarray, m: int) -> None:
     _permute_rows(u, source)
 
 
-def _intervals(level: List[np.ndarray], k0: int, k1: int) -> List[np.ndarray]:
-    """The class views of coarse intervals k0 <= k < k1: C-points k0 .. k1
-    and the F-points between them."""
-    return [level[0][k0:k1 + 1]] + [f[k0:k1] for f in level[1:]]
+def _intervals(level, g, k0, k1, *out):
+    """The class views of coarse intervals k0 <= k < k1 (C-points k0 .. k1),
+    then their rows of ``g`` (None stays None) and of each ``out``."""
+    return ([level[0][k0:k1 + 1]] + [f[k0:k1] for f in level[1:]],
+            None if g is None else g[k0 * len(level):k1 * len(level)],
+            *(o[k0:k1] for o in out))
 
 
 def _step_rows(level, g, stepper, j, out=None) -> np.ndarray:
@@ -301,22 +301,21 @@ def cpoint_residual_norm(level, g, stepper, out=None) -> float:
     """Global l2 norm of the coarse-point residuals g_km + Phi u_{km-1} - u_km
     of the class views ``level``, with ``g`` as in ``restrict_residual``.
 
-    The residuals are formed, and their squares summed, a block of
-    ``_BASIS_BLOCK_ROWS`` coarse points at a time in one block-sized array,
-    so no full-size residual is made.  ``out``, when given, receives
-    g_km + Phi u_{km-1}, what a C-relaxation would write; it may be the last
-    F-class ``level[-1]``, the rows it is stepped from.  Without it the
-    level is left as it is.  A norm too large for a float, or of residuals
-    that hold nan, is inf, without a warning."""
+    The residuals are formed, and their squares summed, a row block at a
+    time in one block-sized array, so no full-size residual is made.
+    ``out``, when given, receives g_km + Phi u_{km-1}, what a C-relaxation
+    would write; it may be the last F-class ``level[-1]``, the rows it is
+    stepped from.  Without it the level is left as it is.  A norm too large
+    for a float, or of residuals that hold nan, is inf, without a warning."""
     m, n_c = len(level), len(level[0]) - 1
-    r = np.empty((min(n_c, _BASIS_BLOCK_ROWS), level[0].shape[1]))
+    edges = _block_edges(n_c, n_c)  # one range per block, the first longest
+    r = np.empty((edges[1] if n_c else 0, level[0].shape[1]))
+    outs = [] if out is None else [out]
     total = 0.0
-    for k0 in range(0, n_c, _BASIS_BLOCK_ROWS):
-        k1 = min(k0 + _BASIS_BLOCK_ROWS, n_c)
-        block = _intervals(level, k0, k1)
+    for k0, k1 in zip(edges, edges[1:]):
+        block, g_k, *dest = _intervals(level, g, k0, k1, *outs)
         res = r[:k1 - k0]
-        relaxed = _step_rows(block, None if g is None else g[k0 * m:k1 * m],
-                             stepper, m, res if out is None else out[k0:k1])
+        relaxed = _step_rows(block, g_k, stepper, m, dest[0] if dest else res)
         np.subtract(relaxed, block[0][1:], out=res)
         with np.errstate(over="ignore"):
             total += float(np.dot(res.ravel(), res.ravel()))
@@ -363,31 +362,23 @@ class MgritSolver:
     def _over_intervals(self, kernel, level: List[np.ndarray],
                         g: Optional[np.ndarray], stepper: Stepper,
                         *out: np.ndarray) -> None:
-        """Run ``kernel(level, g, stepper, *out)`` over the level's coarse
-        intervals in min(``threads``, row blocks) tasks k0 <= k < k1 of whole
-        blocks of ``_BASIS_BLOCK_ROWS`` intervals (one in the calling thread,
-        more on the pool): on their class views (C-points k0 .. k1), rows
-        k0*m .. k1*m-1 of ``g`` (which starts at time point 1) and rows
-        k0 .. k1-1 of ``out``.  A capped level's tasks so make the serial
-        run's Krylov calls.  Adjacent tasks share only their boundary
-        C-point, which only the left task's C-relaxation writes and the
-        right task's never reads.
+        """Run ``kernel(level, g, stepper, *out)`` on the ``_intervals`` of
+        each of at most ``threads`` ranges of whole row blocks
+        (``circulant._block_edges``), one in the calling thread, more on the
+        pool, so a capped level makes the serial run's Krylov calls.
+        Adjacent tasks share only their boundary C-point, which only the
+        left task's C-relaxation writes and the right task's never reads.
         """
-        n_intervals, m = len(level[0]) - 1, len(level)
-        n_blocks = -(-n_intervals // _BASIS_BLOCK_ROWS)
-        tasks = min(self.threads, n_blocks)
-        edges = [min(n_blocks * i // tasks * _BASIS_BLOCK_ROWS, n_intervals)
-                 for i in range(tasks + 1)]
+        edges = _block_edges(len(level[0]) - 1, self.threads)
 
-        def block(k0, k1):
+        def task(k0, k1):
             # a pool thread starts from numpy's default error state
             with np.errstate(over="ignore", invalid="ignore"):
-                kernel(_intervals(level, k0, k1),
-                       None if g is None else g[k0 * m:k1 * m], stepper,
-                       *(o[k0:k1] for o in out))
+                block, g_k, *out_k = _intervals(level, g, k0, k1, *out)
+                kernel(block, g_k, stepper, *out_k)
 
-        run = map if tasks == 1 else self._pool.map
-        list(run(block, edges[:-1], edges[1:]))
+        run = self._pool.map if len(edges) > 2 else map
+        list(run(task, edges[:-1], edges[1:]))
 
     def _cycle(self, depth: int, level: List[np.ndarray],
                g: Optional[np.ndarray], warm: bool = False) -> None:

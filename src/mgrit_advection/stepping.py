@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circulant import (_BASIS_BLOCK_ROWS, CirculantOperator, _gmres_batched,
+from .circulant import (CirculantOperator, _block_edges, _gmres_batched,
                         _minres_spectral, basis_diagonal, basis_multiply,
                         basis_forward_substitute, stencil_symbol)
 from .errors import SingularOperatorError, TableauError
@@ -350,12 +350,12 @@ class CappedCorrection(NamedTuple):
     the last iteration; ``_minres_spectral`` stores one array per iteration
     of the rows still live, so its storage grows with the iterations run.
 
-    Rows are stepped and solved in blocks of ``circulant._BASIS_BLOCK_ROWS``,
-    one block at a time whatever ``threads`` a solve runs (a module lock):
-    a block's step is formed in its rows of ``out``, which its iterate then
-    overwrites, so the Krylov storage is the only block-sized array.  Each
-    row is solved on its own, so the result depends neither on the blocking
-    nor on the threads.  ``out`` may be ``u`` itself, or rows apart from it.
+    Rows are stepped and solved in the row blocks of ``_block_edges``, one
+    at a time whatever ``threads`` a solve runs (a module lock): a block's
+    step is formed in its rows of ``out``, which its iterate then overwrites,
+    so the Krylov storage is the only block-sized array.  Each row is solved
+    on its own, so the result depends neither on the blocking nor on the
+    threads.  ``out`` may be ``u`` itself, or rows apart from it.
 
     A batch that is all zeros steps to zeros with neither the step nor the
     solve: every coarse cycle's first F-relaxation steps the zero error.
@@ -376,10 +376,10 @@ class CappedCorrection(NamedTuple):
             return out
         rows = np.reshape(u, (-1, out.shape[-1]))
         dest = out.reshape(rows.shape)
+        edges = _block_edges(len(rows), len(rows))
         # rows of a diverging solve overflow; the residual norm reads inf
         with _CAPPED_LOCK, np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(rows), _BASIS_BLOCK_ROWS):
-                block = slice(start, start + _BASIS_BLOCK_ROWS)
+            for block in map(slice, edges, edges[1:]):
                 rhs = basis_multiply(self.step, rows[block], out=dest[block])
                 x, _, _, _ = self.krylov(self.correction, rhs, self.tol,
                                          self.max_iters)

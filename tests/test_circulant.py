@@ -4,11 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mgrit_advection import CirculantOperator, DimensionMismatchError
-from mgrit_advection.circulant import (_gmres_batched, _minres_spectral,
+from mgrit_advection.circulant import (_BASIS_BLOCK_ROWS, _block_edges,
+                                       _gmres_batched, _minres_spectral,
                                        basis_diagonal, basis_multiply,
                                        from_basis, to_basis)
 from mgrit_advection.stepping import correction_operator
@@ -21,6 +22,45 @@ def random_operator(rng, n_x, n_offsets=4, complex_weights=False):
     if complex_weights:
         weights = weights + 1j * rng.standard_normal(n_offsets)
     return CirculantOperator.from_arrays(n_x, offsets, weights)
+
+
+# ---------------------------------------------------------------- row blocks
+
+def inline_task_edges(n_intervals, threads):
+    """The task edges ``mgrit.MgritSolver._over_intervals`` computed inline
+    before every block walk took its ranges from ``_block_edges``, kept as
+    the reference that keeps the split bitwise."""
+    n_blocks = -(-n_intervals // _BASIS_BLOCK_ROWS)
+    tasks = min(threads, n_blocks)
+    return [min(n_blocks * i // tasks * _BASIS_BLOCK_ROWS, n_intervals)
+            for i in range(tasks + 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(0, 2000), parts=st.integers(1, 8),
+       per_block=st.booleans(), extra=st.integers(0, 3))
+@example(n=0, parts=1, per_block=False, extra=0)
+@example(n=0, parts=1, per_block=True, extra=0)
+@example(n=2000, parts=8, per_block=False, extra=0)
+def test_block_edges_are_runs_of_whole_blocks(n, parts, per_block, extra):
+    # 0 to n, strictly increasing, every interior edge on a block boundary,
+    # min(parts, blocks) ranges; at least as many parts as blocks gives one
+    # range per block
+    block = _BASIS_BLOCK_ROWS
+    n_blocks = -(-n // block)
+    if per_block:
+        parts = max(n_blocks, 1) + extra
+    edges = _block_edges(n, parts)
+    assert edges[0] == 0 and edges[-1] == n
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+    assert all(e % block == 0 for e in edges[1:-1])
+    assert len(edges) - 1 == min(parts, n_blocks)
+    if n == 0:
+        assert edges == [0]
+    else:
+        assert edges == inline_task_edges(n, parts)
+    if parts >= n_blocks:
+        assert edges == list(range(0, n, block)) + [n]
 
 
 # --------------------------------------------------------------------- apply

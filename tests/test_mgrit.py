@@ -22,7 +22,7 @@ from mgrit_advection import (CirculantOperator, DiscretizationSpec,
                              rediscretized_coarse_stepper,
                              restrict_residual, sequential_solve, sl_stepper,
                              solve)
-from mgrit_advection import mgrit
+from mgrit_advection import circulant, mgrit
 from mgrit_advection.circulant import from_basis, to_basis
 from mgrit_advection.experiments import build_problem
 
@@ -218,7 +218,7 @@ def test_blocked_layout_round_trips_every_row_in_one_row_of_scratch(m):
 
 # --------------------------------------------------------------- residual norm
 
-BLOCK = mgrit._BASIS_BLOCK_ROWS
+BLOCK = circulant._BASIS_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n_c", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
@@ -369,28 +369,55 @@ REDUCED_CASES = [
     pytest.param("erk", 3, 0.85, "v_cycle", 4, 1, 64, 64, threads,
                  id=f"erk3_capped_v_cycle-threads{threads}")
     for threads in (1, 2, 3)
+] + [
+    # levels that split into tasks: 160 coarse intervals at m = 2 run as
+    # ranges of 128 + 32 intervals at two threads and 64 + 64 + 32 at three
+    pytest.param("sdirk", 3, 5.0, cycle, 2, 1, 16, 320, threads,
+                 id=f"{cycle}-m2-nx16-nt320-threads{threads}")
+    for cycle in ("two_level", "v_cycle")
+    for threads in (1, 2, 3)
+] + [
+    # level 0 of a capped V-cycle with four row blocks of 64 intervals
+    pytest.param("erk", 3, 0.85, "v_cycle", 4, 1, 16, 1024, threads,
+                 id=f"erk3_capped_v_cycle-nx16-nt1024-threads{threads}")
+    for threads in (1, 2, 3)
 ]
 
 
 @pytest.mark.parametrize("family,p,c,cycle,m,nu,n_x,n_t,threads",
                          REDUCED_CASES)
-def test_solve_is_the_unreduced_cycle_bit_for_bit(family, p, c, cycle, m, nu,
-                                                  n_x, n_t, threads):
+def test_solve_is_the_unreduced_cycle_bit_for_bit(monkeypatch, family, p, c,
+                                                  cycle, m, nu, n_x, n_t,
+                                                  threads):
     # solve skips the opening F-relaxation after the first cycle, copies the
     # residual norm's propagation as the first C-relaxation and reads no
-    # fine right-hand side, and each inner level cycles in its own class
-    # blocks; none of it may change a single bit
+    # fine right-hand side, each inner level cycles in its own class blocks,
+    # and each phase runs in tasks of whole row blocks; none of it may
+    # change a single bit
     if family == "erk":
         c *= cfl_limit(p)
     problem = build_problem(DiscretizationSpec(family, p, c, n_x, n_t), m,
                             cycle, "modified")
     config = MgritConfig(nu=nu, cycle=cycle, max_iters=10, rng_seed=5)
     solver = MgritSolver(problem, config, threads=threads)
+    tasks = []
+    over_intervals = MgritSolver._over_intervals
+
+    def counting(self, kernel, *args):
+        calls = []
+        over_intervals(self, lambda *a: calls.append(kernel(*a)), *args)
+        tasks.append(len(calls))
+
+    monkeypatch.setattr(MgritSolver, "_over_intervals", counting)
     u, ref = solver.initial_state(), solver.initial_state()
     report = solver.solve(u)
     norms = unreduced_basis_solve(problem, config, ref)
     assert report.residual_norms == norms
     assert u.tobytes() == ref.tobytes()
+    # level 0's phases, the longest, run in a task per thread while there
+    # are row blocks enough: the split cases run some phase in 2 or 3 tasks
+    level0_blocks = -(-n_t // problem.m[0] // BLOCK)
+    assert max(tasks) == min(threads, level0_blocks)
 
 
 class RowCountingStepper(Stepper):
