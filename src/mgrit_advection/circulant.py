@@ -366,32 +366,30 @@ def _row_blocks(u: np.ndarray):
 def _gmres_batched(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
                    rel_tol: float, max_iters: int):
     """GMRES on many basis rows ``B`` sharing one real circulant, given as
-    its ``basis_diagonal``.
+    its ``basis_diagonal``; the iterate is written over ``B``.
 
     Each row of ``B`` gets its own Krylov space; the Arnoldi matrix-vector
-    products are one ``basis_multiply`` across rows.  Breakdown (a zero
-    Krylov vector) stops the affected rows with their current iterate; it is
-    a status, not an error.  The new vector counts as zero at 1e-14 of the
-    norm of its Hessenberg column (that of the operator times the last
-    vector), a test that does not depend on the scale of the right-hand side.
+    products are one ``basis_multiply`` across rows, and the Krylov vectors
+    are kept one array per iteration, so the storage grows as the iterations
+    run.  Breakdown (a zero Krylov vector) stops the affected rows with their
+    current iterate; it is a status, not an error.  The new vector counts as
+    zero at 1e-14 of the norm of its Hessenberg column (that of the operator
+    times the last vector), a test that does not depend on the scale of the
+    right-hand side.
 
-    Returns (X, relative residuals, iterations used, breakdown flag).
+    Returns (B, relative residuals, iterations used, breakdown flag).
     """
     K, n = B.shape
     max_iters = min(max_iters, n)
     beta = np.linalg.norm(B, axis=-1)
     live = beta > 0.0
-    X = np.zeros_like(B)
-    if not np.any(live):
-        return X, np.zeros(K), 0, False
-
-    V = np.zeros((K, max_iters + 1, n))
     H = np.zeros((K, max_iters + 1, max_iters))
     cs = np.zeros((K, max_iters))
     sn = np.zeros((K, max_iters))
     g = np.zeros((K, max_iters + 1))
     g[:, 0] = beta
-    V[live, 0] = B[live] / beta[live, None]
+    V = [np.divide(B, beta[:, None], out=np.zeros((K, n)), where=live[:, None])]
+    B[...] = 0.0
     res = np.where(live, 1.0, 0.0)
     active = live.copy()
     depth = np.zeros(K, dtype=int)
@@ -399,12 +397,12 @@ def _gmres_batched(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
 
     j = 0
     while j < max_iters and np.any(active):
-        w = basis_multiply(diagonal, V[:, j, :])
+        w = basis_multiply(diagonal, V[j])
         # modified Gram-Schmidt against the existing basis
         for i in range(j + 1):
-            hij = np.einsum("kn,kn->k", w, V[:, i, :])
+            hij = np.einsum("kn,kn->k", w, V[i])
             H[:, i, j] = np.where(active, hij, H[:, i, j])
-            w -= np.where(active, hij, 0.0)[:, None] * V[:, i, :]
+            w -= np.where(active, hij, 0.0)[:, None] * V[i]
         hnorm = np.linalg.norm(w, axis=-1)
         column = np.sqrt(np.sum(H[:, : j + 1, j] ** 2, axis=-1) + hnorm ** 2)
         happy = active & (hnorm <= 1e-14 * column)
@@ -412,7 +410,7 @@ def _gmres_batched(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
             breakdown = True
         H[:, j + 1, j] = np.where(active, hnorm, 0.0)
         safe = np.where(hnorm > 0.0, hnorm, 1.0)
-        V[:, j + 1, :] = np.where(active[:, None], w / safe[:, None], V[:, j + 1, :])
+        V.append(np.where(active[:, None], w / safe[:, None], 0.0))
         # apply stored Givens rotations to the new column
         for i in range(j):
             t = cs[:, i] * H[:, i, j] + sn[:, i] * H[:, i + 1, j]
@@ -439,8 +437,8 @@ def _gmres_batched(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
         y[:, i] = np.where(built, y[:, i], 0.0)
         np.divide(y[:, i], H[:, i, i], out=y[:, i], where=built)
         y[:, :i] -= y[:, i, None] * H[:, :i, i]
-        X += y[:, i, None] * V[:, i, :]
-    return X, res, j, breakdown
+        B += y[:, i, None] * V[i]
+    return B, res, j, breakdown
 
 
 def _row_norms(x: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -482,7 +480,7 @@ def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
     counterpart of GMRES's happy breakdown, with the same scale-free test)
     or at the cap, and leave the batch when they stop.  Each row's arithmetic
     is its own, so a row's result does not depend on the rest of the batch.
-    Returns what ``_gmres_batched`` returns.
+    As ``_gmres_batched``, it writes the iterate over ``B`` and returns it.
 
     In floating point the two methods part ways once the Lanczos vectors
     lose orthogonality, which takes iteration counts near the n//2 + 1
@@ -584,13 +582,13 @@ def _minres_spectral(diagonal: Tuple[np.ndarray, np.ndarray], B: np.ndarray,
         v[kept[i]] += xs
         xs = v
 
-    if len(started) == K:
-        xc = xs
-    else:
-        xc = np.zeros_like(c)
-        xc[started] = xs
-    scale = np.divide(xc, c, out=np.zeros_like(c), where=c > 0.0)
-    X = np.empty_like(B)
-    np.multiply(B[:, :h], scale[:, :h], out=X[:, :h])
-    np.multiply(B[:, h:].view(complex), scale[:, h:], out=X[:, h:].view(complex))
-    return X, res, j, breakdown
+    # x = (x_c / c) b over B, with x_c / c formed in c: a row that never
+    # started keeps x_c = 0, and a zero c is left 0
+    if len(started) < K:
+        work[...] = 0.0
+        work[started] = xs
+        xs = work
+    np.divide(xs, c, out=c, where=c > 0.0)
+    np.multiply(B[:, :h], c[:, :h], out=B[:, :h])
+    np.multiply(B[:, h:].view(complex), c[:, h:], out=B[:, h:].view(complex))
+    return B, res, j, breakdown

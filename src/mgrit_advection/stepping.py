@@ -346,19 +346,16 @@ class CappedCorrection(NamedTuple):
     correction I - phi D, which ``krylov`` solves: ``_gmres_batched``, or
     ``_minres_spectral`` for a symmetric correction, which has the same
     iterates and stopping steps in exact arithmetic.
-    Both form each row's iterate once, from the stored Krylov vectors, after
-    the last iteration; ``_minres_spectral`` stores one array per iteration
-    of the rows still live, so its storage grows with the iterations run.
+    Both store one array of Krylov vectors per iteration, so their storage
+    grows with the iterations run, and form each row's iterate once, after
+    the last iteration, over their right-hand side.
 
     Rows are stepped and solved in the row blocks of ``_block_edges``, one
     at a time whatever ``threads`` a solve runs (a module lock): a block's
-    step is formed in its rows of ``out``, which its iterate then overwrites,
-    so the Krylov storage is the only block-sized array.  Each row is solved
-    on its own, so the result depends neither on the blocking nor on the
-    threads.  ``out`` may be ``u`` itself, or rows apart from it.
-
-    A batch that is all zeros steps to zeros with neither the step nor the
-    solve: every coarse cycle's first F-relaxation steps the zero error.
+    step is formed in its rows of ``out``, and the solve writes its iterate
+    there, so the Krylov storage is the only block-sized array.  Each row is
+    solved on its own, so the result depends neither on the blocking nor on
+    the threads.  ``out`` may be ``u`` itself, or rows apart from it.
     """
 
     step: Tuple[np.ndarray, np.ndarray]
@@ -371,9 +368,6 @@ class CappedCorrection(NamedTuple):
                  out: Optional[np.ndarray] = None) -> np.ndarray:
         if out is None:
             out = np.empty(np.shape(u))
-        if not np.any(u):
-            out[...] = 0.0
-            return out
         rows = np.reshape(u, (-1, out.shape[-1]))
         dest = out.reshape(rows.shape)
         edges = _block_edges(len(rows), len(rows))
@@ -381,9 +375,7 @@ class CappedCorrection(NamedTuple):
         with _CAPPED_LOCK, np.errstate(over="ignore", invalid="ignore"):
             for block in map(slice, edges, edges[1:]):
                 rhs = basis_multiply(self.step, rows[block], out=dest[block])
-                x, _, _, _ = self.krylov(self.correction, rhs, self.tol,
-                                         self.max_iters)
-                dest[block] = x
+                self.krylov(self.correction, rhs, self.tol, self.max_iters)
         if not np.may_share_memory(dest, out):  # reshaping ``out`` copied it
             out[...] = dest.reshape(out.shape)
         return out

@@ -279,7 +279,7 @@ def gmres_one(diagonal, b, rel_tol, max_iters):
     """``_gmres_batched`` on a single basis row: (x, relative residual,
     iterations)."""
     X, res, iters, _ = _gmres_batched(diagonal,
-                                      np.asarray(b, dtype=float)[None, :],
+                                      np.array(b, dtype=float)[None, :],
                                       rel_tol, max_iters)
     return X[0], float(res[0]), iters
 
@@ -338,6 +338,24 @@ def test_gmres_zero_rhs_is_breakdown_free():
     assert res[0] == 0.0 and iters == 0 and not breakdown
 
 
+def test_gmres_basis_storage_grows_per_iteration():
+    # the stored Krylov vectors add one array of rows per iteration; a
+    # (rows, cap + 1, n) buffer allocated up front would exceed the bound
+    K, n_x, cap = _BASIS_BLOCK_ROWS, 1024, 20
+    D = correction_operator(4, n_x)  # left-biased: non-symmetric
+    diagonal = basis_diagonal(1.0 + 0.1 * D.eigenvalues())
+    B = basis_rows(np.random.default_rng(0), K, n_x)
+    unit = K * n_x * 8
+    tracemalloc.start()
+    try:
+        _, res, iters, _ = _gmres_batched(diagonal, B, 1e-2, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters == 7 and np.all(res <= 1e-2)
+    assert peak <= (iters + 10) * unit < (cap + 1) * unit
+
+
 def gmres_reference(op, b, rel_tol, max_iters):
     """Textbook GMRES on one vector: Arnoldi with modified Gram-Schmidt and a
     least-squares solve of the Hessenberg system at every step."""
@@ -382,6 +400,36 @@ def test_batched_gmres_matches_per_row_reference():
         assert np.max(np.abs(X[k] - ref_x)) <= 1e-10 * scale
         assert res[k] == pytest.approx(ref_res, rel=1e-8, abs=1e-14)
     assert res[2] > 1e-6 and res[0] <= 1e-6 and res[3] == 0.0
+
+
+def test_gmres_writes_its_iterate_over_the_right_hand_side():
+    # the iterate is formed in the rows it is given, bitwise a run on a
+    # copy, and matches the per-row reference; a zero row and an all-zero
+    # batch come back as zeros
+    n_x = 48
+    op = CirculantOperator.identity(n_x).add(
+        correction_operator(2, n_x).scale(0.4))
+    diagonal = basis_diagonal(op.eigenvalues())
+    x = np.arange(n_x) * 2 * np.pi / n_x
+    physical = np.stack([np.cos(3 * x), np.exp(np.sin(x)), np.zeros(n_x),
+                         np.random.default_rng(4).standard_normal(n_x)])
+    B = physical.copy()
+    to_basis(B)
+    again = B.copy()
+    X, res, iters, breakdown = _gmres_batched(diagonal, B, 1e-6, 12)
+    assert X is B
+    X2, res2, iters2, breakdown2 = _gmres_batched(diagonal, again, 1e-6, 12)
+    assert X.tobytes() == X2.tobytes() and res.tobytes() == res2.tobytes()
+    assert (iters, breakdown) == (iters2, breakdown2)
+    from_basis(X)
+    for k in range(len(B)):
+        ref_x, ref_res = gmres_reference(op, physical[k], 1e-6, 12)
+        scale = max(1.0, np.max(np.abs(ref_x)))
+        assert np.max(np.abs(X[k] - ref_x)) <= 1e-10 * scale
+        assert res[k] == pytest.approx(ref_res, rel=1e-8, abs=1e-14)
+    zeros = np.zeros((2, n_x))
+    assert _gmres_batched(diagonal, zeros, 1e-6, 12)[0] is zeros
+    np.testing.assert_array_equal(zeros, 0.0)
 
 
 # --------------------------------------------------------- spectral MINRES
@@ -480,8 +528,8 @@ def minres_direction_reference(diagonal, B, rel_tol, max_iters):
 
 def assert_minres_matches_gmres(diagonal, B, tol, cap):
     with np.errstate(all="raise"):
-        xg, rg, jg, bg = _gmres_batched(diagonal, B, tol, cap)
-        xm, rm, jm, bm = _minres_spectral(diagonal, B, tol, cap)
+        xg, rg, jg, bg = _gmres_batched(diagonal, B.copy(), tol, cap)
+        xm, rm, jm, bm = _minres_spectral(diagonal, B.copy(), tol, cap)
     scale = np.maximum(np.max(np.abs(xg), axis=1), 1e-300)
     assert np.all(np.max(np.abs(xm - xg), axis=1) <= 1e-10 * scale)
     np.testing.assert_array_equal(rm <= tol, rg <= tol)
@@ -520,13 +568,48 @@ def test_minres_matches_the_direction_recurrence(p, n_x, log_cond, k, cap,
         B[k // 2] = 0.0
     tol = 10.0 ** log_tol
     with np.errstate(all="raise"):
-        X, res, iters, breakdown = _minres_spectral(diagonal, B, tol, cap)
+        X, res, iters, breakdown = _minres_spectral(diagonal, B.copy(), tol,
+                                                    cap)
         X_ref, res_ref, iters_ref, breakdown_ref = minres_direction_reference(
             diagonal, B, tol, cap)
     np.testing.assert_array_equal(res, res_ref)
     assert iters == iters_ref and breakdown == breakdown_ref
     scale = np.maximum(np.max(np.abs(X_ref), axis=1), 1e-300)
     assert np.all(np.max(np.abs(X - X_ref), axis=1) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n_x", [64, 65])
+def test_minres_writes_its_iterate_over_the_right_hand_side(n_x):
+    # the iterate is formed in the rows it is given, bitwise a run on a
+    # copy, and matches the direction recurrence; a zero row and an all-zero
+    # batch come back as zeros
+    diagonal = symmetric_correction(3, n_x, 300.0)
+    B = basis_rows(np.random.default_rng(n_x), 4, n_x)
+    B[1] = 0.0
+    rhs, again = B.copy(), B.copy()
+    with np.errstate(all="raise"):
+        X, res, iters, breakdown = _minres_spectral(diagonal, B, 1e-2, 20)
+        X2, res2, iters2, breakdown2 = _minres_spectral(diagonal, again, 1e-2,
+                                                        20)
+        X_ref, res_ref, iters_ref, breakdown_ref = minres_direction_reference(
+            diagonal, rhs, 1e-2, 20)
+    assert X is B
+    assert X.tobytes() == X2.tobytes() and res.tobytes() == res2.tobytes()
+    assert (iters, breakdown) == (iters2, breakdown2)
+    np.testing.assert_array_equal(res, res_ref)
+    assert iters == iters_ref and breakdown == breakdown_ref
+    scale = np.maximum(np.max(np.abs(X_ref), axis=1), 1e-300)
+    assert np.all(np.max(np.abs(X - X_ref), axis=1) <= 1e-13 * scale)
+    np.testing.assert_array_equal(X[1], 0.0)
+    zeros = np.zeros((2, n_x))
+    assert _minres_spectral(diagonal, zeros, 1e-2, 20)[0] is zeros
+    np.testing.assert_array_equal(zeros, 0.0)
+    # a row whose squared norm underflows to 0 never starts: it comes back
+    # as zeros, not scaled by the workspace it shares
+    B = basis_rows(np.random.default_rng(n_x), 3, n_x)
+    B[1] *= 1e-170
+    np.testing.assert_array_equal(_minres_spectral(diagonal, B, 1e-2, 20)[0][1],
+                                  0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -544,9 +627,10 @@ def test_minres_split_batches_match_the_whole_batch(p, n_x, log_cond, k, cap,
         B[data.draw(st.integers(0, k - 1))] = 0.0
     cuts = sorted(data.draw(st.sets(st.integers(1, k - 1), min_size=1)))
     tol = 10.0 ** log_tol
-    X, res, _, _ = _minres_spectral(diagonal, B, tol, cap)
+    X, res, _, _ = _minres_spectral(diagonal, B.copy(), tol, cap)
     for lo, hi in zip([0] + cuts, cuts + [k]):
-        X_part, res_part, _, _ = _minres_spectral(diagonal, B[lo:hi], tol, cap)
+        X_part, res_part, _, _ = _minres_spectral(diagonal, B[lo:hi].copy(),
+                                                  tol, cap)
         np.testing.assert_array_equal(X_part, X[lo:hi])
         np.testing.assert_array_equal(res_part, res[lo:hi])
 
@@ -601,7 +685,7 @@ def test_minres_reports_its_true_residual(p, n_x, log_cond, k, cap_fraction,
     diagonal = symmetric_correction(p, n_x, 10.0 ** log_cond)
     B = basis_rows(np.random.default_rng(seed), k, n_x)
     with np.errstate(all="raise"):
-        X, res, _, _ = _minres_spectral(diagonal, B, tol,
+        X, res, _, _ = _minres_spectral(diagonal, B.copy(), tol,
                                         1 + int(cap_fraction * n_x))
     true = (np.linalg.norm(B - basis_multiply(diagonal, X), axis=1)
             / np.linalg.norm(B, axis=1))
