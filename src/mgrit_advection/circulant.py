@@ -319,29 +319,33 @@ def basis_multiply(diagonal: BasisDiagonal, v: np.ndarray,
 
 
 def basis_forward_substitute(diagonal: Tuple[np.ndarray, np.ndarray],
-                             u: np.ndarray) -> np.ndarray:
-    """Solve e_k = D e_{k-1} + g_k, e_0 = 0, in place on the basis rows of the
-    2-D ``u`` (rows may be strided, the last axis contiguous), with D a
-    ``basis_diagonal``: ``u`` holds g_1 .. g_n on entry and e_1 .. e_n on
-    return.
+                             u: np.ndarray,
+                             e0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Solve e_k = D e_{k-1} + g_k in place on the basis rows of the 2-D
+    ``u`` (rows may be strided, the last axis contiguous), with D a
+    ``basis_diagonal``, from e_0 = ``e0`` (a contiguous row), or zero when
+    None: ``u`` holds g_1 .. g_n on entry and e_1 .. e_n on return.
 
     Bitwise the row loop ``u[k] += basis_multiply(diagonal, u[k - 1])`` from
-    a zero row: each interior row is one complex multiply and one add on its
-    complex view, and each head slot a scalar recurrence."""
+    the row e_0: each interior row is one complex multiply and one add on
+    its complex view, and each head slot a scalar recurrence.  Rows split
+    into blocks, each started from the last row of the one before, are
+    bitwise one call."""
     head, interior = diagonal
     h = len(head)
     if u.ndim != 2 or u.shape[-1] != h + 2 * len(interior):
         raise DimensionMismatchError(
             f"need a 2-D stack of rows of length {h + 2 * len(interior)}")
+    if e0 is None:
+        e0 = np.zeros(u.shape[-1])  # so that e_1 = g_1 + D 0
     step = np.empty(len(interior), dtype=complex)
-    prev = np.zeros_like(step)  # e_0, so that e_1 = g_1 + D 0
+    prev = e0[h:].view(complex)
     for row in u[:, h:].view(complex):
         np.multiply(prev, interior, out=step)
         np.add(row, step, out=row)
         prev = row
-    for j, d in enumerate(head.tolist()):
+    for j, (d, e) in enumerate(zip(head.tolist(), e0[:h].tolist())):
         values = u[:, j].tolist()
-        e = 0.0
         for k, g in enumerate(values):
             e = g + d * e
             values[k] = e

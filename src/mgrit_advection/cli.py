@@ -369,9 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="configuration file (ini format)")
         cmd.add_argument("--out", help="output CSV path (default: stdout)")
         cmd.add_argument("--threads", type=int, help=(
-            "worker threads, default 1, 0 for all cores: MGRIT phases split "
-            "into blocks of coarse intervals, sweeps into (c, m) points; "
-            "histories do not depend on it"))
+            "worker threads, default 1, 0 for all cores: a V-cycle's "
+            "recursing levels split their phases into blocks of coarse "
+            "intervals, sweeps into (c, m) points; histories do not depend "
+            "on it"))
         cmd.add_argument("--seed", type=int, help="random seed")
         cmd.add_argument("--measure", action="store_true", default=None,
                          help="attach measured factors to sweep points")

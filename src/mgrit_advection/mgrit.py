@@ -38,6 +38,17 @@ of the iterate holds, and zero elsewhere); after the first cycle it skips the
 opening F-relaxation, which the closing one already did, and its first
 C-relaxation copies the values the residual norm propagated.
 
+A level whose coarser level is the coarsest (every two-level solve, and the
+bottom level of a V-cycle) runs its whole cycle in one pass over its row
+blocks (``MgritSolver._pass``): each block of coarse intervals is relaxed,
+restricted, forward-substituted from the last error row of the block
+before, corrected, F-relaxed and, on level 0, normed while its rows are in
+cache, so a two-level cycle and its residual norm stream the iterate once
+rather than once per phase.  The C-point a block starts from ends the block
+before, which rewrites it in its later C-relaxations and its correction; it
+copies the row before each of those writes, and the next block's
+F-relaxations read the copies, so the pass is bitwise the phases in turn.
+
 A right-hand side ``g`` holds rows 1..n of a level's n + 1 time points in
 time order, or is None for zero.  No kernel reads g_0: row 0 of the iterate
 holds the value at t = 0 (u0 on level 0, a zero error below).
@@ -49,7 +60,8 @@ residual over its own last F-points u_{km-1} (the class F_{m-1}, on level
 dead while the level waits for its correction.  Level 0 holds the iterate
 for the whole solve.  The coarsest level holds nothing: the level above it
 forward-substitutes the coarse problem in its own last F-points from a zero
-error (``Stepper.forward_substitute``), so a two-level solve holds only its
+error, a row block at a time, each from the last error row of the block
+before (``Stepper.forward_substitute``), so a two-level solve holds only its
 iterate.  An inner V-cycle level l + 1 cycles on its error in the C-points
 of level l, zeroed and laid out in level l + 1's class blocks.  Its ``g``
 is level l's last F-points.  Level l parks its C-point values in its first
@@ -72,11 +84,14 @@ from u_{km-2}, so the returned iterate is the cycle's bit for bit.
 every pool task too: a diverging solve stops at its first infinite residual
 norm, and no warning escapes.
 
-Every block walk takes its row blocks from ``circulant._block_edges``:
-relaxation and restriction run in at most ``threads`` tasks of whole blocks
-of coarse intervals, the residual norm, the basis changes and a capped
-solve one block at a time, so every row keeps its serial arithmetic and
-Krylov calls: histories are bitwise independent of ``threads``.
+Every block walk takes its row blocks from ``circulant._block_edges``.
+The pass chains its blocks through the forward substitution, so it runs
+in the calling thread at every ``threads``.  A recursing V-cycle level runs
+its relaxation and restriction phases in at most ``threads`` tasks of whole
+blocks of coarse intervals on a pool, which only a solve with such a level
+makes.  The residual norm, the basis changes and a capped solve take one
+block at a time, so every row keeps its serial arithmetic and Krylov calls:
+histories are bitwise independent of ``threads``.
 """
 
 from __future__ import annotations
@@ -307,18 +322,30 @@ def cpoint_residual_norm(level, g, stepper, out=None) -> float:
     would write; it may be the last F-class ``level[-1]``, the rows it is
     stepped from.  Without it the level is left as it is.  A norm too large
     for a float, or of residuals that hold nan, is inf, without a warning."""
-    m, n_c = len(level), len(level[0]) - 1
+    n_c = len(level[0]) - 1
     edges = _block_edges(n_c, n_c)  # one range per block, the first longest
     r = np.empty((edges[1] if n_c else 0, level[0].shape[1]))
     outs = [] if out is None else [out]
     total = 0.0
     for k0, k1 in zip(edges, edges[1:]):
         block, g_k, *dest = _intervals(level, g, k0, k1, *outs)
-        res = r[:k1 - k0]
-        relaxed = _step_rows(block, g_k, stepper, m, dest[0] if dest else res)
-        np.subtract(relaxed, block[0][1:], out=res)
-        with np.errstate(over="ignore"):
-            total += float(np.dot(res.ravel(), res.ravel()))
+        total += _residual_squares(block, g_k, stepper, r[:k1 - k0], *dest)
+    return _root(total)
+
+
+def _residual_squares(block, g, stepper, res, out=None) -> float:
+    """The summed squares of the coarse-point residuals of the class views
+    ``block``, one row block, formed in its rows ``res``; ``g`` and ``out``
+    as in ``cpoint_residual_norm``."""
+    relaxed = _step_rows(block, g, stepper, len(block),
+                         res if out is None else out)
+    np.subtract(relaxed, block[0][1:], out=res)
+    with np.errstate(over="ignore"):
+        return float(np.dot(res.ravel(), res.ravel()))
+
+
+def _root(total: float) -> float:
+    """The norm of summed squares: inf if they overflowed or hold nan."""
     norm = math.sqrt(total)
     return math.inf if math.isnan(norm) else norm
 
@@ -339,8 +366,10 @@ def sequential_solve(problem: TimeGridProblem) -> np.ndarray:
 class MgritSolver:
     """Driver object holding the level hierarchy and the iteration state.
 
-    ``threads`` > 1 runs ``solve``'s relaxation and restriction phases on a
-    pool, in tasks of whole row blocks; histories do not change.
+    ``threads`` > 1 runs the relaxation and restriction phases of a
+    V-cycle's recursing levels on a pool, in tasks of whole row blocks; a
+    level above the coarsest runs its pass in the calling thread, so a
+    two-level solve makes no pool.  Histories do not change.
     """
 
     def __init__(self, problem: TimeGridProblem, config: MgritConfig,
@@ -380,14 +409,24 @@ class MgritSolver:
         run = self._pool.map if len(edges) > 2 else map
         list(run(task, edges[:-1], edges[1:]))
 
+    def _recurses(self, depth: int) -> bool:
+        """Whether level ``depth`` cycles on the level below, rather than
+        forward-substituting the coarsest level's problem."""
+        return (self.config.cycle == "v_cycle"
+                and depth + 1 < len(self.problem.m))
+
     def _cycle(self, depth: int, level: List[np.ndarray],
-               g: Optional[np.ndarray], warm: bool = False) -> None:
+               g: Optional[np.ndarray],
+               warm: bool = False) -> Optional[float]:
         """One cycle in place on the class views ``level`` of hierarchy
-        level ``depth`` (``class_views``).  The level restricts its residual
-        over its own last F-points ``level[-1]``, which the closing
-        F-relaxation rewrites.  If depth + 1 is the coarsest, its stepper's
-        ``forward_substitute`` solves the coarse problem there; otherwise
-        they are the right-hand side of depth + 1's cycle on its error,
+        level ``depth`` (``class_views``); on level 0 it returns the
+        residual norm the cycle leaves (``cpoint_residual_norm``, with the
+        norm's C-point values over the last F-points when ``nu`` >= 1).
+        The level restricts its residual over its own last F-points
+        ``level[-1]``, which the closing F-relaxation rewrites.  If depth + 1
+        is the coarsest, ``_pass`` runs the whole cycle block by block;
+        otherwise the phases run on ``_over_intervals``, and the last
+        F-points are the right-hand side of depth + 1's cycle on its error,
         which it runs in the class views of this level's C-points
         ``level[0]``, zeroed.  Their values wait in the first F-points
         ``level[1]`` (at m = 2 in an n_c-row buffer, since those are the
@@ -399,8 +438,10 @@ class MgritSolver:
         C-point value Phi u_{km-1} in its place (``cpoint_residual_norm``'s
         ``out``), and the first C-relaxation copies it rather than
         stepping."""
+        if not self._recurses(depth):
+            return self._pass(depth, level, g, warm)
         cfg = self.config
-        stepper, coarser = self.problem.steppers[depth:depth + 2]
+        stepper = self.problem.steppers[depth]
         cpoints, rhs = level[0], level[-1]
         phase = self._over_intervals
 
@@ -416,29 +457,85 @@ class MgritSolver:
         # the last F-points are dead until the closing F-relaxation rewrites
         # them: they hold the restricted residual, the coarse right-hand side
         phase(restrict_residual, level, g, stepper, rhs)
-        if cfg.cycle == "v_cycle" and depth + 1 < len(self.problem.m):
-            # depth + 1 cycles on its error in the C-points, in its own class
-            # blocks; their values wait in the dead first F-points, which at
-            # m = 2 are the last ones, the rhs
-            m_next = self.problem.m[depth + 1]
-            parked = level[1] if len(level) > 2 else np.empty(rhs.shape)
-            parked[...] = cpoints[1:]
-            row0 = cpoints[0].copy()
-            try:
-                cpoints.fill(0.0)
-                error = class_views(cpoints, m_next)
-                self._cycle(depth + 1, error, rhs)
-                # parked row i - 1 takes coarse point i of the error, which
-                # is in class i % m_next
-                for j, values in enumerate(error[1:] + [error[0][1:]]):
-                    parked[j::m_next] += values
-            finally:
-                cpoints[1:] = parked
-                cpoints[0] = row0
-        else:
-            # forward substitution from a zero error turns it into the error
-            cpoints[1:] += coarser.forward_substitute(rhs)
+        # depth + 1 cycles on its error in the C-points, in its own class
+        # blocks; their values wait in the dead first F-points, which at
+        # m = 2 are the last ones, the rhs
+        m_next = self.problem.m[depth + 1]
+        parked = level[1] if len(level) > 2 else np.empty(rhs.shape)
+        parked[...] = cpoints[1:]
+        row0 = cpoints[0].copy()
+        try:
+            cpoints.fill(0.0)
+            error = class_views(cpoints, m_next)
+            self._cycle(depth + 1, error, rhs)
+            # parked row i - 1 takes coarse point i of the error, which is
+            # in class i % m_next
+            for j, values in enumerate(error[1:] + [error[0][1:]]):
+                parked[j::m_next] += values
+        finally:
+            cpoints[1:] = parked
+            cpoints[0] = row0
         phase(f_relax, level, g, stepper)
+        if depth == 0:
+            return cpoint_residual_norm(level, g, stepper,
+                                        rhs if cfg.nu else None)
+        return None
+
+    def _pass(self, depth: int, level: List[np.ndarray],
+              g: Optional[np.ndarray], warm: bool) -> Optional[float]:
+        """``_cycle`` on a level whose coarser level is the coarsest, in one
+        pass over its row blocks (``circulant._block_edges``) in the calling
+        thread: each block's intervals are relaxed, restricted over their
+        last F-points, forward-substituted from the last error row of the
+        block before, corrected, F-relaxed and, on level 0, normed while
+        their rows are in cache, so the rows stream once per cycle.
+
+        Bitwise the per-phase schedule: the only row two blocks share is
+        the C-point k0 that ends the block before.  That block rewrites it
+        in each later C-relaxation and in its correction, before this
+        block's F-relaxations read it.  So the block before copies the row
+        ahead of each of those writes (``nu`` + 1 rows in all), this block's
+        F-relaxation s reads copy s in the row, and the row gets its last
+        value back before the closing F-relaxation, or if a phase raises."""
+        nu = self.config.nu
+        stepper, coarser = self.problem.steppers[depth:depth + 2]
+        n_c, n_x = len(level[0]) - 1, level[0].shape[1]
+        edges = _block_edges(n_c, n_c)
+        # row 0 is never written, so the first block reads it in every copy
+        saved = np.repeat(level[0][:1], nu + 1, axis=0)
+        row0, carry = np.empty(n_x), np.zeros(n_x)
+        res = np.empty((edges[1], n_x)) if depth == 0 else None
+        total = 0.0
+        for k0, k1 in zip(edges, edges[1:]):
+            block, g_k = _intervals(level, g, k0, k1)
+            cpoints, rhs = block[0], block[-1]
+            row0[...] = cpoints[0]
+            try:
+                if not warm:
+                    cpoints[0] = saved[0]
+                    f_relax(block, g_k, stepper)
+                for sweep in range(nu):
+                    saved[sweep] = cpoints[-1]
+                    if warm and sweep == 0:
+                        cpoints[1:] = rhs
+                    else:
+                        c_relax(block, g_k, stepper)
+                    cpoints[0] = saved[sweep + 1]
+                    f_relax(block, g_k, stepper)
+                saved[nu] = cpoints[-1]
+                restrict_residual(block, g_k, stepper, rhs)
+                # forward substitution from the block before's last error
+                # row (zero for the first) turns the residual into the error
+                coarser.forward_substitute(rhs, carry)
+                carry[...] = rhs[-1]
+                cpoints[1:] += rhs
+            finally:
+                cpoints[0] = row0
+            f_relax(block, g_k, stepper)
+            if depth == 0:
+                total += _residual_squares(block, g_k, stepper,
+                                           res[:k1 - k0], rhs if nu else None)
+        return _root(total) if depth == 0 else None
 
     # ------------------------------------------------------------------ solve
 
@@ -454,7 +551,8 @@ class MgritSolver:
         array of the coarse grid's size: each inner level cycles in the
         C-points of the level above, in its own class blocks (``_cycle``).
         At m = 2 a recursing level parks its C-point values in n_c rows
-        while the cycle below visits it."""
+        while the cycle below visits it.  The residual norm is formed once
+        before the first cycle and then by each cycle as it ends."""
         cfg = self.config
         problem = self.problem
         if u is None:
@@ -467,30 +565,30 @@ class MgritSolver:
                 f"contiguous last axis, got {u.dtype} of shape {u.shape}")
         m = problem.m[0]
         level = class_views(u, m)
-        # the norm's C-point values, over the last F-points for the warm
-        # cycle's first C-relaxation; with nu = 0 no C-relaxation reads them
-        relaxed = level[-1] if cfg.nu else None
 
         start = time.perf_counter()
         stepper = problem.steppers[0]
         u[0] = problem.u0
         to_basis(u)
         block_rows(u, m)
-        if self.threads > 1:
+        # only a recursing level's phases run on the pool
+        if self.threads > 1 and self._recurses(0):
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(max_workers=self.threads)
         # a diverging iterate overflows, the norm reads inf, and the basis
         # change returns what it holds
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                norms = [cpoint_residual_norm(level, None, stepper, relaxed)]
+                # the norm's C-point values, over the last F-points for the
+                # warm cycle's first C-relaxation; with nu = 0 no
+                # C-relaxation reads them
+                norms = [cpoint_residual_norm(level, None, stepper,
+                                              level[-1] if cfg.nu else None)]
                 converged = False
                 it = 0
                 while it < cfg.max_iters:
-                    self._cycle(0, level, None, warm=it > 0)
+                    norms.append(self._cycle(0, level, None, warm=it > 0))
                     it += 1
-                    norms.append(cpoint_residual_norm(level, None, stepper,
-                                                      relaxed))
                     # a cycle that leaves a zero residual has converged;
                     # the opening norm alone is never enough, as it reads
                     # only the C-points and leaves the F-points unchecked
@@ -523,8 +621,10 @@ class MgritSolver:
 def solve(problem: TimeGridProblem, config: MgritConfig,
           threads: int = 1, initial_iterate: Optional[np.ndarray] = None) -> SolveReport:
     """Run MGRIT to the halting rule; divergence is reported, not raised.
-    ``threads`` splits each relaxation and restriction phase into blocks of
-    coarse intervals; the residual history does not depend on it."""
+    ``threads`` splits each relaxation and restriction phase of a V-cycle's
+    recursing levels into blocks of coarse intervals; a two-level cycle is
+    one pass in the calling thread.  The residual history does not depend
+    on it."""
     return MgritSolver(problem, config, threads).solve(initial_iterate)
 
 

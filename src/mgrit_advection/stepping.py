@@ -290,14 +290,17 @@ class Stepper:
             return self._apply_fn(u, out)
         return basis_multiply(self.basis_diagonal(), u, out)
 
-    def forward_substitute(self, u: np.ndarray) -> np.ndarray:
-        """Solve e_k = Phi e_{k-1} + g_k, e_0 = 0, in place on the basis rows
-        of the 2-D ``u``, which holds g_1 .. g_n on entry: bitwise the loop
-        stepping each row with ``apply`` from zero, which a capped one runs."""
+    def forward_substitute(self, u: np.ndarray,
+                           e0: Optional[np.ndarray] = None) -> np.ndarray:
+        """Solve e_k = Phi e_{k-1} + g_k in place on the basis rows of the
+        2-D ``u``, which holds g_1 .. g_n on entry, from e_0 = ``e0``, or
+        zero when None: bitwise the loop stepping each row with ``apply``
+        from e_0, which a capped one runs.  Rows split into blocks, each
+        started from the last row of the one before, are bitwise one call."""
         if self._apply_fn is None:
-            return basis_forward_substitute(self.basis_diagonal(), u)
+            return basis_forward_substitute(self.basis_diagonal(), u, e0)
         step = np.empty(u.shape[1:])
-        prev = np.zeros(u.shape[1:])
+        prev = np.zeros(u.shape[1:]) if e0 is None else e0
         for row in u:
             row += self.apply(prev, out=step)
             prev = row

@@ -358,14 +358,39 @@ def test_forward_substitution_is_the_row_loop_bit_for_bit(monkeypatch, kind,
     row_loop_substitute(stepper, ref[m - 1::m])
     kernel_calls = []
 
-    def recording(diagonal, rows):
+    def recording(diagonal, rows, e0=None):
         kernel_calls.append(len(rows))
-        return basis_forward_substitute(diagonal, rows)
+        return basis_forward_substitute(diagonal, rows, e0)
 
     monkeypatch.setattr(stepping, "basis_forward_substitute", recording)
     stepper.forward_substitute(u[m - 1::m])
     assert u.tobytes() == ref.tobytes()
     assert kernel_calls == ([] if kind == "capped" else [16])
+
+
+@pytest.mark.parametrize("n_x", [63, 64])
+@pytest.mark.parametrize("kind", ["sdirk", "semi_lagrangian",
+                                  "modified_direct", "minres", "gmres"])
+def test_blocks_from_the_carried_last_row_are_one_substitution(kind, n_x):
+    # a two-level pass substitutes its coarse problem block by block, each
+    # block from the last error row of the one before: in every bit the
+    # substitution of all rows at once, for a diagonal step and for a
+    # capped one (MINRES at odd order, GMRES at even order)
+    if kind in ("minres", "gmres"):
+        p = 3 if kind == "minres" else 2
+        spec = DiscretizationSpec("erk", p, 0.85 * cfl_limit(p), n_x, 64)
+        stepper = modified_coarse_stepper(spec, 16, solver="gmres")
+    else:
+        stepper = stepper_of_kind(kind, n_x)
+    u = np.random.default_rng(n_x).standard_normal((40, n_x))
+    u[0, ::2] = -0.0
+    whole = u.copy()
+    stepper.forward_substitute(whole)
+    carry = None
+    for block in (u[:17], u[17:18], u[18:]):
+        stepper.forward_substitute(block, carry)
+        carry = block[-1].copy()
+    assert u.tobytes() == whole.tobytes()
 
 
 
@@ -588,11 +613,11 @@ def fail_at_step(monkeypatch, n_calls):
             raise RuntimeError("stepper failed")
         return apply(self, u, out)
 
-    def failing_substitute(diagonal, u):
+    def failing_substitute(diagonal, u, e0=None):
         steps = [next(calls) for _ in range(len(u))]
         if n_calls in steps:
             raise RuntimeError("stepper failed")
-        return substitute(diagonal, u)
+        return substitute(diagonal, u, e0)
 
     monkeypatch.setattr(Stepper, "apply", failing_apply)
     monkeypatch.setattr(stepping, "basis_forward_substitute",

@@ -381,6 +381,22 @@ REDUCED_CASES = [
     pytest.param("erk", 3, 0.85, "v_cycle", 4, 1, 16, 1024, threads,
                  id=f"erk3_capped_v_cycle-nx16-nt1024-threads{threads}")
     for threads in (1, 2, 3)
+] + [
+    # two-level passes over several row blocks, each block's F-relaxations
+    # reading the C-point the block before has since rewritten: 160
+    # intervals (64 + 64 + 32) at m = 2 and m = 4, odd n_x at m = 4
+    pytest.param("sdirk", 3, 5.0, "two_level", m, nu, n_x, n_t, threads,
+                 id=f"two_level-m{m}-nu{nu}-nx{n_x}-nt{n_t}-threads{threads}")
+    for m, n_x, n_t, nus in ((2, 16, 320, (0, 2)), (4, 15, 640, (0, 1, 2)))
+    for nu in nus
+    for threads in (1, 3)
+] + [
+    # V-cycles whose bottom level passes over several blocks: 129 intervals
+    # (64 + 64 + 1) at m = 2, and 65 (64 + 1) above a capped coarsest level
+    pytest.param(family, 3, c, "v_cycle", m, 1, 16, n_t, threads,
+                 id=f"{family}3_v_cycle-m{m}-nx16-nt{n_t}-threads{threads}")
+    for family, c, m, n_t in (("sdirk", 5.0, 2, 516), ("erk", 0.85, 4, 1040))
+    for threads in (1, 3)
 ]
 
 
@@ -392,8 +408,9 @@ def test_solve_is_the_unreduced_cycle_bit_for_bit(monkeypatch, family, p, c,
     # solve skips the opening F-relaxation after the first cycle, copies the
     # residual norm's propagation as the first C-relaxation and reads no
     # fine right-hand side, each inner level cycles in its own class blocks,
-    # and each phase runs in tasks of whole row blocks; none of it may
-    # change a single bit
+    # each recursing level's phases run in tasks of whole row blocks, and a
+    # level above the coarsest runs its cycle in one pass over its row
+    # blocks; none of it may change a single bit
     if family == "erk":
         c *= cfl_limit(p)
     problem = build_problem(DiscretizationSpec(family, p, c, n_x, n_t), m,
@@ -414,10 +431,15 @@ def test_solve_is_the_unreduced_cycle_bit_for_bit(monkeypatch, family, p, c,
     norms = unreduced_basis_solve(problem, config, ref)
     assert report.residual_norms == norms
     assert u.tobytes() == ref.tobytes()
-    # level 0's phases, the longest, run in a task per thread while there
-    # are row blocks enough: the split cases run some phase in 2 or 3 tasks
-    level0_blocks = -(-n_t // problem.m[0] // BLOCK)
-    assert max(tasks) == min(threads, level0_blocks)
+    if cycle == "v_cycle" and len(problem.m) > 1:
+        # level 0's phases, the longest, run in a task per thread while
+        # there are row blocks enough: the split cases run some phase in 2
+        # or 3 tasks
+        level0_blocks = -(-n_t // problem.m[0] // BLOCK)
+        assert max(tasks) == min(threads, level0_blocks)
+    else:
+        # a two-level cycle is one pass in the calling thread
+        assert tasks == []
 
 
 class RowCountingStepper(Stepper):
@@ -441,7 +463,8 @@ def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
     # restriction and the closing F, and the residual norm once more; later
     # cycles reuse the closing F-relaxation and the norm's propagation (four
     # times at nu = 1), and after the last norm only the last F-points are
-    # stepped once more
+    # stepped once more.  The marks are taken after the opening norm and as
+    # each level-0 cycle returns, having formed its residual norm
     n_t, m = 64, 2
     problem = fine_problem(n_x=32, n_t=n_t, m=m, coarse="rediscretized",
                            c=0.5)
@@ -465,7 +488,16 @@ def test_later_cycles_step_each_fine_interval_four_times(monkeypatch):
         marks.append(sum(counter.rows))
         return value
 
+    cycle = MgritSolver._cycle
+
+    def marked_cycle(self, depth, *args, **kwargs):
+        value = cycle(self, depth, *args, **kwargs)
+        if depth == 0:
+            marks.append(sum(counter.rows))
+        return value
+
     monkeypatch.setattr(mgrit, "cpoint_residual_norm", marked_norm)
+    monkeypatch.setattr(MgritSolver, "_cycle", marked_cycle)
     n_c = n_t // m
     for nu, first, later in ((0, 4, 3), (1, 6, 4), (2, 8, 6)):
         for seen in (counter.rows, rhs, marks):
@@ -566,6 +598,21 @@ def test_package_import_leaves_the_thread_pool_unloaded():
     # only a threaded solve or sweep loads it
     done = run_in_fresh_process(
         "import sys, mgrit_advection, mgrit_advection.experiments; "
+        "sys.exit('concurrent.futures' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+
+
+def test_threaded_two_level_solve_leaves_the_thread_pool_unloaded():
+    # a two-level cycle is one pass in the calling thread, so a solve with
+    # no recursing level makes no pool at any thread count
+    done = run_in_fresh_process(
+        "import sys\n"
+        "from mgrit_advection import DiscretizationSpec, MgritConfig, solve\n"
+        "from mgrit_advection.experiments import build_problem\n"
+        "spec = DiscretizationSpec('sdirk', 3, 5.0, 16, 320)\n"
+        "problem = build_problem(spec, 2, 'two_level', 'modified')\n"
+        "report = solve(problem, MgritConfig(max_iters=2), threads=2)\n"
+        "assert report.iterations == 2\n"
         "sys.exit('concurrent.futures' in sys.modules)")
     assert done.returncode == 0, done.stderr
 
